@@ -10,16 +10,16 @@ LRU miss counting for cross-checking the simulator.
 from __future__ import annotations
 
 import enum
-import json
 import logging
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DataError, ParseError
+from .model import Codec, read_json, write_json
 
 log = logging.getLogger("wcr.cachesim")
 
@@ -170,7 +170,7 @@ class CurvePoint:
 
 
 @dataclass(frozen=True)
-class MissRatioCurve:
+class MissRatioCurve(Codec):
     """Miss ratio as a function of cache capacity, for one access-kind filter."""
 
     points: tuple[CurvePoint, ...]
@@ -186,25 +186,6 @@ class MissRatioCurve:
         for p in self.points:
             if not 0.0 <= p.miss_ratio <= 1.0:
                 raise DataError(f"miss ratio {p.miss_ratio} outside [0, 1]")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind.value,
-            "points": [
-                {"capacity_bytes": p.capacity_bytes, "miss_ratio": p.miss_ratio}
-                for p in self.points
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "MissRatioCurve":
-        return cls(
-            points=tuple(
-                CurvePoint(int(p["capacity_bytes"]), float(p["miss_ratio"]))
-                for p in d["points"]
-            ),
-            kind=CurveKind(d["kind"]),
-        )
 
 
 # --- simulation ---------------------------------------------------------------
@@ -427,12 +408,15 @@ def read_binary_trace(path: str | Path, sidecar: str | Path | None = None) -> Ac
     `{"segments": [{"begin": 0, "end": N, "weight": 1.0}, ...]}`. Without a
     sidecar the whole file is one segment of weight 1.
     """
+    size = Path(path).stat().st_size
+    if size % _RECORD_DTYPE.itemsize:
+        raise DataError(f"trace {path}: {size} bytes is not a whole number of records")
     records = np.fromfile(path, dtype=_RECORD_DTYPE)
     if records.size == 0:
         raise DataError(f"trace {path} has no records")
     if sidecar is None:
         return AccessTrace.single(records["address"], records["kind"])
-    spec = json.loads(Path(sidecar).read_text(encoding="utf-8"))
+    spec = read_json(sidecar)
     segments = []
     previous_end = 0
     for entry in spec["segments"]:
@@ -467,10 +451,7 @@ def write_binary_trace(
         offset = end
     records.tofile(path)
     if sidecar is not None:
-        Path(sidecar).write_text(
-            json.dumps({"segments": boundaries}, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        write_json(sidecar, {"segments": boundaries})
 
 
 def skip_accesses(trace: AccessTrace, n: int) -> AccessTrace:

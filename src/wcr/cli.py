@@ -16,25 +16,27 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Sequence
 
 from . import __version__
-from .errors import DataError
+from .errors import DataError, ParseError
 from .model import (
     BehaviorLabels,
     Category,
+    Codec,
     DataSizeClass,
     MetricSchema,
     MetricVector,
     RawProfile,
     SystemBehavior,
     default_schema,
+    read_json,
+    write_json,
 )
 from . import cachesim, classification, ingest, reduction, report
 
@@ -47,7 +49,7 @@ EXIT_IO = 3
 
 
 @dataclass
-class RunConfig:
+class RunConfig(Codec):
     """Defaults shared by all subcommands; a JSON config file may override
     them and command-line flags override the file."""
 
@@ -66,33 +68,25 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise DataError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        config = cls(**{k: v for k, v in raw.items() if k in known})
-        if isinstance(config.sizes, list):
-            config.sizes = tuple(int(s) for s in config.sizes)
+        config = cls.from_dict(read_json(path))
         if config.schema_path is not None and not Path(config.schema_path).exists():
             raise DataError(f"schema file {config.schema_path!r} does not exist")
         return config
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema_path": self.schema_path,
-            "warmup_s": self.warmup_s,
-            "variance_target": self.variance_target,
-            "k": self.k,
-            "k_min": self.k_min,
-            "k_max": self.k_max,
-            "seed": self.seed,
-            "restarts": self.restarts,
-            "sizes": list(self.sizes),
-            "knee_ratio": self.knee_ratio,
-            "line_bytes": self.line_bytes,
-            "associativity": self.associativity,
-        }
+
+@dataclass(frozen=True)
+class VectorsFile(Codec):
+    """`vectors.json`: derived metric vectors with the schema they follow."""
+
+    schema: MetricSchema
+    vectors: tuple[MetricVector, ...]
+
+
+@dataclass(frozen=True)
+class ProfilesFile(Codec):
+    """`profiles.json`: the raw counter profiles of one ingest run."""
+
+    profiles: tuple[RawProfile, ...]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,7 +132,7 @@ def _write_manifest(
         },
     }
     path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(path, manifest)
     return path
 
 
@@ -146,10 +140,6 @@ def _load_schema(config: RunConfig) -> MetricSchema:
     if config.schema_path is None:
         return default_schema()
     return ingest.load_schema(config.schema_path)
-
-
-def _write_json(path: Path, payload: Any) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 # --- subcommands -----------------------------------------------------------
@@ -167,14 +157,11 @@ def _cmd_ingest(args: argparse.Namespace, config: RunConfig) -> int:
 
     outputs = []
     profiles_path = out_dir / "profiles.json"
-    _write_json(profiles_path, {"profiles": [p.to_dict() for p in profiles]})
+    write_json(profiles_path, ProfilesFile(tuple(profiles)).to_dict())
     outputs.append(profiles_path)
 
     vectors_path = out_dir / "vectors.json"
-    _write_json(
-        vectors_path,
-        {"schema": schema.to_dict(), "vectors": [v.to_dict() for v in vectors]},
-    )
+    write_json(vectors_path, VectorsFile(schema, tuple(vectors)).to_dict())
     outputs.append(vectors_path)
 
     if args.telemetry:
@@ -188,7 +175,7 @@ def _cmd_ingest(args: argparse.Namespace, config: RunConfig) -> int:
             runtime = wall_times.get(workload, telemetry[workload].samples[-1].t_s)
             system_metrics[workload] = ingest.aggregate_telemetry(steady, runtime).to_dict()
         metrics_path = out_dir / "system_metrics.json"
-        _write_json(metrics_path, {"system_metrics": system_metrics})
+        write_json(metrics_path, {"system_metrics": system_metrics})
         outputs.append(metrics_path)
 
     _write_manifest(out_dir, "ingest", config, inputs, outputs)
@@ -197,15 +184,20 @@ def _cmd_ingest(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def _load_vectors(path: Path, config: RunConfig) -> tuple[MetricSchema, list[MetricVector]]:
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    if "vectors" in payload:
-        schema = MetricSchema.from_dict(payload["schema"])
+    payload = read_json(path)
+    if isinstance(payload, dict) and "vectors" in payload:
+        stored = VectorsFile.from_dict(payload)
+        schema = stored.schema
         ingest.check_schema(schema)
-        vectors = [MetricVector.from_dict(v, schema) for v in payload["vectors"]]
-        return schema, vectors
-    if "profiles" in payload:
+        stale = {v.schema_version for v in stored.vectors} - {schema.version}
+        if stale:
+            raise DataError(f"vector schema_version {min(stale)!r} does not match "
+                            f"schema {schema.version!r}")
+        return schema, [MetricVector.from_values(v.workload_id, v.values, schema)
+                        for v in stored.vectors]
+    if isinstance(payload, dict) and "profiles" in payload:
         schema = _load_schema(config)
-        profiles = [RawProfile.from_dict(p) for p in payload["profiles"]]
+        profiles = ProfilesFile.from_dict(payload).profiles
         return schema, [ingest.derive_microarch_metrics(p, schema) for p in profiles]
     raise DataError(f"{path} holds neither 'vectors' nor 'profiles'")
 
@@ -219,7 +211,7 @@ def _cmd_reduce(args: argparse.Namespace, config: RunConfig) -> int:
     k = config.k
     reduction_config = reduction.ReductionConfig(
         variance_target=config.variance_target,
-        k=None if k == "auto" else int(k),
+        k=None if k == "auto" else _parse_int("k", k),
         k_min=config.k_min,
         k_max=config.k_max,
         seed=config.seed,
@@ -228,7 +220,7 @@ def _cmd_reduce(args: argparse.Namespace, config: RunConfig) -> int:
     result = reduction.reduce_vectors(vectors, schema, reduction_config)
 
     reduction_path = out_dir / "reduction.json"
-    _write_json(reduction_path, result.to_dict())
+    write_json(reduction_path, result.to_dict())
     normalized_path = out_dir / "normalized.csv"
     result.normalized.write_csv(normalized_path)
 
@@ -317,7 +309,7 @@ def _cmd_footprint(args: argparse.Namespace, config: RunConfig) -> int:
     capacity = cachesim.estimate_footprint(curve, config.knee_ratio)
 
     footprint_path = out_dir / "footprint.json"
-    _write_json(
+    write_json(
         footprint_path,
         {"capacity_bytes": capacity, "knee_ratio": config.knee_ratio, "curve": curve_path.name},
     )
@@ -423,7 +415,12 @@ def _read_stack_table(path: Path) -> list[report.StackMetricRecord]:
             raise DataError(f"{path}: missing columns {', '.join(sorted(missing))}")
         for row in reader:
             key = (row["algorithm"], row["stack"])
-            grouped.setdefault(key, {})[row["metric"]] = float(row["value"])
+            try:
+                value = float(row["value"])
+            except (TypeError, ValueError):  # TypeError: the row has no value cell
+                raise ParseError(f"{path}: value {row['value']!r} is not a number",
+                                 line=reader.line_num)
+            grouped.setdefault(key, {})[row["metric"]] = value
     return [
         report.StackMetricRecord(algorithm=a, stack=s, metrics=m)
         for (a, s), m in sorted(grouped.items())
@@ -461,7 +458,9 @@ def _build_parser() -> _Parser:
     _add_common(p, top_level=False)
     p.add_argument("input", help="profiles.json or vectors.json")
     p.add_argument("--k", help="fixed cluster count, or 'auto'")
-    p.add_argument("--k-range", help="k_min,k_max for auto selection")
+    p.add_argument(
+        "--k-range", help="k_min,k_max for auto selection (default: 1 to half the workloads)"
+    )
     p.add_argument("--variance-target", type=float, help="PCA variance retention (default 0.85)")
     p.add_argument("--out", required=True)
 
@@ -499,6 +498,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _parse_int(name: str, token: str | int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise DataError(f"bad {name} {token!r}, expected an integer")
+
+
 def _parse_size(token: str) -> int:
     token = token.strip().upper()
     factor = 1
@@ -524,7 +530,7 @@ def _apply_overrides(args: argparse.Namespace, config: RunConfig) -> RunConfig:
     if getattr(args, "variance_target", None) is not None:
         config.variance_target = args.variance_target
     if getattr(args, "k", None) is not None:
-        config.k = args.k if args.k == "auto" else int(args.k)
+        config.k = args.k if args.k == "auto" else _parse_int("--k", args.k)
     if getattr(args, "k_range", None) is not None:
         try:
             k_min, k_max = (int(v) for v in args.k_range.split(","))
@@ -536,7 +542,7 @@ def _apply_overrides(args: argparse.Namespace, config: RunConfig) -> RunConfig:
     if getattr(args, "line", None) is not None:
         config.line_bytes = args.line
     if getattr(args, "assoc", None) is not None:
-        config.associativity = None if args.assoc == "full" else int(args.assoc)
+        config.associativity = None if args.assoc == "full" else _parse_int("--assoc", args.assoc)
     if getattr(args, "knee", None) is not None:
         config.knee_ratio = args.knee
     return config

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
@@ -188,17 +189,26 @@ def _build_formulas() -> dict[str, Formula]:
 FORMULAS: dict[str, Formula] = _build_formulas()
 
 
-def check_schema(schema: MetricSchema) -> None:
-    """Raise if any descriptor references a missing or unit-mismatched formula."""
+def schema_violations(schema: MetricSchema) -> list[str]:
+    """Descriptors that reference a missing or unit-mismatched formula, one message each."""
+    violations = []
     for desc in schema.metrics:
         formula = FORMULAS.get(desc.formula_id)
         if formula is None:
-            raise DataError(f"metric '{desc.name}': unknown formula '{desc.formula_id}'")
-        if formula.unit is not desc.unit:
-            raise DataError(
+            violations.append(f"metric '{desc.name}': unknown formula '{desc.formula_id}'")
+        elif formula.unit is not desc.unit:
+            violations.append(
                 f"metric '{desc.name}': unit {desc.unit.value} does not match "
                 f"formula '{desc.formula_id}' ({formula.unit.value})"
             )
+    return violations
+
+
+def check_schema(schema: MetricSchema) -> None:
+    """Raise on the first descriptor that references a missing or unit-mismatched formula."""
+    violations = schema_violations(schema)
+    if violations:
+        raise DataError(violations[0])
 
 
 def load_schema(path) -> MetricSchema:
@@ -245,16 +255,10 @@ def parse_counter_csv(stream: TextIO | str) -> list[RawProfile]:
         workload, node, event, count_s, wall_s = (field.strip() for field in row)
         if not workload or not node or not event:
             raise ParseError("workload, node and event must be non-empty", line=lineno)
-        try:
-            count = float(count_s)
-        except ValueError:
-            raise ParseError(f"count {count_s!r} is not a number", line=lineno)
+        count = _finite_number("count", count_s, lineno)
         if count < 0:
             raise ParseError(f"count {count} is negative", line=lineno)
-        try:
-            wall = float(wall_s)
-        except ValueError:
-            raise ParseError(f"wall_time_s {wall_s!r} is not a number", line=lineno)
+        wall = _finite_number("wall_time_s", wall_s, lineno)
 
         event = canonical_counter_name(event)
         key = (workload, node, event)
@@ -284,6 +288,16 @@ def parse_counter_csv(stream: TextIO | str) -> list[RawProfile]:
     ]
 
 
+def _finite_number(name: str, token: str, lineno: int) -> float:
+    try:
+        value = float(token)
+    except ValueError:
+        raise ParseError(f"{name} {token!r} is not a number", line=lineno)
+    if not math.isfinite(value):
+        raise ParseError(f"{name} {token!r} is not finite", line=lineno)
+    return value
+
+
 # --- telemetry CSV ----------------------------------------------------------
 
 
@@ -311,10 +325,9 @@ def parse_telemetry_csv(stream: TextIO | str) -> dict[str, SystemTelemetry]:
         workload = row[0].strip()
         if not workload:
             raise ParseError("workload must be non-empty", line=lineno)
-        try:
-            values = [float(v) for v in row[1:]]
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno)
+        values = [
+            _finite_number(name, v, lineno) for name, v in zip(TELEMETRY_CSV_HEADER[1:], row[1:])
+        ]
         try:
             sample = TelemetrySample(
                 t_s=values[0], cpu_util=values[1], io_wait=values[2],
@@ -416,9 +429,6 @@ class IntegerBreakdown:
     int_addr: float
     fp_addr: float
     other: float
-
-    def to_dict(self) -> dict[str, float]:
-        return {"int_addr": self.int_addr, "fp_addr": self.fp_addr, "other": self.other}
 
 
 def integer_breakdown(int_addr_calc: float, fp_addr_calc: float, other_calc: float) -> IntegerBreakdown:

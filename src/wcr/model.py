@@ -3,20 +3,157 @@
 Metric schemas describe an ordered vector of derived micro-architectural
 metrics; raw profiles carry the counter totals those metrics are derived
 from; telemetry carries the OS-level time series used for system-behavior
-classification. All types are immutable after construction and JSON
-round-trippable.
+classification. All types are immutable after construction.
+
+`Codec` is the only mapping between these dataclasses and JSON: every type
+that is written to or read from a JSON file inherits its `to_dict` and
+`from_dict`, which follow the dataclass fields and their annotations;
+`read_json` and `write_json` are the only JSON file reader and writer.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+import types
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Annotated, Any, Mapping, Sequence, Union, get_args, get_origin, get_type_hints
+
+import numpy as np
 
 from .errors import DataError
+
+# Float array fields of a fixed dimension; an empty Matrix decodes to shape (0, 0).
+Vector = Annotated[np.ndarray, 1]
+Matrix = Annotated[np.ndarray, 2]
+
+_SCALARS = frozenset({int, float, str, bool, type(None)})
+# the value types a scalar annotation accepts; ints widen to float, bools are rejected
+_ACCEPTS = {float: frozenset({int, float}), int: frozenset({int}), str: frozenset({str})}
+
+
+class Codec:
+    """JSON-ready dicts from dataclass fields, and dataclasses back from them.
+
+    Encoding turns enums into their values, tuples and arrays into lists,
+    and nested dataclasses and dicts into dicts. Decoding follows the field
+    annotations: ints are accepted where floats belong, defaults fill absent
+    keys, and a missing key, an unknown key or a value of the wrong type
+    raises `DataError` naming `Class.field`.
+    """
+
+    def to_dict(self) -> dict[str, Any]:
+        return _encode(self)
+
+    @classmethod
+    def from_dict(cls, d: Mapping[str, Any]) -> Any:
+        try:
+            return _decode(cls, d, cls.__name__)
+        except OverflowError:  # an integer too large for a float field
+            raise DataError(f"{cls.__name__}: a number is outside the float range")
+
+
+def _encode(value: Any) -> Any:
+    if type(value) in _SCALARS:
+        return value
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        if _SCALARS.issuperset(map(type, value)):  # a flat tuple of scalars in one pass
+            return list(value)
+        return [_encode(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _encode(v) for k, v in value.items()}
+    if dataclasses.is_dataclass(value):
+        return {name: _encode(getattr(value, name)) for name, _, _ in _field_specs(type(value))}
+    return value
+
+
+@functools.cache
+def _field_specs(cls: type) -> tuple[tuple[str, Any, bool], ...]:
+    """(name, annotation, required) for each field of a dataclass."""
+    hints = get_type_hints(cls, include_extras=True)
+    return tuple(
+        (f.name, hints[f.name],
+         f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
+        for f in dataclasses.fields(cls)
+    )
+
+
+def _decode(tp: Any, value: Any, where: str) -> Any:
+    origin, args = get_origin(tp), get_args(tp)
+    if tp in _ACCEPTS:
+        if type(value) in _ACCEPTS[tp]:
+            return tp(value)
+    elif dataclasses.is_dataclass(tp):
+        if not isinstance(value, Mapping):
+            raise DataError(f"{where}: expected an object, got {value!r}")
+        specs = _field_specs(tp)
+        unknown = set(value).difference(name for name, _, _ in specs)
+        if unknown:
+            raise DataError(f"{tp.__name__}.{min(unknown, key=str)}: unknown key")
+        kwargs = {}
+        for name, hint, required in specs:
+            if name in value:
+                kwargs[name] = _decode(hint, value[name], f"{tp.__name__}.{name}")
+            elif required:
+                raise DataError(f"{tp.__name__}.{name}: missing key")
+        return tp(**kwargs)
+    elif origin is tuple and args[1:] == (...,):
+        if not isinstance(value, list):
+            raise DataError(f"{where}: expected a list, got {value!r}")
+        if args[0] in _ACCEPTS and _ACCEPTS[args[0]].issuperset(map(type, value)):
+            return tuple(map(args[0], value))  # a flat list of scalars in one pass
+        return tuple(_decode(args[0], v, where) for v in value)
+    elif origin is dict:
+        if not isinstance(value, Mapping):
+            raise DataError(f"{where}: expected an object, got {value!r}")
+        keys = _decode(tuple[args[0], ...], list(value), where)
+        return dict(zip(keys, _decode(tuple[args[1], ...], list(value.values()), where)))
+    elif origin in (Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        for member in args:
+            try:
+                return _decode(member, value, where)
+            except DataError:
+                pass
+    elif origin is Annotated:  # Vector or Matrix
+        try:
+            array = np.asarray(value)
+        except ValueError:  # ragged nesting
+            array = np.array(None)
+        if array.size == 0 and array.ndim < args[1]:
+            array = array.reshape((0,) * args[1])
+        if array.dtype.kind not in "fiu" or array.ndim != args[1]:
+            raise DataError(f"{where}: expected a {args[1]}-D array of numbers")
+        return array.astype(float)
+    elif issubclass(tp, enum.Enum):
+        try:
+            return tp(value)
+        except (TypeError, ValueError):
+            pass
+    name = " or ".join(getattr(t, "__name__", str(t)) for t in (args or (tp,)))
+    raise DataError(f"{where}: expected {name}, got {value!r}")
+
+
+def read_json(path: str | Path) -> Any:
+    """Parse a JSON file; malformed text is a `DataError`, not a crash."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise DataError(f"{path}: not valid JSON ({exc})")
+
+
+def write_json(path: str | Path, payload: Any) -> None:
+    """Write `payload` as byte-stable JSON: sorted keys, two-space indent, final newline."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 class MetricGroup(str, enum.Enum):
@@ -67,7 +204,7 @@ class Category(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class MetricDescriptor:
+class MetricDescriptor(Codec):
     """One entry of a metric schema: a named, unit-typed derivation rule."""
 
     name: str
@@ -81,26 +218,9 @@ class MetricDescriptor:
         if not self.formula_id:
             raise DataError(f"metric '{self.name}': formula_id must be non-empty")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "group": self.group.value,
-            "unit": self.unit.value,
-            "formula_id": self.formula_id,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "MetricDescriptor":
-        return cls(
-            name=str(d["name"]),
-            group=MetricGroup(d["group"]),
-            unit=MetricUnit(d["unit"]),
-            formula_id=str(d["formula_id"]),
-        )
-
 
 @dataclass(frozen=True)
-class MetricSchema:
+class MetricSchema(Codec):
     """Ordered list of metric descriptors; vector indices follow this order."""
 
     metrics: tuple[MetricDescriptor, ...]
@@ -128,28 +248,16 @@ class MetricSchema:
                 return i
         raise KeyError(name)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"version": self.version, "metrics": [m.to_dict() for m in self.metrics]}
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "MetricSchema":
-        return cls(
-            metrics=tuple(MetricDescriptor.from_dict(m) for m in d["metrics"]),
-            version=str(d["version"]),
-        )
-
     @classmethod
     def load(cls, path: str | Path) -> "MetricSchema":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls.from_dict(read_json(path))
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_json(path, self.to_dict())
 
 
 @dataclass(frozen=True)
-class RawProfile:
+class RawProfile(Codec):
     """Per-workload counter totals from one measured run.
 
     Construction is deliberately lenient so that broken inputs can be
@@ -162,28 +270,9 @@ class RawProfile:
     node_count: int = 1
     stack: str = ""
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "workload_id": self.workload_id,
-            "stack": self.stack,
-            "counters": dict(sorted(self.counters.items())),
-            "wall_time_s": self.wall_time_s,
-            "node_count": self.node_count,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "RawProfile":
-        return cls(
-            workload_id=str(d["workload_id"]),
-            counters={str(k): float(v) for k, v in d["counters"].items()},
-            wall_time_s=float(d["wall_time_s"]),
-            node_count=int(d.get("node_count", 1)),
-            stack=str(d.get("stack", "")),
-        )
-
 
 @dataclass(frozen=True)
-class MetricVector:
+class MetricVector(Codec):
     """Derived metric values aligned to a schema, one row of the analysis matrix."""
 
     workload_id: str
@@ -214,31 +303,9 @@ class MetricVector:
                 raise DataError(f"metric '{desc.name}': ratio value {v} outside [0, 1]")
         return cls(workload_id=workload_id, values=values, schema_version=schema.version)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "workload_id": self.workload_id,
-            "values": list(self.values),
-            "schema_version": self.schema_version,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any], schema: MetricSchema | None = None) -> "MetricVector":
-        if schema is not None:
-            if str(d["schema_version"]) != schema.version:
-                raise DataError(
-                    f"vector schema_version {d['schema_version']!r} does not match "
-                    f"schema {schema.version!r}"
-                )
-            return cls.from_values(str(d["workload_id"]), d["values"], schema)
-        return cls(
-            workload_id=str(d["workload_id"]),
-            values=tuple(float(v) for v in d["values"]),
-            schema_version=str(d["schema_version"]),
-        )
-
 
 @dataclass(frozen=True)
-class TelemetrySample:
+class TelemetrySample(Codec):
     """One OS-level sample: utilization fractions and I/O throughput at time t_s."""
 
     t_s: float
@@ -256,24 +323,9 @@ class TelemetrySample:
         if self.weighted_io_time_ms < 0:
             raise DataError(f"weighted_io_time_ms {self.weighted_io_time_ms} is negative")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "t_s": self.t_s,
-            "cpu_util": self.cpu_util,
-            "io_wait": self.io_wait,
-            "weighted_io_time_ms": self.weighted_io_time_ms,
-            "disk_bw_Bps": self.disk_bw_Bps,
-            "net_bw_Bps": self.net_bw_Bps,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "TelemetrySample":
-        return cls(**{k: float(d[k]) for k in (
-            "t_s", "cpu_util", "io_wait", "weighted_io_time_ms", "disk_bw_Bps", "net_bw_Bps")})
-
 
 @dataclass(frozen=True)
-class SystemTelemetry:
+class SystemTelemetry(Codec):
     """Time-ordered OS telemetry for one workload run."""
 
     workload_id: str
@@ -290,22 +342,9 @@ class SystemTelemetry:
                     f"increasing ({prev.t_s} then {cur.t_s})"
                 )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "workload_id": self.workload_id,
-            "samples": [s.to_dict() for s in self.samples],
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "SystemTelemetry":
-        return cls(
-            workload_id=str(d["workload_id"]),
-            samples=tuple(TelemetrySample.from_dict(s) for s in d["samples"]),
-        )
-
 
 @dataclass(frozen=True)
-class SystemBehaviorMetrics:
+class SystemBehaviorMetrics(Codec):
     """Aggregated system-level behavior of one workload over its steady state."""
 
     cpu_util: float
@@ -322,22 +361,9 @@ class SystemBehaviorMetrics:
         if self.weighted_io_ratio < 0:
             raise DataError(f"weighted_io_ratio {self.weighted_io_ratio} is negative")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "cpu_util": self.cpu_util,
-            "io_wait": self.io_wait,
-            "weighted_io_ratio": self.weighted_io_ratio,
-            "disk_bw_Bps": self.disk_bw_Bps,
-            "net_bw_Bps": self.net_bw_Bps,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "SystemBehaviorMetrics":
-        return cls(**{k: float(v) for k, v in d.items()})
-
 
 @dataclass(frozen=True)
-class DataVolumes:
+class DataVolumes(Codec):
     """Bytes moved by one workload: consumed, produced, and materialized in between."""
 
     input_bytes: int
@@ -349,20 +375,9 @@ class DataVolumes:
             if getattr(self, name) < 0:
                 raise DataError(f"{name} is negative")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "input_bytes": self.input_bytes,
-            "output_bytes": self.output_bytes,
-            "intermediate_bytes": self.intermediate_bytes,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "DataVolumes":
-        return cls(**{k: int(v) for k, v in d.items()})
-
 
 @dataclass(frozen=True)
-class BehaviorLabels:
+class BehaviorLabels(Codec):
     """Classification outcome for one workload."""
 
     system: SystemBehavior
@@ -373,23 +388,6 @@ class BehaviorLabels:
     def __post_init__(self) -> None:
         if self.data_out is DataSizeClass.NONE:
             raise DataError("data_out cannot be the no-intermediate label")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "system": self.system.value,
-            "data_out": self.data_out.value,
-            "data_intermediate": self.data_intermediate.value,
-            "category": self.category.value,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "BehaviorLabels":
-        return cls(
-            system=SystemBehavior(d["system"]),
-            data_out=DataSizeClass(d["data_out"]),
-            data_intermediate=DataSizeClass(d["data_intermediate"]),
-            category=Category(d["category"]),
-        )
 
 
 # --- default schema -----------------------------------------------------
@@ -493,39 +491,26 @@ def validate_profile(profile: RawProfile, schema: MetricSchema) -> list[str]:
     Returns a list of human-readable violations; an empty list means the
     profile can be derived under `schema`. Violations are data, not faults.
     """
-    from .ingest import FORMULAS  # late import: formula registry lives with the derivations
+    # late import: the formula registry lives with the derivations
+    from .ingest import FORMULAS, schema_violations
 
     violations: list[str] = []
     if not profile.workload_id:
         violations.append("workload_id is empty")
-    if profile.wall_time_s <= 0:
-        violations.append(f"wall_time_s {profile.wall_time_s} is not positive")
+    if not 0 < profile.wall_time_s < math.inf:
+        violations.append(f"wall_time_s {profile.wall_time_s} is not positive and finite")
     if profile.node_count < 1:
         violations.append(f"node_count {profile.node_count} is not positive")
     for name, value in sorted(profile.counters.items()):
         if value < 0:
             violations.append(f"counter '{name}' is negative ({value})")
-    for required in ("instructions_retired", "cycles"):
-        value = profile.counters.get(required)
-        if value is None:
-            violations.append(f"counter '{required}' is absent")
-        elif value <= 0:
-            violations.append(f"counter '{required}' must be > 0 (got {value})")
+    for name in ("instructions_retired", "cycles"):
+        if name in profile.counters and profile.counters[name] <= 0:
+            violations.append(f"counter '{name}' must be > 0 (got {profile.counters[name]})")
 
-    missing: set[str] = set()
+    violations += schema_violations(schema)
+    needed = {"instructions_retired", "cycles"}
     for desc in schema.metrics:
-        formula = FORMULAS.get(desc.formula_id)
-        if formula is None:
-            violations.append(f"metric '{desc.name}': unknown formula '{desc.formula_id}'")
-            continue
-        if formula.unit is not desc.unit:
-            violations.append(
-                f"metric '{desc.name}': unit {desc.unit.value} does not match "
-                f"formula '{desc.formula_id}' ({formula.unit.value})"
-            )
-        for counter in formula.required:
-            if counter not in profile.counters:
-                missing.add(counter)
-    for counter in sorted(missing):
-        violations.append(f"counter '{counter}' is absent")
+        needed.update(FORMULAS[desc.formula_id].required if desc.formula_id in FORMULAS else ())
+    violations += [f"counter '{c}' is absent" for c in sorted(needed - profile.counters.keys())]
     return violations

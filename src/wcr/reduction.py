@@ -15,12 +15,12 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DataError
-from .model import MetricSchema, MetricVector, RawProfile
+from .model import Codec, Matrix, MetricSchema, MetricVector, RawProfile, Vector
 
 log = logging.getLogger("wcr.reduction")
 
@@ -29,36 +29,15 @@ _ZERO_VARIANCE_RTOL = 1e-12
 
 
 @dataclass(eq=False)
-class NormalizedMatrix:
+class NormalizedMatrix(Codec):
     """Z-scored metric matrix with the column statistics that produced it."""
 
     ids: tuple[str, ...]
     cols: tuple[str, ...]
-    data: np.ndarray
-    col_means: np.ndarray
-    col_stds: np.ndarray
+    data: Matrix
+    col_means: Vector
+    col_stds: Vector
     dropped_cols: tuple[str, ...]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "ids": list(self.ids),
-            "cols": list(self.cols),
-            "data": self.data.tolist(),
-            "col_means": self.col_means.tolist(),
-            "col_stds": self.col_stds.tolist(),
-            "dropped_cols": list(self.dropped_cols),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "NormalizedMatrix":
-        return cls(
-            ids=tuple(d["ids"]),
-            cols=tuple(d["cols"]),
-            data=np.asarray(d["data"], dtype=float).reshape(len(d["ids"]), len(d["cols"])),
-            col_means=np.asarray(d["col_means"], dtype=float),
-            col_stds=np.asarray(d["col_stds"], dtype=float),
-            dropped_cols=tuple(d["dropped_cols"]),
-        )
 
     def write_csv(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -69,7 +48,7 @@ class NormalizedMatrix:
 
 
 @dataclass(eq=False)
-class PcaModel:
+class PcaModel(Codec):
     """Principal components of the standardized matrix.
 
     `components` holds the retained components as rows (retained x d_in),
@@ -77,73 +56,28 @@ class PcaModel:
     dimension in non-increasing order.
     """
 
-    components: np.ndarray
+    components: Matrix
     eigenvalues: tuple[float, ...]
     explained_variance_ratio: tuple[float, ...]
     retained: int
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "components": self.components.tolist(),
-            "eigenvalues": list(self.eigenvalues),
-            "explained_variance_ratio": list(self.explained_variance_ratio),
-            "retained": self.retained,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "PcaModel":
-        comps = np.asarray(d["components"], dtype=float)
-        if comps.size == 0:
-            comps = comps.reshape(int(d["retained"]), -1 if d["components"] else 0)
-        return cls(
-            components=comps,
-            eigenvalues=tuple(float(v) for v in d["eigenvalues"]),
-            explained_variance_ratio=tuple(float(v) for v in d["explained_variance_ratio"]),
-            retained=int(d["retained"]),
-        )
-
 
 @dataclass(eq=False)
-class Clustering:
+class Clustering(Codec):
     """K-means outcome: assignments, centroids, and convergence diagnostics."""
 
     k: int
     assignments: dict[str, int]
-    centroids: np.ndarray
+    centroids: Matrix
     inertia: float
     iterations: int
     seed: int
     labels: tuple[int, ...]
     inertia_history: tuple[float, ...]
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "k": self.k,
-            "assignments": dict(sorted(self.assignments.items())),
-            "centroids": self.centroids.tolist(),
-            "inertia": self.inertia,
-            "iterations": self.iterations,
-            "seed": self.seed,
-            "labels": list(self.labels),
-            "inertia_history": list(self.inertia_history),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "Clustering":
-        return cls(
-            k=int(d["k"]),
-            assignments={str(k): int(v) for k, v in d["assignments"].items()},
-            centroids=np.asarray(d["centroids"], dtype=float),
-            inertia=float(d["inertia"]),
-            iterations=int(d["iterations"]),
-            seed=int(d["seed"]),
-            labels=tuple(int(v) for v in d["labels"]),
-            inertia_history=tuple(float(v) for v in d["inertia_history"]),
-        )
-
 
 @dataclass(eq=False)
-class ReductionResult:
+class ReductionResult(Codec):
     """Full audit trail of one reduction run."""
 
     clustering: Clustering
@@ -151,34 +85,18 @@ class ReductionResult:
     pca: PcaModel
     cluster_sizes: tuple[int, ...]
     normalized: NormalizedMatrix
-    projected: np.ndarray
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "clustering": self.clustering.to_dict(),
-            "representatives": list(self.representatives),
-            "pca": self.pca.to_dict(),
-            "cluster_sizes": list(self.cluster_sizes),
-            "normalized": self.normalized.to_dict(),
-            "projected": self.projected.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str, Any]) -> "ReductionResult":
-        normalized = NormalizedMatrix.from_dict(d["normalized"])
-        return cls(
-            clustering=Clustering.from_dict(d["clustering"]),
-            representatives=tuple(d["representatives"]),
-            pca=PcaModel.from_dict(d["pca"]),
-            cluster_sizes=tuple(int(v) for v in d["cluster_sizes"]),
-            normalized=normalized,
-            projected=np.asarray(d["projected"], dtype=float).reshape(len(normalized.ids), -1),
-        )
+    projected: Matrix
 
 
 @dataclass(frozen=True)
 class ReductionConfig:
-    """Knobs for `reduce_pipeline`. `k=None` selects k by BIC over [k_min, k_max]."""
+    """Knobs for `reduce_pipeline`. `k=None` selects k by BIC over [k_min, k_max].
+
+    `k_max=None` searches up to max(k_min, n // 2) for n workloads: the
+    largest k at which every cluster can hold two points. Above it,
+    singleton clusters shrink the pooled variance and the BIC rises towards
+    +inf at k = n, so an unbounded search would keep every workload.
+    """
 
     variance_target: float = 0.85
     k: int | None = None
@@ -528,26 +446,32 @@ def choose_k(
     k_max: int,
     seed: int,
     restarts: int = 8,
-) -> int:
-    """Pick the cluster count in [k_min, k_max] that maximizes the BIC.
+    max_iter: int = 300,
+    tol: float = 1e-6,
+    ids: Sequence[str] | None = None,
+) -> Clustering:
+    """Return the clustering in [k_min, k_max] that maximizes the BIC.
 
-    Each candidate k is scored on its best-of-`restarts` k-means result.
-    Ties go to the smallest k.
+    Each candidate k is scored on its best-of-`restarts` k-means result,
+    and the winning result is returned as it was scored. Ties go to the
+    smallest k.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     if not 1 <= k_min <= k_max <= n:
         raise DataError(f"need 1 <= k_min <= k_max <= n, got ({k_min}, {k_max}) with n={n}")
-    best_k = k_min
+    best: Clustering | None = None
     best_score = -math.inf
     for k in range(k_min, k_max + 1):
-        clustering = kmeans_best_of(points, k, seed, restarts)
+        clustering = kmeans_best_of(
+            points, k, seed, restarts, max_iter=max_iter, tol=tol, ids=ids
+        )
         score = bic_score(points, clustering)
         log.debug("k=%d inertia=%.6g bic=%.6g", k, clustering.inertia, score)
-        if score > best_score:
-            best_score = score
-            best_k = k
-    return best_k
+        if best is None or score > best_score:
+            best, best_score = clustering, score
+    assert best is not None
+    return best
 
 
 # --- representatives ----------------------------------------------------------
@@ -588,18 +512,20 @@ def reduce_vectors(
     nm = normalize_zscore(vectors, schema)
     pca = fit_pca(nm, config.variance_target)
     projected = project(nm, pca)
-    n = projected.shape[0]
     if config.k is not None:
-        k = config.k
+        clustering = kmeans_best_of(
+            projected, config.k, config.seed, config.restarts,
+            max_iter=config.max_iter, tol=config.tol, ids=nm.ids,
+        )
     else:
-        k_max = config.k_max if config.k_max is not None else n
-        k = choose_k(projected, config.k_min, k_max, config.seed, config.restarts)
-    clustering = kmeans_best_of(
-        projected, k, config.seed, config.restarts,
-        max_iter=config.max_iter, tol=config.tol, ids=nm.ids,
-    )
+        n = projected.shape[0]
+        k_max = config.k_max if config.k_max is not None else max(config.k_min, n // 2)
+        clustering = choose_k(
+            projected, config.k_min, k_max, config.seed, config.restarts,
+            max_iter=config.max_iter, tol=config.tol, ids=nm.ids,
+        )
     representatives = select_representatives(clustering, projected, nm.ids)
-    sizes = tuple(int(c) for c in np.bincount(np.asarray(clustering.labels), minlength=k))
+    sizes = tuple(int(c) for c in np.bincount(clustering.labels, minlength=clustering.k))
     return ReductionResult(
         clustering=clustering,
         representatives=tuple(representatives),

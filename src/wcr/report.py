@@ -9,16 +9,15 @@ same algorithm across software stacks and flags order-of-magnitude gaps;
 from __future__ import annotations
 
 import enum
-import json
 import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from .cachesim import MissRatioCurve
+from .cachesim import MissRatioCurve, write_curve_csv
 from .errors import DataError
-from .model import BehaviorLabels, Category, SystemBehavior
+from .model import BehaviorLabels, Category, Codec, SystemBehavior, write_json
 
 log = logging.getLogger("wcr.report")
 
@@ -55,24 +54,13 @@ class GroupRow:
 
 
 @dataclass(frozen=True)
-class GroupSummary:
+class GroupSummary(Codec):
     """Per-group unweighted metric means for one grouping dimension."""
 
     grouping: Grouping
     rows: dict[str, GroupRow]
     total_workloads: int
     omitted_groups: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "grouping": self.grouping.value,
-            "rows": {
-                name: {"means": dict(sorted(row.means.items())), "count": row.count}
-                for name, row in sorted(self.rows.items())
-            },
-            "total_workloads": self.total_workloads,
-            "omitted_groups": list(self.omitted_groups),
-        }
 
 
 def _group_key(record: WorkloadRecord, grouping: Grouping) -> str:
@@ -185,29 +173,17 @@ class StackMetricRecord:
 
 
 @dataclass(frozen=True)
-class StackImpactRow:
+class StackImpactRow(Codec):
     algorithm: str
     metric: str
     values: dict[str, float]
     max_min_ratio: float
     flag: str | None
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "algorithm": self.algorithm,
-            "metric": self.metric,
-            "values": dict(sorted(self.values.items())),
-            "max_min_ratio": self.max_min_ratio,
-            "flag": self.flag,
-        }
-
 
 @dataclass(frozen=True)
-class StackImpactTable:
+class StackImpactTable(Codec):
     rows: tuple[StackImpactRow, ...]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"rows": [r.to_dict() for r in self.rows]}
 
 
 def _gap_flag(ratio: float) -> str | None:
@@ -284,8 +260,10 @@ def _fmt(value: float) -> str:
 def emit(bundle: ReportBundle, out_dir: str | Path) -> list[Path]:
     """Write the bundle as CSV tables, curve files, and a JSON index.
 
-    Output is byte-stable for identical inputs: keys are sorted and floats
-    are fixed at four decimals.
+    Output is byte-stable for identical inputs: keys are sorted, floats in
+    the summary and stack-impact tables and in the JSON index are fixed at
+    four decimals, and curve files are written by `write_curve_csv`, the
+    same six-decimal format `simulate` produces.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -323,10 +301,7 @@ def emit(bundle: ReportBundle, out_dir: str | Path) -> list[Path]:
         curves_dir.mkdir(exist_ok=True)
         for workload, curve in bundle.curves:
             path = curves_dir / f"{workload}_{curve.kind.value}.csv"
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write("capacity_bytes,miss_ratio\n")
-                for point in curve.points:
-                    fh.write(f"{point.capacity_bytes},{_fmt(point.miss_ratio)}\n")
+            write_curve_csv(curve, path)
             written.append(path)
 
     bundle_dict: dict[str, Any] = {
@@ -339,10 +314,7 @@ def emit(bundle: ReportBundle, out_dir: str | Path) -> list[Path]:
         "notes": list(bundle.notes),
     }
     bundle_path = out_dir / "bundle.json"
-    bundle_path.write_text(
-        json.dumps(_round_floats(bundle_dict), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_json(bundle_path, _round_floats(bundle_dict))
     written.append(bundle_path)
     return written
 

@@ -314,6 +314,14 @@ class TestTraceIo:
         assert loaded.segments[0].weight == 1.0
         assert len(loaded.segments[0]) == 3
 
+    def test_partial_record_rejected(self, tmp_path):
+        bin_path = tmp_path / "trace.bin"
+        write_binary_trace(AccessTrace.single([1], [1]), bin_path)
+        with open(bin_path, "ab") as fh:
+            fh.write(b"\0\0\0")  # 12 bytes: one 9-byte record and 3 stray bytes
+        with pytest.raises(DataError, match="whole number of records"):
+            read_binary_trace(bin_path)
+
     def test_bad_sidecar_rejected(self, tmp_path):
         trace = AccessTrace.single([1, 2, 3], [1, 1, 1])
         bin_path = tmp_path / "trace.bin"

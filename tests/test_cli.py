@@ -120,6 +120,40 @@ class TestReduce:
         result = json.loads((out / "reduction.json").read_text())
         assert result["clustering"]["k"] == 17
 
+    @pytest.mark.parametrize("name, mutate, field", [
+        ("profiles.json", lambda d: d["profiles"][0].pop("counters"), "RawProfile.counters"),
+        ("profiles.json", lambda d: d["profiles"][0].update(bogus=1), "RawProfile.bogus"),
+        ("profiles.json", lambda d: d["profiles"][0]["counters"].update(cycles="abc"),
+         "RawProfile.counters"),
+        ("vectors.json", lambda d: d["vectors"][0].pop("workload_id"),
+         "MetricVector.workload_id"),
+        ("vectors.json", lambda d: d["schema"]["metrics"][0].update(bogus=1),
+         "MetricDescriptor.bogus"),
+        ("vectors.json", lambda d: d["vectors"][0]["values"].__setitem__(0, "0.5"),
+         "MetricVector.values"),
+    ])
+    def test_malformed_input_exit_2_names_field(self, workdir, capsys, name, mutate, field):
+        ingest_out = workdir / "ingest"
+        assert run("ingest", workdir / "counters.csv", "--out", ingest_out) == 0
+        payload = json.loads((ingest_out / name).read_text())
+        mutate(payload)
+        bad = workdir / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert run("reduce", bad, "--k", "2", "--out", workdir / "o") == 2
+        assert field in capsys.readouterr().err
+
+    def test_invalid_json_exit_2(self, workdir):
+        bad = workdir / "bad.json"
+        bad.write_text('{"vectors": [')
+        assert run("reduce", bad, "--k", "2", "--out", workdir / "o") == 2
+        assert run("report", "--vectors", bad, "--labels", workdir / "behavior.csv",
+                   "--out", workdir / "r") == 2
+
+    def test_non_integer_k_exit_2(self, workdir, capsys):
+        assert run("reduce", workdir / "counters.csv", "--k", "abc",
+                   "--out", workdir / "o") == 2
+        assert "--k" in capsys.readouterr().err
+
 
 class TestClassify:
     def test_labels_written(self, workdir):
@@ -176,6 +210,11 @@ class TestSimulateFootprint:
         assert code == 0
         assert (out / "curve.csv").exists()
 
+    def test_non_integer_assoc_exit_2(self, workdir, capsys):
+        assert run("simulate", workdir / "trace.txt", "--assoc", "abc",
+                   "--out", workdir / "o") == 2
+        assert "--assoc" in capsys.readouterr().err
+
     def test_skip_flag(self, workdir):
         out = workdir / "simskip"
         code = run(
@@ -219,6 +258,16 @@ class TestReport:
         assert (out / "curves" / "w1_instruction.csv").exists()
         bundle = json.loads((out / "bundle.json").read_text())
         assert bundle["stack_impact"]["rows"][0]["flag"] == "near_order_of_magnitude"
+
+    def test_non_numeric_stack_value_exit_2(self, workdir, capsys):
+        stack_csv = workdir / "stack.csv"
+        stack_csv.write_text(
+            "algorithm,stack,metric,value\n"
+            "wordcount,mpi,l1i_mpki,2\n"
+            "wordcount,hadoop,l1i_mpki,lots\n"
+        )
+        assert run("report", "--stack-table", stack_csv, "--out", workdir / "r") == 2
+        assert "line 3" in capsys.readouterr().err
 
     def test_empty_report_succeeds(self, workdir):
         out = workdir / "empty"

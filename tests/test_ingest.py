@@ -49,6 +49,11 @@ class TestParseCounterCsv:
         with pytest.raises(ParseError, match="line 2"):
             parse_counter_csv(text)
 
+    @pytest.mark.parametrize("row", ["w1,n1,cycles,nan,10", "w1,n1,cycles,10,inf"])
+    def test_non_finite_number_names_line(self, row):
+        with pytest.raises(ParseError, match="line 2: .* is not finite"):
+            parse_counter_csv(COUNTER_HEADER + row + "\n")
+
     def test_duplicate_row_rejected(self):
         text = COUNTER_HEADER + (
             "w1,n1,cycles,10,10\n"
@@ -265,6 +270,11 @@ class TestParseTelemetryCsv:
     def test_bad_fraction_names_line(self):
         text = self.HEADER + "w1,0,1.5,0.1,0,0,0\n"
         with pytest.raises(ParseError, match="line 2"):
+            parse_telemetry_csv(text)
+
+    def test_non_finite_value_names_line(self):
+        text = self.HEADER + "w1,0,0.5,0.1,nan,0,0\n"
+        with pytest.raises(ParseError, match="line 2: weighted_io_time_ms 'nan' is not finite"):
             parse_telemetry_csv(text)
 
     def test_wrong_header_rejected(self):

@@ -93,6 +93,12 @@ class TestValidateProfile:
         report = validate_profile(profile, default_schema())
         assert any("'snoop_hits' is absent" in v for v in report)
 
+    @pytest.mark.parametrize("wall_time_s", [float("nan"), float("inf")])
+    def test_non_finite_wall_time_is_flagged(self, wall_time_s):
+        profile = make_profile(wall_time_s=wall_time_s)
+        report = validate_profile(profile, default_schema())
+        assert any("wall_time_s" in v for v in report)
+
     def test_violations_are_data_not_exceptions(self):
         profile = RawProfile("w1", {}, wall_time_s=-1.0, node_count=0)
         report = validate_profile(profile, default_schema())
@@ -121,7 +127,7 @@ class TestMetricVector:
     def test_roundtrip(self):
         schema = default_schema()
         vector = MetricVector.from_values("w", [0.5] * len(schema), schema)
-        assert MetricVector.from_dict(vector.to_dict(), schema) == vector
+        assert MetricVector.from_dict(vector.to_dict()) == vector
 
 
 class TestTelemetry:

@@ -272,15 +272,15 @@ class TestChooseK:
         points = np.vstack([
             center + rng.normal(0, 1.0, size=(20, 2)) for center in centers
         ])
-        assert choose_k(points, 1, 6, seed=0) == 3
+        assert choose_k(points, 1, 6, seed=0).k == 3
 
     def test_identical_points_pick_one(self):
         points = np.ones((10, 2))
-        assert choose_k(points, 1, 4, seed=0) == 1
+        assert choose_k(points, 1, 4, seed=0).k == 1
 
     def test_distinct_points_pick_n(self):
         points = np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0], [100.0, 100.0]])
-        assert choose_k(points, 1, 4, seed=0) == 4
+        assert choose_k(points, 1, 4, seed=0).k == 4
         # direct evaluation: only k=4 reaches zero pooled variance
         scores = [
             bic_score(points, kmeans_best_of(points, k, seed=0, restarts=8))
@@ -394,10 +394,19 @@ class TestPipeline:
 
     def test_result_roundtrip(self):
         schema = make_plain_schema(["x", "y"])
-        vectors = _vectors([[0, 0], [1, 0], [5, 5], [6, 5]], schema)
-        result = reduce_vectors(vectors, schema, ReductionConfig(k=2, seed=0))
-        restored = ReductionResult.from_dict(result.to_dict())
-        assert restored.to_dict() == result.to_dict()
+        # the second input drops every column, so its PcaModel has 0 components
+        for rows, k in (([[0, 0], [1, 0], [5, 5], [6, 5]], 2), ([[1, 2], [1, 2], [1, 2]], 1)):
+            result = reduce_vectors(_vectors(rows, schema), schema, ReductionConfig(k=k, seed=0))
+            restored = ReductionResult.from_dict(result.to_dict())
+            assert restored.to_dict() == result.to_dict()
+            assert restored.pca.components.shape == result.pca.components.shape
+            assert restored.projected.shape == result.projected.shape
+            assert restored.normalized.data.shape == result.normalized.data.shape
+
+    def test_default_config_reduces_planted_set(self):
+        schema, vectors, _, _ = planted_metric_vectors(seed=42)
+        result = reduce_vectors(vectors, schema, ReductionConfig())
+        assert result.clustering.k == 17
 
     def test_too_few_profiles_rejected(self):
         with pytest.raises(DataError, match="at least 2"):
