@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError, ParseError
-from .model import Codec, read_json, write_json
+from .model import Codec, finite_number, read_csv, read_json, write_csv, write_json
 
 log = logging.getLogger("wcr.cachesim")
 
@@ -366,29 +366,48 @@ def estimate_footprint(
 _RECORD_DTYPE = np.dtype([("address", "<u8"), ("kind", "u1")])
 
 
+@dataclass(frozen=True)
+class SegmentSpan(Codec):
+    """Records [begin, end) of a binary trace, one segment of the given weight."""
+
+    begin: int
+    end: int
+    weight: float
+
+
+@dataclass(frozen=True)
+class SegmentsFile(Codec):
+    """The `--segments` sidecar of a binary trace."""
+
+    segments: tuple[SegmentSpan, ...]
+
+
 def read_text_trace(path: str | Path) -> AccessTrace:
     """Read a `kind address-hex` text trace as a single full-weight segment."""
     addresses: list[int] = []
     kinds: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(f"expected 'kind address', got {raw.strip()!r}", line=lineno)
-            kind = _KIND_TOKENS.get(parts[0].lower())
-            if kind is None:
-                raise ParseError(f"unknown access kind {parts[0]!r}", line=lineno)
-            try:
-                address = int(parts[1], 16)
-            except ValueError:
-                raise ParseError(f"address {parts[1]!r} is not hexadecimal", line=lineno)
-            if address < 0:
-                raise ParseError("address is negative", line=lineno)
-            addresses.append(address)
-            kinds.append(kind.value)
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                parts = line.split()
+                if len(parts) != 2:
+                    raise ParseError(f"expected 'kind address', got {raw.strip()!r}", line=lineno)
+                kind = _KIND_TOKENS.get(parts[0].lower())
+                if kind is None:
+                    raise ParseError(f"unknown access kind {parts[0]!r}", line=lineno)
+                try:
+                    address = int(parts[1], 16)
+                except ValueError:
+                    raise ParseError(f"address {parts[1]!r} is not hexadecimal", line=lineno)
+                if not 0 <= address < 1 << 64:
+                    raise ParseError(f"address {parts[1]!r} is not a 64-bit address", line=lineno)
+                addresses.append(address)
+                kinds.append(kind.value)
+        except UnicodeDecodeError:
+            raise ParseError("not valid UTF-8 text", source=path)
     if not addresses:
         raise ParseError(f"trace {path} has no accesses")
     return AccessTrace.single(addresses, kinds)
@@ -416,11 +435,11 @@ def read_binary_trace(path: str | Path, sidecar: str | Path | None = None) -> Ac
         raise DataError(f"trace {path} has no records")
     if sidecar is None:
         return AccessTrace.single(records["address"], records["kind"])
-    spec = read_json(sidecar)
+    spec = SegmentsFile.from_dict(read_json(sidecar))
     segments = []
     previous_end = 0
-    for entry in spec["segments"]:
-        begin, end = int(entry["begin"]), int(entry["end"])
+    for span in spec.segments:
+        begin, end = span.begin, span.end
         if begin < previous_end or end <= begin or end > records.size:
             raise DataError(
                 f"sidecar segment [{begin}, {end}) is out of order or out of range"
@@ -428,7 +447,7 @@ def read_binary_trace(path: str | Path, sidecar: str | Path | None = None) -> Ac
         previous_end = end
         segments.append(
             TraceSegment(
-                weight=float(entry["weight"]),
+                weight=span.weight,
                 addresses=records["address"][begin:end],
                 kinds=records["kind"][begin:end],
             )
@@ -442,16 +461,16 @@ def write_binary_trace(
     total = sum(len(s) for s in trace.segments)
     records = np.empty(total, dtype=_RECORD_DTYPE)
     offset = 0
-    boundaries = []
+    spans = []
     for segment in trace.segments:
         end = offset + len(segment)
         records["address"][offset:end] = segment.addresses
         records["kind"][offset:end] = segment.kinds
-        boundaries.append({"begin": offset, "end": end, "weight": segment.weight})
+        spans.append(SegmentSpan(begin=offset, end=end, weight=segment.weight))
         offset = end
     records.tofile(path)
     if sidecar is not None:
-        write_json(sidecar, {"segments": boundaries})
+        write_json(sidecar, SegmentsFile(tuple(spans)).to_dict())
 
 
 def skip_accesses(trace: AccessTrace, n: int) -> AccessTrace:
@@ -488,26 +507,22 @@ def skip_accesses(trace: AccessTrace, n: int) -> AccessTrace:
     )
 
 
+CURVE_CSV_HEADER = ("capacity_bytes", "miss_ratio")
+
+
 def write_curve_csv(curve: MissRatioCurve, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("capacity_bytes,miss_ratio\n")
-        for point in curve.points:
-            fh.write(f"{point.capacity_bytes},{point.miss_ratio:.6f}\n")
+    write_csv(path, CURVE_CSV_HEADER,
+              ((p.capacity_bytes, format(p.miss_ratio, ".6f")) for p in curve.points))
 
 
 def read_curve_csv(path: str | Path, kind: CurveKind = CurveKind.UNIFIED) -> MissRatioCurve:
     points = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "capacity_bytes,miss_ratio":
-            raise ParseError(f"expected 'capacity_bytes,miss_ratio' header in {path}", line=1)
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        _, rows = read_csv(fh, CURVE_CSV_HEADER)
+        for lineno, (capacity_s, ratio_s) in rows:
             try:
-                capacity_s, ratio_s = line.split(",")
-                points.append(CurvePoint(int(capacity_s), float(ratio_s)))
+                capacity = int(capacity_s)
             except ValueError:
-                raise ParseError(f"bad curve row {line!r}", line=lineno)
+                raise ParseError(f"capacity_bytes {capacity_s!r} is not an integer", lineno, path)
+            points.append(CurvePoint(capacity, finite_number("miss_ratio", ratio_s, lineno, path)))
     return MissRatioCurve(points=tuple(points), kind=kind)

@@ -8,8 +8,6 @@ strict, so boundary values fall through to the weaker class.
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
 from typing import TextIO
 
@@ -21,6 +19,9 @@ from .model import (
     DataVolumes,
     SystemBehavior,
     SystemBehaviorMetrics,
+    finite_number,
+    read_csv,
+    write_csv,
 )
 
 log = logging.getLogger("wcr.classification")
@@ -110,46 +111,22 @@ def label_csv(stream: TextIO | str, out: TextIO) -> int:
     """Label a behavior CSV, appending system/data columns to each row.
 
     Extra input columns are passed through untouched. Returns the number of
-    labeled rows.
+    labeled rows; nothing is written when a row is malformed.
     """
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("missing header row")
-    header = [h.strip() for h in header]
-    missing = [col for col in BEHAVIOR_CSV_HEADER if col not in header]
-    if missing:
-        raise ParseError(f"missing columns: {', '.join(missing)}", line=1)
-    index = {col: header.index(col) for col in header}
-
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header + ["system", "data_out", "data_intermediate"])
-    rows = 0
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(header):
-            raise ParseError(f"expected {len(header)} fields, got {len(row)}", line=lineno)
+    header, rows = read_csv(stream, BEHAVIOR_CSV_HEADER, extra=True)
+    index = {col: header.index(col) for col in BEHAVIOR_CSV_HEADER}
+    labeled = []
+    for lineno, row in rows:
+        # columns 1-3 and 4-6 are the fields of SystemBehaviorMetrics and DataVolumes, in order
+        rates = [finite_number(col, row[index[col]], lineno) for col in BEHAVIOR_CSV_HEADER[1:4]]
         try:
-            metrics = SystemBehaviorMetrics(
-                cpu_util=float(row[index["cpu_util"]]),
-                io_wait=float(row[index["io_wait"]]),
-                weighted_io_ratio=float(row[index["weighted_io_ratio"]]),
-            )
-            volumes = DataVolumes(
-                input_bytes=int(row[index["input_bytes"]]),
-                output_bytes=int(row[index["output_bytes"]]),
-                intermediate_bytes=int(row[index["intermediate_bytes"]]),
-            )
-            category = parse_category(row[index["category"]])
-            labels = label_workload(metrics, volumes, category)
-        except (DataError, ValueError) as exc:
+            metrics = SystemBehaviorMetrics(*rates)
+            volumes = DataVolumes(*(int(row[index[col]]) for col in BEHAVIOR_CSV_HEADER[4:7]))
+            labels = label_workload(metrics, volumes, parse_category(row[index["category"]]))
+        except (DataError, ValueError, OverflowError) as exc:  # Overflow: a huge byte ratio
             raise ParseError(str(exc), line=lineno)
-        writer.writerow(
+        labeled.append(
             row + [labels.system.value, labels.data_out.value, labels.data_intermediate.value]
         )
-        rows += 1
-    return rows
+    write_csv(out, header + ["system", "data_out", "data_intermediate"], labeled)
+    return len(labeled)

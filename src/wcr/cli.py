@@ -14,7 +14,6 @@ Exit codes: 1 usage error, 2 data validation error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import logging
 import os
@@ -27,14 +26,13 @@ from . import __version__
 from .errors import DataError, ParseError
 from .model import (
     BehaviorLabels,
-    Category,
     Codec,
-    DataSizeClass,
     MetricSchema,
     MetricVector,
     RawProfile,
-    SystemBehavior,
     default_schema,
+    finite_number,
+    read_csv,
     read_json,
     write_json,
 )
@@ -282,6 +280,8 @@ def _load_trace(args: argparse.Namespace) -> tuple[cachesim.AccessTrace, list[Pa
 
 
 def _cmd_simulate(args: argparse.Namespace, config: RunConfig) -> int:
+    if args.workload in ("", ".", "..") or set("/\\") & set(args.workload or ""):
+        raise DataError(f"--workload {args.workload!r} is not a plain file name")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     trace, inputs = _load_trace(args)
@@ -293,7 +293,7 @@ def _cmd_simulate(args: argparse.Namespace, config: RunConfig) -> int:
     )
     curve = cachesim.sweep_capacities(trace, config.sizes, template, kinds)
 
-    name = f"{args.workload}_{curve.kind.value}.csv" if args.workload else "curve.csv"
+    name = "curve.csv" if args.workload is None else f"{args.workload}_{curve.kind.value}.csv"
     curve_path = out_dir / name
     cachesim.write_curve_csv(curve, curve_path)
     _write_manifest(out_dir, "simulate", config, inputs, [curve_path])
@@ -318,14 +318,23 @@ def _cmd_footprint(args: argparse.Namespace, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _read_labels_csv(path: Path) -> dict[str, dict[str, str]]:
+def _read_labels_csv(path: Path) -> dict[str, tuple[BehaviorLabels, str | None, str | None]]:
+    """workload -> (labels, suite, stack), the trailing fields of its `WorkloadRecord`;
+    suite and stack are optional columns."""
+    labels = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"workload", "category", "system", "data_out", "data_intermediate"}
-        missing = required - set(reader.fieldnames or ())
-        if missing:
-            raise DataError(f"{path}: missing columns {', '.join(sorted(missing))}")
-        return {row["workload"]: row for row in reader}
+        header, rows = read_csv(
+            fh, ("workload", "category", "system", "data_out", "data_intermediate"), extra=True)
+        for lineno, row in rows:
+            cells = dict(zip(header, row))
+            fields = {k: cells[k] for k in ("system", "data_out", "data_intermediate")}
+            try:
+                fields["category"] = classification.parse_category(cells["category"])
+                labels[cells["workload"]] = (BehaviorLabels.from_dict(fields),
+                                             cells.get("suite") or None, cells.get("stack") or None)
+            except DataError as exc:
+                raise ParseError(str(exc), lineno, path)
+    return labels
 
 
 def _cmd_report(args: argparse.Namespace, config: RunConfig) -> int:
@@ -342,24 +351,12 @@ def _cmd_report(args: argparse.Namespace, config: RunConfig) -> int:
         label_rows = _read_labels_csv(labels_path)
         records = []
         for vector in vectors:
-            row = label_rows.get(vector.workload_id)
-            if row is None:
+            if vector.workload_id not in label_rows:
                 raise DataError(f"workload '{vector.workload_id}' missing from {labels_path}")
-            labels = BehaviorLabels(
-                system=SystemBehavior(row["system"]),
-                data_out=DataSizeClass(row["data_out"]),
-                data_intermediate=DataSizeClass(row["data_intermediate"]),
-                category=classification.parse_category(row["category"]),
-            )
-            records.append(
-                report.WorkloadRecord(
-                    workload_id=vector.workload_id,
-                    metrics=dict(zip(schema.names, vector.values)),
-                    labels=labels,
-                    suite=row.get("suite") or None,
-                    stack=row.get("stack") or None,
-                )
-            )
+            records.append(report.WorkloadRecord(
+                vector.workload_id, dict(zip(schema.names, vector.values)),
+                *label_rows[vector.workload_id],
+            ))
         metric_names = list(args.metrics.split(",")) if args.metrics else list(schema.names)
         groupings = [report.Grouping.APPLICATION_CATEGORY, report.Grouping.SYSTEM_BEHAVIOR]
         if all(r.suite is not None for r in records):
@@ -380,14 +377,10 @@ def _cmd_report(args: argparse.Namespace, config: RunConfig) -> int:
         curves_dir = Path(args.curves)
         for path in sorted(curves_dir.glob("*.csv")):
             inputs.append(path)
-            workload, _, kind_token = path.stem.rpartition("_")
-            try:
-                kind = cachesim.CurveKind(kind_token)
-            except ValueError:
+            workload, _, kind = path.stem.rpartition("_")
+            if not workload or kind not in {k.value for k in cachesim.CurveKind}:
                 workload, kind = path.stem, cachesim.CurveKind.UNIFIED
-            if not workload:
-                workload, kind = path.stem, cachesim.CurveKind.UNIFIED
-            curves.append((workload, cachesim.read_curve_csv(path, kind)))
+            curves.append((workload, cachesim.read_curve_csv(path, cachesim.CurveKind(kind))))
 
     if not summaries and stack_table is None and not curves:
         notes.append("no inputs supplied; empty report")
@@ -408,19 +401,12 @@ def _read_stack_table(path: Path) -> list[report.StackMetricRecord]:
     # long format: algorithm,stack,metric,value
     grouped: dict[tuple[str, str], dict[str, float]] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"algorithm", "stack", "metric", "value"}
-        missing = required - set(reader.fieldnames or ())
-        if missing:
-            raise DataError(f"{path}: missing columns {', '.join(sorted(missing))}")
-        for row in reader:
-            key = (row["algorithm"], row["stack"])
-            try:
-                value = float(row["value"])
-            except (TypeError, ValueError):  # TypeError: the row has no value cell
-                raise ParseError(f"{path}: value {row['value']!r} is not a number",
-                                 line=reader.line_num)
-            grouped.setdefault(key, {})[row["metric"]] = value
+        header, rows = read_csv(fh, ("algorithm", "stack", "metric", "value"), extra=True)
+        for lineno, row in rows:
+            cells = dict(zip(header, row))
+            grouped.setdefault((cells["algorithm"], cells["stack"]), {})[cells["metric"]] = (
+                finite_number("value", cells["value"], lineno, path)
+            )
     return [
         report.StackMetricRecord(algorithm=a, stack=s, metrics=m)
         for (a, s), m in sorted(grouped.items())

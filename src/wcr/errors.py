@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 
 class WcrError(Exception):
     """Base class for all toolkit errors."""
@@ -14,11 +16,14 @@ class DataError(WcrError):
 class ParseError(DataError):
     """A text input could not be parsed.
 
-    Carries the 1-based line number when the failure is tied to a line.
+    Carries the 1-based line number when the failure is tied to a line;
+    the message starts with the file name when it is known.
     """
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, source: str | Path | None = None):
         self.line = line
         if line is not None:
             message = f"line {line}: {message}"
+        if source is not None:
+            message = f"{source}: {message}"
         super().__init__(message)

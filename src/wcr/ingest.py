@@ -10,10 +10,7 @@ value.
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
@@ -26,6 +23,8 @@ from .model import (
     SystemBehaviorMetrics,
     SystemTelemetry,
     TelemetrySample,
+    finite_number,
+    read_csv,
     validate_profile,
 )
 
@@ -228,37 +227,19 @@ def parse_counter_csv(stream: TextIO | str) -> list[RawProfile]:
     wall time is the maximum across nodes. Duplicate (workload, node,
     event) rows and malformed rows are errors naming the line.
     """
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("missing header row")
-    if tuple(h.strip() for h in header) != COUNTER_CSV_HEADER:
-        raise ParseError(
-            f"expected header {','.join(COUNTER_CSV_HEADER)!r}, got {','.join(header)!r}",
-            line=1,
-        )
-
-    counters: dict[str, dict[str, float]] = {}
+    _, rows = read_csv(stream, COUNTER_CSV_HEADER)
+    counters: dict[str, dict[str, float]] = {}  # in order of first appearance
     wall_times: dict[str, float] = {}
     nodes: dict[str, set[str]] = {}
     seen: set[tuple[str, str, str]] = set()
-    order: list[str] = []
-
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 5:
-            raise ParseError(f"expected 5 fields, got {len(row)}", line=lineno)
+    for lineno, row in rows:
         workload, node, event, count_s, wall_s = (field.strip() for field in row)
         if not workload or not node or not event:
             raise ParseError("workload, node and event must be non-empty", line=lineno)
-        count = _finite_number("count", count_s, lineno)
+        count = finite_number("count", count_s, lineno)
         if count < 0:
             raise ParseError(f"count {count} is negative", line=lineno)
-        wall = _finite_number("wall_time_s", wall_s, lineno)
+        wall = finite_number("wall_time_s", wall_s, lineno)
 
         event = canonical_counter_name(event)
         key = (workload, node, event)
@@ -272,7 +253,6 @@ def parse_counter_csv(stream: TextIO | str) -> list[RawProfile]:
             counters[workload] = {}
             wall_times[workload] = wall
             nodes[workload] = set()
-            order.append(workload)
         counters[workload][event] = counters[workload].get(event, 0.0) + count
         wall_times[workload] = max(wall_times[workload], wall)
         nodes[workload].add(node)
@@ -284,18 +264,8 @@ def parse_counter_csv(stream: TextIO | str) -> list[RawProfile]:
             wall_time_s=wall_times[w],
             node_count=len(nodes[w]),
         )
-        for w in order
+        for w in counters
     ]
-
-
-def _finite_number(name: str, token: str, lineno: int) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise ParseError(f"{name} {token!r} is not a number", line=lineno)
-    if not math.isfinite(value):
-        raise ParseError(f"{name} {token!r} is not finite", line=lineno)
-    return value
 
 
 # --- telemetry CSV ----------------------------------------------------------
@@ -303,37 +273,17 @@ def _finite_number(name: str, token: str, lineno: int) -> float:
 
 def parse_telemetry_csv(stream: TextIO | str) -> dict[str, SystemTelemetry]:
     """Parse per-sample OS telemetry, grouped by workload and ordered by time."""
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("missing header row")
-    if tuple(h.strip() for h in header) != TELEMETRY_CSV_HEADER:
-        raise ParseError(
-            f"expected header {','.join(TELEMETRY_CSV_HEADER)!r}, got {','.join(header)!r}",
-            line=1,
-        )
-
+    _, records = read_csv(stream, TELEMETRY_CSV_HEADER)
     rows: dict[str, list[TelemetrySample]] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 7:
-            raise ParseError(f"expected 7 fields, got {len(row)}", line=lineno)
+    for lineno, row in records:
         workload = row[0].strip()
         if not workload:
             raise ParseError("workload must be non-empty", line=lineno)
         values = [
-            _finite_number(name, v, lineno) for name, v in zip(TELEMETRY_CSV_HEADER[1:], row[1:])
+            finite_number(name, v, lineno) for name, v in zip(TELEMETRY_CSV_HEADER[1:], row[1:])
         ]
         try:
-            sample = TelemetrySample(
-                t_s=values[0], cpu_util=values[1], io_wait=values[2],
-                weighted_io_time_ms=values[3], disk_bw_Bps=values[4],
-                net_bw_Bps=values[5],
-            )
+            sample = TelemetrySample(*values)  # fields in the column order
         except DataError as exc:
             raise ParseError(str(exc), line=lineno)
         rows.setdefault(workload, []).append(sample)

@@ -9,23 +9,28 @@ classification. All types are immutable after construction.
 that is written to or read from a JSON file inherits its `to_dict` and
 `from_dict`, which follow the dataclass fields and their annotations;
 `read_json` and `write_json` are the only JSON file reader and writer.
+Likewise `read_csv` and `write_csv` are the only CSV reader and writer, and
+`finite_number` parses every real-valued CSV field.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import enum
 import functools
+import io
 import json
 import math
 import types
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Annotated, Any, Mapping, Sequence, Union, get_args, get_origin, get_type_hints
+from typing import (Annotated, Any, Iterable, Iterator, Mapping, Sequence, TextIO, Union,
+                    get_args, get_origin, get_type_hints)
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, ParseError
 
 # Float array fields of a fixed dimension; an empty Matrix decodes to shape (0, 0).
 Vector = Annotated[np.ndarray, 1]
@@ -154,6 +159,74 @@ def read_json(path: str | Path) -> Any:
 def write_json(path: str | Path, payload: Any) -> None:
     """Write `payload` as byte-stable JSON: sorted keys, two-space indent, final newline."""
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def read_csv(stream: TextIO | str, columns: Sequence[str], *, extra: bool = False
+             ) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """Check a CSV header; return it with an iterator of (line number, row).
+
+    The header must be exactly `columns`, or with `extra` hold at least
+    them, other columns being passed through; its cells are stripped, row
+    fields are not. Blank lines are skipped and every row must have as many
+    fields as the header. Malformed text is a `ParseError` naming the line
+    and, when `stream` is a file, the file.
+    """
+    if isinstance(stream, str):
+        stream = io.StringIO(stream)
+    rows = _csv_rows(stream, list(columns), extra, getattr(stream, "name", None))
+    return next(rows), rows
+
+
+def _csv_rows(stream: TextIO, columns: list[str], extra: bool, source: str | None) -> Iterator:
+    # yields the checked header, then (line number, row) for each non-blank row
+    reader = csv.reader(stream)
+    header = None
+    try:
+        for row in reader:
+            if not (len(row) > 1 or row and row[0].strip()):
+                continue
+            line = reader.line_num
+            if header is None:
+                header = [h.strip() for h in row]
+                missing = [c for c in columns if c not in header]
+                if extra and missing:
+                    raise ParseError(f"missing columns: {', '.join(missing)}", line, source)
+                if not extra and header != columns:
+                    raise ParseError(f"expected header {','.join(columns)!r}, "
+                                     f"got {','.join(header)!r}", line, source)
+                yield header
+            elif len(row) != len(header):
+                raise ParseError(f"expected {len(header)} fields, got {len(row)}", line, source)
+            else:
+                yield line, row
+    except UnicodeDecodeError:
+        raise ParseError("not valid UTF-8 text", source=source)
+    except csv.Error as exc:  # e.g. a field over the size limit
+        raise ParseError(str(exc), reader.line_num, source)
+    if header is None:
+        raise ParseError("missing header row", source=source)
+
+
+def finite_number(name: str, token: str, line: int, source: str | Path | None = None) -> float:
+    """A CSV field as a float; NaN, infinities and non-numbers are a `ParseError`."""
+    try:
+        value = float(token)
+    except ValueError:
+        raise ParseError(f"{name} {token!r} is not a number", line, source)
+    if not math.isfinite(value):
+        raise ParseError(f"{name} {token!r} is not finite", line, source)
+    return value
+
+
+def write_csv(target: str | Path | TextIO, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write `header` and `rows` to a path or an open text stream, lines ending in "\\n";
+    a field is quoted only when it must be, so a name with a comma reads back whole."""
+    if isinstance(target, (str, Path)):
+        with open(target, "w", encoding="utf-8", newline="") as fh:
+            return write_csv(fh, header, rows)
+    writer = csv.writer(target, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 class MetricGroup(str, enum.Enum):

@@ -10,7 +10,6 @@ inputs and the seed.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field, replace
@@ -20,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError
-from .model import Codec, Matrix, MetricSchema, MetricVector, RawProfile, Vector
+from .model import Codec, Matrix, MetricSchema, MetricVector, RawProfile, Vector, write_csv
 
 log = logging.getLogger("wcr.reduction")
 
@@ -40,11 +39,8 @@ class NormalizedMatrix(Codec):
     dropped_cols: tuple[str, ...]
 
     def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("workload",) + self.cols)
-            for i, workload in enumerate(self.ids):
-                writer.writerow([workload] + [repr(float(v)) for v in self.data[i]])
+        write_csv(path, ("workload",) + self.cols,
+                  ([workload, *row] for workload, row in zip(self.ids, self.data.tolist())))
 
 
 @dataclass(eq=False)

@@ -17,7 +17,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .cachesim import MissRatioCurve, write_curve_csv
 from .errors import DataError
-from .model import BehaviorLabels, Category, Codec, SystemBehavior, write_json
+from .model import BehaviorLabels, Category, Codec, SystemBehavior, write_csv, write_json
 
 log = logging.getLogger("wcr.report")
 
@@ -275,25 +275,20 @@ def emit(bundle: ReportBundle, out_dir: str | Path) -> list[Path]:
     for summary in bundle.summaries:
         path = out_dir / f"summary_{summary.grouping.value}.csv"
         metrics = sorted({m for row in summary.rows.values() for m in row.means})
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(["group", "count"] + metrics) + "\n")
-            for name in sorted(summary.rows):
-                row = summary.rows[name]
-                cells = [name, str(row.count)] + [_fmt(row.means[m]) for m in metrics]
-                fh.write(",".join(cells) + "\n")
+        write_csv(path, ["group", "count"] + metrics, (
+            [name, row.count] + [_fmt(row.means[m]) for m in metrics]
+            for name, row in sorted(summary.rows.items())
+        ))
         written.append(path)
 
     if bundle.stack_impact is not None:
         path = out_dir / "stack_impact.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("algorithm,metric,stack,value,max_min_ratio,flag\n")
-            for row in bundle.stack_impact.rows:
-                ratio = "inf" if math.isinf(row.max_min_ratio) else _fmt(row.max_min_ratio)
-                for stack in sorted(row.values):
-                    fh.write(
-                        f"{row.algorithm},{row.metric},{stack},"
-                        f"{_fmt(row.values[stack])},{ratio},{row.flag or ''}\n"
-                    )
+        write_csv(path, ("algorithm", "metric", "stack", "value", "max_min_ratio", "flag"), (
+            [row.algorithm, row.metric, stack, _fmt(row.values[stack]),
+             "inf" if math.isinf(row.max_min_ratio) else _fmt(row.max_min_ratio),
+             row.flag or ""]
+            for row in bundle.stack_impact.rows for stack in sorted(row.values)
+        ))
         written.append(path)
 
     if bundle.curves:

@@ -292,6 +292,12 @@ class TestTraceIo:
         with pytest.raises(ParseError, match="line 2"):
             read_text_trace(path)
 
+    def test_text_address_beyond_64_bits_is_named(self, tmp_path):
+        path = tmp_path / "trace.txt"
+        path.write_text("load 0x40\nload 0x10000000000000000\n")
+        with pytest.raises(ParseError, match="line 2"):
+            read_text_trace(path)
+
     def test_binary_roundtrip_with_sidecar(self, tmp_path):
         trace = AccessTrace(segments=(
             segment([1, 2, 3], weight=0.25),

@@ -1,11 +1,16 @@
 """Command-line behavior: subcommands, exit codes, manifests, determinism."""
 
+import hashlib
 import json
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import FIXTURE_COUNTERS, planted_metric_vectors
+from wcr.cachesim import AccessTrace, write_binary_trace
 from wcr.cli import main
 
 COUNTER_HEADER = "workload,node,event,count,wall_time_s\n"
@@ -53,6 +58,33 @@ def workdir(tmp_path):
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+STACK_TABLE = (
+    "algorithm,stack,metric,value\n"
+    "wordcount,mpi,l1i_mpki,2\n"
+    "wordcount,hadoop,l1i_mpki,7\n"
+    "wordcount,spark,l1i_mpki,17\n"
+)
+
+
+def full_report(workdir: Path) -> int:
+    """ingest, classify, simulate, then report on all three plus a stack table."""
+    assert run("ingest", workdir / "counters.csv", "--out", workdir / "ingest") == 0
+    assert run("classify", workdir / "behavior.csv", "--out", workdir / "classify") == 0
+    assert run(
+        "simulate", workdir / "trace.txt", "--kinds", "ifetch",
+        "--sizes", "16K,32K", "--workload", "w1", "--out", workdir / "sim",
+    ) == 0
+    (workdir / "stack.csv").write_text(STACK_TABLE)
+    return run(
+        "report", "--vectors", workdir / "ingest" / "vectors.json",
+        "--labels", workdir / "classify" / "labels.csv",
+        "--stack-table", workdir / "stack.csv",
+        "--curves", workdir / "sim",
+        "--metrics", "ipc,l1i_mpki,branch_ratio",
+        "--out", workdir / "report",
+    )
 
 
 class TestIngest:
@@ -167,6 +199,17 @@ class TestClassify:
         bad.write_text(BEHAVIOR_HEADER + "w,2.0,0,0,1,1,1,service\n")
         assert run("classify", bad, "--out", workdir / "o") == 2
 
+    @pytest.mark.parametrize("row", [
+        "w,0.5,0.3,nan,1000,10,0,service",
+        "w,0.5,0.3,inf,1000,10,0,service",
+        pytest.param("w,0.5,0.3,1,1,1" + "0" * 400 + ",0,service", id="ratio-beyond-float"),
+    ])
+    def test_non_finite_row_exit_2_names_line(self, workdir, capsys, row):
+        bad = workdir / "bad.csv"
+        bad.write_text(BEHAVIOR_HEADER + row + "\n")
+        assert run("classify", bad, "--out", workdir / "o") == 2
+        assert "line 2" in capsys.readouterr().err
+
 
 class TestSimulateFootprint:
     def test_curve_and_footprint(self, workdir, capsys):
@@ -210,6 +253,28 @@ class TestSimulateFootprint:
         assert code == 0
         assert (out / "curve.csv").exists()
 
+    @pytest.mark.parametrize("sidecar, field", [
+        ({"segments": [{"begin": 0, "end": 8}]}, "SegmentSpan.weight"),
+        ({"segments": [{"begin": 0, "end": 8, "weight": "x"}]}, "SegmentSpan.weight"),
+        ({}, "SegmentsFile.segments"),
+        ([{"begin": 0, "end": 8, "weight": 1.0}], "SegmentsFile"),
+    ])
+    def test_malformed_segments_exit_2_names_field(self, workdir, capsys, sidecar, field):
+        trace = AccessTrace.single(np.arange(8, dtype=np.uint64) * 64, np.zeros(8, dtype=np.uint8))
+        write_binary_trace(trace, workdir / "trace.bin")
+        (workdir / "segments.json").write_text(json.dumps(sidecar))
+        assert run("simulate", workdir / "trace.bin", "--segments", workdir / "segments.json",
+                   "--sizes", "16K", "--out", workdir / "o") == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", ".", "..", ""])
+    def test_workload_must_be_a_plain_file_name(self, workdir, capsys, name):
+        out = workdir / "sub" / "sim"
+        assert run("simulate", workdir / "trace.txt", "--sizes", "16K",
+                   "--workload", name, "--out", out) == 2
+        assert "--workload" in capsys.readouterr().err
+        assert not list(workdir.rglob("*_unified.csv"))
+
     def test_non_integer_assoc_exit_2(self, workdir, capsys):
         assert run("simulate", workdir / "trace.txt", "--assoc", "abc",
                    "--out", workdir / "o") == 2
@@ -226,38 +291,38 @@ class TestSimulateFootprint:
 
 class TestReport:
     def test_full_report(self, workdir):
-        ingest_out = workdir / "ingest"
-        assert run("ingest", workdir / "counters.csv", "--out", ingest_out) == 0
-        classify_out = workdir / "classify"
-        assert run("classify", workdir / "behavior.csv", "--out", classify_out) == 0
-        sim_out = workdir / "sim"
-        assert run(
-            "simulate", workdir / "trace.txt", "--kinds", "ifetch",
-            "--sizes", "16K,32K", "--workload", "w1", "--out", sim_out,
-        ) == 0
-        stack_csv = workdir / "stack.csv"
-        stack_csv.write_text(
-            "algorithm,stack,metric,value\n"
-            "wordcount,mpi,l1i_mpki,2\n"
-            "wordcount,hadoop,l1i_mpki,7\n"
-            "wordcount,spark,l1i_mpki,17\n"
-        )
+        assert full_report(workdir) == 0
         out = workdir / "report"
-        code = run(
-            "report", "--vectors", ingest_out / "vectors.json",
-            "--labels", classify_out / "labels.csv",
-            "--stack-table", stack_csv,
-            "--curves", sim_out,
-            "--metrics", "ipc,l1i_mpki,branch_ratio",
-            "--out", out,
-        )
-        assert code == 0
         assert (out / "summary_application_category.csv").exists()
         assert (out / "summary_system_behavior.csv").exists()
         assert (out / "stack_impact.csv").exists()
         assert (out / "curves" / "w1_instruction.csv").exists()
         bundle = json.loads((out / "bundle.json").read_text())
         assert bundle["stack_impact"]["rows"][0]["flag"] == "near_order_of_magnitude"
+
+    # sha256 of every CSV `full_report` writes; a changed digest is a changed output format
+    CSV_DIGESTS = {
+        "classify/labels.csv":
+            "f9baafd8b828f4c60dd68b788e2659f2bcf73c048ae6b85828fa26981c7db6c3",
+        "sim/w1_instruction.csv":
+            "a31ec30aa64dc9d44985db939bde596402bc37aa3dff6afc80e9bc10ef05fe2d",
+        "report/curves/w1_instruction.csv":
+            "a31ec30aa64dc9d44985db939bde596402bc37aa3dff6afc80e9bc10ef05fe2d",
+        "report/summary_application_category.csv":
+            "3a7552bb4f49d5b4b381722d086130936b3b049e52c5bab820a8cd4d22d74de4",
+        "report/summary_system_behavior.csv":
+            "db7fbe3e0ce4ac947f7805f99252b567600b4b425a0bc5b755611f6bfaf36682",
+        "report/stack_impact.csv":
+            "19fbc58c82d9564bfc6b6b347f8908a7fc0de515d915464ebf754b0229479b27",
+    }
+
+    def test_csv_output_bytes_are_pinned(self, workdir):
+        assert full_report(workdir) == 0
+        digests = {
+            name: hashlib.sha256((workdir / name).read_bytes()).hexdigest()
+            for name in self.CSV_DIGESTS
+        }
+        assert digests == self.CSV_DIGESTS
 
     def test_non_numeric_stack_value_exit_2(self, workdir, capsys):
         stack_csv = workdir / "stack.csv"
@@ -268,6 +333,34 @@ class TestReport:
         )
         assert run("report", "--stack-table", stack_csv, "--out", workdir / "r") == 2
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_stack_value_exit_2_names_line(self, workdir, capsys, value):
+        stack_csv = workdir / "stack.csv"
+        stack_csv.write_text(
+            "algorithm,stack,metric,value\n"
+            "wordcount,mpi,l1i_mpki,2\n"
+            f"wordcount,hadoop,l1i_mpki,{value}\n"
+        )
+        assert run("report", "--stack-table", stack_csv, "--out", workdir / "r") == 2
+        assert f"{stack_csv}: line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", [
+        "w2,service,bogus,equal,none",
+        "w2,service,io_intensive,bogus,none",
+        "w2,service,io_intensive,equal,bogus",
+        "w2,service,io_intensive",
+    ])
+    def test_bad_labels_row_exit_2_names_file_and_line(self, workdir, capsys, row):
+        assert run("ingest", workdir / "counters.csv", "--out", workdir / "ingest") == 0
+        labels = workdir / "labels.csv"
+        labels.write_text(
+            "workload,category,system,data_out,data_intermediate\n"
+            "w1,data_analysis,cpu_intensive,much_less,less\n" + row + "\n"
+        )
+        assert run("report", "--vectors", workdir / "ingest" / "vectors.json",
+                   "--labels", labels, "--out", workdir / "r") == 2
+        assert f"{labels}: line 3" in capsys.readouterr().err
 
     def test_empty_report_succeeds(self, workdir):
         out = workdir / "empty"
@@ -312,6 +405,23 @@ class TestCliContract:
         assert run("--config", config_path, "classify",
                    workdir / "behavior.csv", "--out", workdir / "o") == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "{bad}"],
+        ["ingest", "{dir}/counters.csv", "--telemetry", "{bad}"],
+        ["classify", "{bad}"],
+        ["footprint", "{bad}"],
+        ["simulate", "{bad}"],
+        ["report", "--stack-table", "{bad}"],
+        ["report", "--vectors", "{dir}/ingest/vectors.json", "--labels", "{bad}"],
+    ])
+    def test_undecodable_input_exit_2_names_file(self, workdir, capsys, argv):
+        assert run("ingest", workdir / "counters.csv", "--out", workdir / "ingest") == 0
+        bad = workdir / "bad.txt"
+        bad.write_bytes(b"workload,\xff\n")
+        argv = [a.format(bad=bad, dir=workdir) for a in argv]
+        assert run(*argv, "--out", workdir / "o") == 2
+        assert f"{bad}: not valid UTF-8" in capsys.readouterr().err
+
     def test_rerun_is_byte_identical(self, workdir):
         out_a, out_b = workdir / "a", workdir / "b"
         for out in (out_a, out_b):
@@ -326,3 +436,61 @@ class TestCliContract:
         manifest_a = json.loads((out_a / "manifest.json").read_text())
         manifest_b = json.loads((out_b / "manifest.json").read_text())
         assert manifest_a["outputs"] == manifest_b["outputs"]
+
+
+# fields that reach the numeric, enum and address parsers, and the characters that
+# break a naive CSV split
+_TOKENS = [
+    "", " ", "w1", "w2", "n1", "cycles", "instructions", "0", "1", "-1", "0.5", "40", "1e400",
+    "1" + "0" * 400, "nan", "-inf", "service", "data_analysis", "cpu_intensive", "io_intensive",
+    "much_less", "equal", "none", "I", "L", "0x40", "f" * 20, "#", '"', "ipc",
+]
+
+
+def _file_bytes(header: str):
+    row = st.tuples(st.sampled_from([",", " "]), st.lists(st.sampled_from(_TOKENS), max_size=8))
+    text = st.lists(row.map(lambda r: r[0].join(r[1])), max_size=6).map("\n".join)
+    return st.one_of(
+        st.binary(max_size=64),
+        st.tuples(text, st.binary(max_size=4)).map(lambda t: (header + t[0]).encode() + t[1]),
+    )
+
+
+_HEADERS = {
+    "counters": COUNTER_HEADER,
+    "telemetry": TELEMETRY_HEADER,
+    "behavior": BEHAVIOR_HEADER,
+    "curve": "capacity_bytes,miss_ratio\n",
+    "labels": "workload,category,system,data_out,data_intermediate,suite,stack\n",
+    "stack": "algorithm,stack,metric,value\n",
+    "trace": "",
+}
+
+
+def _argv(target: str, tmp: Path, blob: Path) -> list:
+    (tmp / "counters.csv").write_text(two_workload_counters())
+    if target == "labels":
+        assert run("ingest", tmp / "counters.csv", "--out", tmp / "ingest") == 0
+    return {
+        "counters": ["ingest", blob],
+        "telemetry": ["ingest", tmp / "counters.csv", "--telemetry", blob],
+        "behavior": ["classify", blob],
+        "curve": ["footprint", blob],
+        "labels": ["report", "--vectors", tmp / "ingest" / "vectors.json", "--labels", blob],
+        "stack": ["report", "--stack-table", blob],
+        "trace": ["simulate", blob, "--sizes", "16K,32K"],
+    }[target] + ["--out", tmp / "out"]
+
+
+class TestArbitraryInputBytes:
+    @pytest.mark.parametrize("target", sorted(_HEADERS))
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_exit_code_is_0_2_or_3(self, target, data):
+        """Whatever the bytes of an input file, a command returns an exit code and
+        never raises."""
+        blob = data.draw(_file_bytes(_HEADERS[target]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.csv"
+            path.write_bytes(blob)
+            assert run(*_argv(target, Path(tmp), path)) in (0, 2, 3)

@@ -1,5 +1,6 @@
 """Group summaries, data-movement shares, stack impact, and emission."""
 
+import csv
 import math
 
 import pytest
@@ -234,6 +235,29 @@ class TestEmit:
         assert files_a == files_b
         for rel in files_a:
             assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes()
+
+    def test_names_with_commas_and_quotes_read_back(self, tmp_path):
+        records = [
+            WorkloadRecord("a", {"ipc": 1.0}, suite="Big,Data"),
+            WorkloadRecord("b", {"ipc": 2.0}, suite='say "hi"'),
+        ]
+        table = stack_impact_table([
+            StackMetricRecord("word,count", "mpi", {"l1i,mpki": 2.0}),
+            StackMetricRecord("word,count", "spark, 2", {"l1i,mpki": 17.0}),
+        ])
+        bundle = ReportBundle(
+            summaries=(group_summary(records, Grouping.SUITE, ["ipc"]),), stack_impact=table,
+        )
+        emit(bundle, tmp_path)
+        with open(tmp_path / "summary_suite.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == [
+                ["group", "count", "ipc"], ["Big,Data", "1", "1.0000"], ['say "hi"', "1", "2.0000"],
+            ]
+        with open(tmp_path / "stack_impact.csv", newline="") as fh:
+            assert list(csv.reader(fh))[1:] == [
+                ["word,count", "l1i,mpki", stack, value, "8.5000", "near_order_of_magnitude"]
+                for stack, value in (("mpi", "2.0000"), ("spark, 2", "17.0000"))
+            ]
 
     def test_floats_are_fixed_at_four_decimals(self, tmp_path):
         emit(self._bundle(), tmp_path)
