@@ -209,10 +209,22 @@ def simulate(
     `address // line_bytes`, mapped to set `line % set_count`, with LRU
     replacement inside each set.
     """
+    lines, kind_codes = _segment_lines(segment, kinds, config.line_bytes)
+    return _simulate_lines(lines, kind_codes, config)
+
+
+def _segment_lines(
+    segment: TraceSegment, kinds: frozenset[AccessKind], line_bytes: int
+) -> tuple[list[int], np.ndarray]:
+    """The line of each access whose kind is in `kinds`, and those accesses' kind codes."""
     addresses, kind_codes = _filtered(segment, kinds)
     if addresses.size == 0:
         raise DataError("no accesses of the requested kinds in this segment")
-    lines = (addresses // np.uint64(config.line_bytes)).tolist()
+    return (addresses // np.uint64(line_bytes)).tolist(), kind_codes
+
+
+def _simulate_lines(lines: list[int], kind_codes: np.ndarray, config: CacheConfig) -> SimResult:
+    """The LRU pass of `simulate` over lines already mapped with `config.line_bytes`."""
     set_count = config.set_count
     ways = config.ways
     sets: dict[int, OrderedDict] = {}
@@ -330,20 +342,28 @@ def sweep_capacities(
     kinds: frozenset[AccessKind] = ALL_KINDS,
 ) -> MissRatioCurve:
     """Simulate every segment at every capacity; combine per-segment miss
-    ratios as the weighted mean given by the segment weights."""
+    ratios as the weighted mean given by the segment weights.
+
+    Each segment's lines are mapped once and then run through a cold cache
+    of each capacity, one segment at a time, so only one segment's lines
+    are held in memory.
+    """
     if not sizes:
         raise DataError("sizes must be non-empty")
     ordered = sorted(int(s) for s in sizes)
     if len(set(ordered)) != len(ordered):
         raise DataError("sizes contain duplicates")
-    points = []
-    for size in ordered:
-        config = replace(template, capacity_bytes=size)
-        ratio = sum(
-            seg.weight * simulate(seg, config, kinds).miss_ratio for seg in trace.segments
-        )
-        points.append(CurvePoint(capacity_bytes=size, miss_ratio=ratio))
-    return MissRatioCurve(points=tuple(points), kind=curve_kind_for(kinds))
+    configs = [replace(template, capacity_bytes=size) for size in ordered]
+    ratios = [0] * len(configs)  # weight * miss ratio, added up in segment order
+    for seg in trace.segments:
+        lines, kind_codes = _segment_lines(seg, kinds, template.line_bytes)
+        for i, config in enumerate(configs):
+            ratios[i] += seg.weight * _simulate_lines(lines, kind_codes, config).miss_ratio
+        del lines, kind_codes  # before the next segment's lines are built
+    points = tuple(
+        CurvePoint(capacity_bytes=size, miss_ratio=ratio) for size, ratio in zip(ordered, ratios)
+    )
+    return MissRatioCurve(points=points, kind=curve_kind_for(kinds))
 
 
 def estimate_footprint(

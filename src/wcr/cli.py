@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import logging
 import os
 import sys
@@ -237,9 +238,10 @@ def _cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     input_path = Path(args.input)
     labels_path = out_dir / "labels.csv"
-    with open(input_path, "r", encoding="utf-8", newline="") as src, \
-            open(labels_path, "w", encoding="utf-8", newline="") as dst:
-        rows = classification.label_csv(src, dst)
+    labelled = io.StringIO()  # written out only once every row is labelled
+    with open(input_path, "r", encoding="utf-8", newline="") as src:
+        rows = classification.label_csv(src, labelled)
+    labels_path.write_text(labelled.getvalue(), encoding="utf-8", newline="")
     _write_manifest(out_dir, "classify", config, [input_path], [labels_path])
     print(f"labeled {rows} workloads -> {labels_path}")
     return EXIT_OK

@@ -11,6 +11,7 @@ value.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
@@ -225,7 +226,8 @@ def parse_counter_csv(stream: TextIO | str) -> list[RawProfile]:
 
     Counts for the same (workload, event) are summed across nodes; the
     wall time is the maximum across nodes. Duplicate (workload, node,
-    event) rows and malformed rows are errors naming the line.
+    event) rows, malformed rows and a sum beyond the float range are
+    errors naming the line.
     """
     _, rows = read_csv(stream, COUNTER_CSV_HEADER)
     counters: dict[str, dict[str, float]] = {}  # in order of first appearance
@@ -253,7 +255,13 @@ def parse_counter_csv(stream: TextIO | str) -> list[RawProfile]:
             counters[workload] = {}
             wall_times[workload] = wall
             nodes[workload] = set()
-        counters[workload][event] = counters[workload].get(event, 0.0) + count
+        total = counters[workload].get(event, 0.0) + count
+        if not math.isfinite(total):
+            raise ParseError(
+                f"counts for workload {workload!r}, event {event!r} sum beyond the float range",
+                line=lineno,
+            )
+        counters[workload][event] = total
         wall_times[workload] = max(wall_times[workload], wall)
         nodes[workload].add(node)
 

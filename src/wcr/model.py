@@ -149,16 +149,31 @@ def _decode(tp: Any, value: Any, where: str) -> Any:
 
 
 def read_json(path: str | Path) -> Any:
-    """Parse a JSON file; malformed text is a `DataError`, not a crash."""
+    """Parse a JSON file; malformed text is a `DataError`, not a crash.
+
+    `NaN`, `Infinity` and `-Infinity` are not JSON and are rejected too.
+    """
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_no_constant)
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise DataError(f"{path}: not valid JSON ({exc})")
 
 
+def _no_constant(token: str) -> Any:
+    raise ValueError(f"{token} is not a JSON value")
+
+
 def write_json(path: str | Path, payload: Any) -> None:
-    """Write `payload` as byte-stable JSON: sorted keys, two-space indent, final newline."""
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """Write `payload` as byte-stable JSON: sorted keys, two-space indent, final newline.
+
+    NaN and infinities have no JSON form; a payload holding one is a
+    `DataError` and nothing is written.
+    """
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}")
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def read_csv(stream: TextIO | str, columns: Sequence[str], *, extra: bool = False

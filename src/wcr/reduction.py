@@ -86,7 +86,7 @@ class ReductionResult(Codec):
 
 @dataclass(frozen=True)
 class ReductionConfig:
-    """Knobs for `reduce_pipeline`. `k=None` selects k by BIC over [k_min, k_max].
+    """Knobs for `reduce_vectors`. `k=None` selects k by BIC over [k_min, k_max].
 
     `k_max=None` searches up to max(k_min, n // 2) for n workloads: the
     largest k at which every cluster can hold two points. Above it,
@@ -241,10 +241,14 @@ def kmeans(
 
     `iterations` counts Lloyd iterations only. `inertia_history` holds the
     inertia after each Lloyd iteration, followed by the polished inertia
-    when the polish lowered it. Centroids and inertia are recomputed from
-    the final members, so equal partitions give bit-equal inertia.
+    when the polish lowered it. Centroids and inertia always come from the
+    final members, so equal partitions give bit-equal inertia. Each is
+    computed once: the polish starts from Lloyd's final centroids, and when
+    it moves nothing they and the last Lloyd inertia are kept as they are.
     """
-    points = np.asarray(points, dtype=float)
+    # C order: the sums below then run over rows in index order whatever
+    # the caller's memory layout
+    points = np.ascontiguousarray(points, dtype=float)
     if points.ndim != 2:
         raise DataError("points must be a 2-D matrix")
     n = points.shape[0]
@@ -273,9 +277,7 @@ def kmeans(
         labels = np.argmin(distances, axis=1)
         labels = _fill_empty_clusters(points, centroids, labels, k)
 
-        new_centroids = np.empty_like(centroids)
-        for j in range(k):
-            new_centroids[j] = points[labels == j].mean(axis=0)
+        new_centroids = _cluster_means(points, labels, k)
         movement = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()) \
             if centroids.size else 0.0
         centroids = new_centroids
@@ -283,13 +285,14 @@ def kmeans(
         if movement < tol:
             break
 
-    labels = _relocation_polish(points, labels, k, max_sweeps=max_iter)
-    for j in range(k):
-        centroids[j] = points[labels == j].mean(axis=0)
-
-    inertia = float(((points - centroids[labels]) ** 2).sum())
-    if not history or inertia < history[-1]:
-        history.append(inertia)
+    polished, centroids = _relocation_polish(points, labels, centroids, k, max_sweeps=max_iter)
+    if history and np.array_equal(polished, labels):
+        inertia = history[-1]  # same members, same centroids
+    else:
+        labels = polished
+        inertia = float(((points - centroids[labels]) ** 2).sum())
+        if not history or inertia < history[-1]:
+            history.append(inertia)
     return Clustering(
         k=k,
         assignments={ids[i]: int(labels[i]) for i in range(n)},
@@ -302,40 +305,74 @@ def kmeans(
     )
 
 
-def _relocation_polish(
-    points: np.ndarray, labels: np.ndarray, k: int, max_sweeps: int
-) -> np.ndarray:
-    """Apply strictly inertia-decreasing single-point moves; return new labels.
+def _cluster_means(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Row j is the mean of the points labelled j.
 
-    See `kmeans` for the move criterion, visiting order and tie-break. The
-    two centroids a move touches are updated in place, so a candidate move
-    costs O(k*d); every sweep starts from centroids recomputed exactly from
+    The bytes equal `points[labels == j].mean(axis=0)`: a stable sort keeps
+    each cluster's rows in index order, and `ndarray.mean` is this sum over
+    axis 0 divided by the count. (`np.add.reduceat` sums in another order.)
+    """
+    grouped = points[np.argsort(labels, kind="stable")]
+    means = np.empty((k, points.shape[1]))
+    start = 0
+    for j, end in enumerate(np.cumsum(np.bincount(labels, minlength=k)).tolist()):
+        means[j] = np.add.reduce(grouped[start:end], axis=0) / (end - start)
+        start = end
+    return means
+
+
+def _relocation_polish(
+    points: np.ndarray, labels: np.ndarray, centroids: np.ndarray, k: int, max_sweeps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply strictly inertia-decreasing single-point moves.
+
+    `centroids` must be the means of the clusters `labels` gives. Returns
+    the new labels and the means of their clusters. See `kmeans` for the
+    move criterion, visiting order and tie-break.
+
+    Between two moves the centroids and counts do not change, so a sweep
+    screens all the points not yet visited at once, with the same
+    arithmetic a point-by-point test would do, and jumps to the first
+    point that moves. The two centroids a move touches are updated in
+    place; every later sweep starts from centroids recomputed exactly from
     the members, so rounding drift cannot build up across sweeps. A point
     never leaves a cluster of size 1.
     """
     labels = labels.copy()
-    for _ in range(max_sweeps):
+    centroids = centroids.copy()
+    n = points.shape[0]
+    for sweep in range(max_sweeps):
+        if sweep:
+            centroids = _cluster_means(points, labels, k)
         counts = np.bincount(labels, minlength=k).astype(float)
-        centroids = np.array([points[labels == j].mean(axis=0) for j in range(k)])
         moved = False
-        for i, x in enumerate(points):
-            a = labels[i]
-            if counts[a] < 2:
-                continue
-            d2 = ((centroids - x) ** 2).sum(axis=1)
+        start = 0
+        while start < n:
+            d2 = ((points[start:, None, :] - centroids[None]) ** 2).sum(axis=2)
+            rows = np.arange(n - start)
+            own = labels[start:]
             add_cost = counts / (counts + 1.0) * d2
-            add_cost[a] = np.inf
-            b = int(np.argmin(add_cost))
-            if add_cost[b] < counts[a] / (counts[a] - 1.0) * d2[a]:
-                centroids[a] = (counts[a] * centroids[a] - x) / (counts[a] - 1.0)
-                centroids[b] = (counts[b] * centroids[b] + x) / (counts[b] + 1.0)
-                counts[a] -= 1.0
-                counts[b] += 1.0
-                labels[i] = b
-                moved = True
+            add_cost[rows, own] = np.inf
+            best = add_cost.argmin(axis=1)
+            # n_a/(n_a-1), with the divisor kept off 0 for clusters of size 1
+            leave_factor = counts / np.maximum(counts - 1.0, 1.0)
+            moves = np.flatnonzero(
+                (counts[own] >= 2) & (add_cost[rows, best] < leave_factor[own] * d2[rows, own])
+            )
+            if moves.size == 0:
+                break
+            i = start + int(moves[0])
+            a, b, x = labels[i], int(best[moves[0]]), points[i]
+            centroids[a] = (counts[a] * centroids[a] - x) / (counts[a] - 1.0)
+            centroids[b] = (counts[b] * centroids[b] + x) / (counts[b] + 1.0)
+            counts[a] -= 1.0
+            counts[b] += 1.0
+            labels[i] = b
+            moved = True
+            start = i + 1
         if not moved:
-            break
-    return labels
+            return labels, centroids
+    return labels, _cluster_means(points, labels, k)
 
 
 def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> list[int]:
@@ -345,7 +382,10 @@ def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> lis
     for _ in range(1, k):
         total = float(dists.sum())
         if total > 0:
-            idx = int(rng.choice(n, p=dists / total))
+            # the draw of `rng.choice(n, p=dists / total)`, without its input checks
+            cdf = (dists / total).cumsum()
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(rng.random(), side="right"))
         else:
             idx = int(rng.integers(n))  # all remaining mass at existing centers
         chosen.append(idx)
@@ -393,8 +433,7 @@ def kmeans_best_of(
 ) -> Clustering:
     """Run `restarts` seeded k-means runs and keep the lowest inertia.
 
-    Restart seeds are seed, seed+1, ...; ties keep the earliest seed so the
-    merge is deterministic even when restarts run concurrently.
+    Restart seeds are seed, seed+1, ...; ties keep the earliest seed.
     """
     if restarts < 1:
         raise DataError(f"restarts must be positive, got {restarts}")

@@ -184,3 +184,54 @@ def partition_of(labels, k: int) -> frozenset:
     return frozenset(
         frozenset(np.where(labels == j)[0].tolist()) for j in range(k)
     )
+
+
+def reference_relocation_polish(
+    points: np.ndarray, labels: np.ndarray, k: int, max_sweeps: int
+) -> np.ndarray:
+    """Point-by-point single-point relocation; the reference for the screened polish.
+
+    The move rule, visiting order and tie-break are those `wcr.reduction.kmeans`
+    documents. Every point is tested on its own, against centroids updated
+    in place after each move; every sweep starts from centroids recomputed
+    from the members.
+    """
+    labels = labels.copy()
+    for _ in range(max_sweeps):
+        counts = np.bincount(labels, minlength=k).astype(float)
+        centroids = np.array([points[labels == j].mean(axis=0) for j in range(k)])
+        moved = False
+        for i, x in enumerate(points):
+            a = labels[i]
+            if counts[a] < 2:
+                continue
+            d2 = ((centroids - x) ** 2).sum(axis=1)
+            add_cost = counts / (counts + 1.0) * d2
+            add_cost[a] = np.inf
+            b = int(np.argmin(add_cost))
+            if add_cost[b] < counts[a] / (counts[a] - 1.0) * d2[a]:
+                centroids[a] = (counts[a] * centroids[a] - x) / (counts[a] - 1.0)
+                centroids[b] = (counts[b] * centroids[b] + x) / (counts[b] + 1.0)
+                counts[a] -= 1.0
+                counts[b] += 1.0
+                labels[i] = b
+                moved = True
+        if not moved:
+            break
+    return labels
+
+
+def reference_plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> list[int]:
+    """k-means++ seeding that draws each center with `Generator.choice`."""
+    n = points.shape[0]
+    chosen = [int(rng.integers(n))]
+    dists = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    for _ in range(1, k):
+        total = float(dists.sum())
+        if total > 0:
+            idx = int(rng.choice(n, p=dists / total))
+        else:
+            idx = int(rng.integers(n))
+        chosen.append(idx)
+        dists = np.minimum(dists, ((points - points[idx]) ** 2).sum(axis=1))
+    return chosen

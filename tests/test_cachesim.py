@@ -1,12 +1,14 @@
 """LRU simulation, the reuse-distance oracle, capacity sweeps, footprints."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from wcr.cachesim import (
+    ALL_KINDS,
     DEFAULT_SIZE_GRID,
     AccessKind,
     AccessTrace,
@@ -181,6 +183,25 @@ class TestSweep:
         curve = sweep_capacities(trace, sizes, template)
         for point, size in zip(curve.points, sizes):
             expected = simulate(seg, CacheConfig(capacity_bytes=size)).miss_ratio
+            assert point.miss_ratio == expected
+
+    @pytest.mark.parametrize("write_allocate", [True, False])
+    @pytest.mark.parametrize("kinds", [ALL_KINDS, frozenset({AccessKind.LOAD, AccessKind.STORE})])
+    def test_segments_match_simulate_per_capacity(self, write_allocate, kinds):
+        # the sweep maps each segment's lines once; its points must stay the
+        # weighted sums of one `simulate` call per capacity and segment
+        rng = np.random.default_rng(6)
+        segments = tuple(
+            replace(random_segment(rng, n=n, line_space=space), weight=w)
+            for n, space, w in ((700, 300, 0.2), (1200, 900, 0.3), (400, 2000, 0.5))
+        )
+        trace = AccessTrace(segments=segments)
+        sizes = [16 * KIB, 4 * KIB, 64 * KIB]
+        template = CacheConfig(capacity_bytes=4 * KIB, write_allocate=write_allocate)
+        curve = sweep_capacities(trace, sizes, template, kinds)
+        for point, size in zip(curve.points, sorted(sizes)):
+            config = replace(template, capacity_bytes=size)
+            expected = sum(seg.weight * simulate(seg, config, kinds).miss_ratio for seg in segments)
             assert point.miss_ratio == expected
 
     def test_weighted_mean_of_segments(self):

@@ -110,6 +110,19 @@ class TestIngest:
         bad.write_text(COUNTER_HEADER + "w1,n1,cycles,abc,1\n")
         assert run("ingest", bad, "--out", workdir / "o") == 2
 
+    def test_counts_summing_beyond_float_range_exit_2(self, workdir, capsys):
+        # each count is finite; their sum is not, and JSON has no Infinity
+        counters = workdir / "huge.csv"
+        counters.write_text(
+            counters_csv({"w1": FIXTURE_COUNTERS})
+            + "w1,n1,foo,1e308,100\nw1,n2,foo,1e308,100\n"
+        )
+        out = workdir / "o"
+        assert run("ingest", counters, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "'w1'" in err and "'foo'" in err
+        assert not (out / "profiles.json").exists()
+
     def test_missing_file_exit_3(self, workdir):
         assert run("ingest", workdir / "nope.csv", "--out", workdir / "o") == 3
 
@@ -198,6 +211,16 @@ class TestClassify:
         bad = workdir / "bad.csv"
         bad.write_text(BEHAVIOR_HEADER + "w,2.0,0,0,1,1,1,service\n")
         assert run("classify", bad, "--out", workdir / "o") == 2
+
+    def test_failed_run_leaves_earlier_outputs(self, workdir):
+        out = workdir / "classify"
+        assert run("classify", workdir / "behavior.csv", "--out", out) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        bad = workdir / "bad.csv"
+        bad.write_text(BEHAVIOR_HEADER + "w,2.0,0,0,1,1,1,service\n")
+        assert run("classify", bad, "--out", out) == 2
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert set(before) == {"labels.csv", "manifest.json"}
 
     @pytest.mark.parametrize("row", [
         "w,0.5,0.3,nan,1000,10,0,service",
@@ -404,6 +427,17 @@ class TestCliContract:
         config_path.write_text(json.dumps({"bogus": 1}))
         assert run("--config", config_path, "classify",
                    workdir / "behavior.csv", "--out", workdir / "o") == 2
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_json_constant_in_config_exit_2(self, workdir, capsys, constant):
+        # the value would reach the manifest, which JSON cannot hold
+        config_path = workdir / "config.json"
+        config_path.write_text('{"warmup_s": %s}' % constant)
+        out = workdir / "o"
+        assert run("--config", config_path, "classify", workdir / "behavior.csv",
+                   "--out", out) == 2
+        assert f"{constant} is not a JSON value" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["ingest", "{bad}"],

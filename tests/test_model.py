@@ -25,6 +25,7 @@ from wcr.model import (
     TelemetrySample,
     default_schema,
     validate_profile,
+    write_json,
 )
 
 
@@ -157,6 +158,13 @@ class TestOtherTypes:
     def test_profile_roundtrip(self):
         profile = make_profile(stack="hadoop")
         assert RawProfile.from_dict(profile.to_dict()) == profile
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_write_json_rejects_non_finite(self, tmp_path, value):
+        path = tmp_path / "out.json"
+        with pytest.raises(DataError, match="out.json"):
+            write_json(path, {"a": [1.0, value]})
+        assert not path.exists()
 
     def test_volumes_negative_rejected(self):
         with pytest.raises(DataError):

@@ -13,6 +13,8 @@ from helpers import (
     partition_of,
     plant_clusters,
     planted_metric_vectors,
+    reference_plus_plus_init,
+    reference_relocation_polish,
 )
 from wcr.errors import DataError
 from wcr.model import MetricVector, default_schema
@@ -31,6 +33,7 @@ from wcr.reduction import (
     reduce_vectors,
     select_representatives,
 )
+from wcr.reduction import _cluster_means, _plus_plus_init, _relocation_polish
 
 
 def _vectors(matrix, schema):
@@ -251,6 +254,52 @@ class TestKmeans:
                     centroids = np.array([points[moved == j].mean(axis=0) for j in range(k)])
                     inertia = float(((points - centroids[moved]) ** 2).sum())
                     assert inertia >= c.inertia - slack, (i, b)
+
+    @staticmethod
+    def _labelled_instances():
+        """Seeded (points, k, labels) with every cluster non-empty; a third of
+        them have duplicated points and a fifth are rounded to create ties."""
+        # moving 2.0 to {4.0} costs exactly what it saves, so it must stay
+        yield np.array([[0.0], [2.0], [4.0]]), 2, np.array([0, 0, 1])
+        rng = np.random.default_rng(16)
+        for t in range(60):
+            n = int(rng.integers(4, 60))
+            points = rng.normal(size=(n, int(rng.integers(1, 12))))
+            if t % 3 == 0:
+                points = np.repeat(points[: n // 2], 2, axis=0)
+            if t % 5 == 0:
+                points = np.round(points, 1)
+            n = len(points)
+            k = int(rng.integers(1, min(n, 12) + 1))
+            labels = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
+            yield points, k, rng.permutation(labels)
+
+    def test_screened_polish_matches_point_by_point_reference(self):
+        moved = 0
+        for points, k, labels in self._labelled_instances():
+            for max_sweeps in (1, 2, 300):
+                expected = reference_relocation_polish(points, labels, k, max_sweeps)
+                got, centroids = _relocation_polish(
+                    points, labels, _cluster_means(points, labels, k), k, max_sweeps
+                )
+                assert np.array_equal(got, expected)
+                assert centroids.tobytes() == _cluster_means(points, got, k).tobytes()
+                moved += not np.array_equal(got, labels)
+        assert moved > 100  # the instances exercise the moving path
+
+    def test_cluster_means_match_masked_mean_bytes(self):
+        for points, k, labels in self._labelled_instances():
+            expected = np.array([points[labels == j].mean(axis=0) for j in range(k)])
+            assert _cluster_means(points, labels, k).tobytes() == expected.tobytes()
+
+    def test_plus_plus_draw_matches_generator_choice(self):
+        # the inline draw restates what Generator.choice(n, p=...) computes;
+        # a numpy release that changes choice fails here
+        for points, k, _ in self._labelled_instances():
+            for seed in range(5):
+                a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert _plus_plus_init(points, k, a) == reference_plus_plus_init(points, k, b)
+                assert a.random() == b.random()
 
     def test_custom_ids(self):
         points = np.array([[0.0], [10.0]])
