@@ -3,25 +3,21 @@
 A trace is a weighted list of access segments; sweeping one cache
 configuration across a capacity grid yields a miss-ratio-versus-capacity
 curve whose knee estimates the workload's instruction or data footprint.
-A reuse-distance oracle provides an independent second implementation of
-LRU miss counting for cross-checking the simulator.
+Every access allocates its line on a miss, stores included.
 """
 
 from __future__ import annotations
 
 import enum
-import logging
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError, ParseError
-from .model import Codec, finite_number, read_csv, read_json, write_csv, write_json
-
-log = logging.getLogger("wcr.cachesim")
+from .model import Codec, finite_number, read_csv, read_json, write_csv
 
 KIB = 1024
 # default sweep: 16 KB doubling up to 8192 KB
@@ -45,7 +41,6 @@ _KIND_TOKENS = {
     "l": AccessKind.LOAD, "load": AccessKind.LOAD, "read": AccessKind.LOAD,
     "s": AccessKind.STORE, "store": AccessKind.STORE, "write": AccessKind.STORE,
 }
-_KIND_LETTER = {AccessKind.IFETCH: "I", AccessKind.LOAD: "L", AccessKind.STORE: "S"}
 
 
 class CurveKind(str, enum.Enum):
@@ -64,16 +59,11 @@ def curve_kind_for(kinds: frozenset[AccessKind]) -> CurveKind:
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Geometry of one simulated cache. `associativity=None` means fully associative.
-
-    Stores allocate on miss by default; set `write_allocate=False` for a
-    no-allocate store policy.
-    """
+    """Geometry of one simulated cache. `associativity=None` means fully associative."""
 
     capacity_bytes: int
     line_bytes: int = 64
     associativity: int | None = 8
-    write_allocate: bool = True
 
     def __post_init__(self) -> None:
         if self.capacity_bytes <= 0:
@@ -191,13 +181,6 @@ class MissRatioCurve(Codec):
 # --- simulation ---------------------------------------------------------------
 
 
-def _filtered(segment: TraceSegment, kinds: frozenset[AccessKind]):
-    if kinds == ALL_KINDS:
-        return segment.addresses, segment.kinds
-    mask = np.isin(segment.kinds, [k.value for k in kinds])
-    return segment.addresses[mask], segment.kinds[mask]
-
-
 def simulate(
     segment: TraceSegment,
     config: CacheConfig,
@@ -209,130 +192,42 @@ def simulate(
     `address // line_bytes`, mapped to set `line % set_count`, with LRU
     replacement inside each set.
     """
-    lines, kind_codes = _segment_lines(segment, kinds, config.line_bytes)
-    return _simulate_lines(lines, kind_codes, config)
+    return _simulate_lines(_segment_lines(segment, kinds, config.line_bytes), config)
 
 
 def _segment_lines(
     segment: TraceSegment, kinds: frozenset[AccessKind], line_bytes: int
-) -> tuple[list[int], np.ndarray]:
-    """The line of each access whose kind is in `kinds`, and those accesses' kind codes."""
-    addresses, kind_codes = _filtered(segment, kinds)
+) -> list[int]:
+    """The line of each access whose kind is in `kinds`."""
+    addresses = segment.addresses
+    if kinds != ALL_KINDS:
+        addresses = addresses[np.isin(segment.kinds, [k.value for k in kinds])]
     if addresses.size == 0:
         raise DataError("no accesses of the requested kinds in this segment")
-    return (addresses // np.uint64(line_bytes)).tolist(), kind_codes
+    return (addresses // np.uint64(line_bytes)).tolist()
 
 
-def _simulate_lines(lines: list[int], kind_codes: np.ndarray, config: CacheConfig) -> SimResult:
+def _simulate_lines(lines: list[int], config: CacheConfig) -> SimResult:
     """The LRU pass of `simulate` over lines already mapped with `config.line_bytes`."""
     set_count = config.set_count
     ways = config.ways
     sets: dict[int, OrderedDict] = {}
     misses = 0
-
-    if config.write_allocate:
-        for line in lines:
-            s = line % set_count
-            lru = sets.get(s)
-            if lru is None:
-                lru = sets[s] = OrderedDict()
-            if line in lru:
-                lru.move_to_end(line)
-            else:
-                misses += 1
-                lru[line] = None
-                if len(lru) > ways:
-                    lru.popitem(last=False)
-    else:
-        store = AccessKind.STORE.value
-        for line, code in zip(lines, kind_codes.tolist()):
-            s = line % set_count
-            lru = sets.get(s)
-            if lru is None:
-                lru = sets[s] = OrderedDict()
-            if line in lru:
-                lru.move_to_end(line)
-            else:
-                misses += 1
-                if code != store:
-                    lru[line] = None
-                    if len(lru) > ways:
-                        lru.popitem(last=False)
+    for line in lines:
+        s = line % set_count
+        lru = sets.get(s)
+        if lru is None:
+            lru = sets[s] = OrderedDict()
+        if line in lru:
+            lru.move_to_end(line)
+        else:
+            misses += 1
+            lru[line] = None
+            if len(lru) > ways:
+                lru.popitem(last=False)
 
     total = len(lines)
     return SimResult(accesses=total, misses=misses, miss_ratio=misses / total)
-
-
-class _Fenwick:
-    """Prefix-sum tree over 1-based positions."""
-
-    __slots__ = ("tree",)
-
-    def __init__(self, size: int):
-        self.tree = [0] * (size + 1)
-
-    def add(self, i: int, delta: int) -> None:
-        tree = self.tree
-        while i < len(tree):
-            tree[i] += delta
-            i += i & (-i)
-
-    def prefix(self, i: int) -> int:
-        tree = self.tree
-        total = 0
-        while i > 0:
-            total += tree[i]
-            i -= i & (-i)
-        return total
-
-
-def stack_distance_oracle(
-    segment: TraceSegment,
-    capacity_lines: int,
-    set_count: int,
-    line_bytes: int = 64,
-    kinds: frozenset[AccessKind] = ALL_KINDS,
-) -> int:
-    """LRU miss count via per-set reuse distances; independent of `simulate`.
-
-    An access misses when it is a first touch of its line, or when the
-    number of distinct lines touched in its set since the previous access
-    to the same line reaches the set's way count. Assumes every access
-    allocates (the simulator's default store policy).
-    """
-    if capacity_lines <= 0 or set_count <= 0:
-        raise DataError("capacity_lines and set_count must be positive")
-    if capacity_lines % set_count:
-        raise DataError("capacity_lines must be divisible by set_count")
-    ways = capacity_lines // set_count
-
-    addresses, _ = _filtered(segment, kinds)
-    if addresses.size == 0:
-        raise DataError("no accesses of the requested kinds in this segment")
-    lines = (addresses // np.uint64(line_bytes)).tolist()
-
-    streams: dict[int, list[int]] = {}
-    for line in lines:
-        streams.setdefault(line % set_count, []).append(line)
-
-    misses = 0
-    for stream in streams.values():
-        fenwick = _Fenwick(len(stream))
-        last_pos: dict[int, int] = {}
-        for pos, line in enumerate(stream, start=1):
-            prev = last_pos.get(line)
-            if prev is None:
-                misses += 1
-            else:
-                # markers sit at each line's most recent position;
-                # the count strictly between prev and pos is the reuse distance
-                distance = fenwick.prefix(pos - 1) - fenwick.prefix(prev)
-                if distance >= ways:
-                    misses += 1
-                fenwick.add(prev, -1)
-            fenwick.add(pos, +1)
-            last_pos[line] = pos
-    return misses
 
 
 def sweep_capacities(
@@ -356,10 +251,10 @@ def sweep_capacities(
     configs = [replace(template, capacity_bytes=size) for size in ordered]
     ratios = [0] * len(configs)  # weight * miss ratio, added up in segment order
     for seg in trace.segments:
-        lines, kind_codes = _segment_lines(seg, kinds, template.line_bytes)
+        lines = _segment_lines(seg, kinds, template.line_bytes)
         for i, config in enumerate(configs):
-            ratios[i] += seg.weight * _simulate_lines(lines, kind_codes, config).miss_ratio
-        del lines, kind_codes  # before the next segment's lines are built
+            ratios[i] += seg.weight * _simulate_lines(lines, config).miss_ratio
+        del lines  # before the next segment's lines are built
     points = tuple(
         CurvePoint(capacity_bytes=size, miss_ratio=ratio) for size, ratio in zip(ordered, ratios)
     )
@@ -433,13 +328,6 @@ def read_text_trace(path: str | Path) -> AccessTrace:
     return AccessTrace.single(addresses, kinds)
 
 
-def write_text_trace(trace: AccessTrace, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for segment in trace.segments:
-            for address, kind in zip(segment.addresses.tolist(), segment.kinds.tolist()):
-                fh.write(f"{_KIND_LETTER[AccessKind(kind)]} {address:#x}\n")
-
-
 def read_binary_trace(path: str | Path, sidecar: str | Path | None = None) -> AccessTrace:
     """Read packed (u64 address, u8 kind) records.
 
@@ -473,24 +361,6 @@ def read_binary_trace(path: str | Path, sidecar: str | Path | None = None) -> Ac
             )
         )
     return AccessTrace(segments=tuple(segments))
-
-
-def write_binary_trace(
-    trace: AccessTrace, path: str | Path, sidecar: str | Path | None = None
-) -> None:
-    total = sum(len(s) for s in trace.segments)
-    records = np.empty(total, dtype=_RECORD_DTYPE)
-    offset = 0
-    spans = []
-    for segment in trace.segments:
-        end = offset + len(segment)
-        records["address"][offset:end] = segment.addresses
-        records["kind"][offset:end] = segment.kinds
-        spans.append(SegmentSpan(begin=offset, end=end, weight=segment.weight))
-        offset = end
-    records.tofile(path)
-    if sidecar is not None:
-        write_json(sidecar, SegmentsFile(tuple(spans)).to_dict())
 
 
 def skip_accesses(trace: AccessTrace, n: int) -> AccessTrace:

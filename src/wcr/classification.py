@@ -8,7 +8,6 @@ strict, so boundary values fall through to the weaker class.
 
 from __future__ import annotations
 
-import logging
 from typing import TextIO
 
 from .errors import DataError, ParseError
@@ -23,8 +22,6 @@ from .model import (
     read_csv,
     write_csv,
 )
-
-log = logging.getLogger("wcr.classification")
 
 CPU_INTENSIVE_UTIL = 0.85
 IO_INTENSIVE_WEIGHTED_IO = 10.0

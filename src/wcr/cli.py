@@ -39,8 +39,6 @@ from .model import (
 )
 from . import cachesim, classification, ingest, reduction, report
 
-log = logging.getLogger("wcr.cli")
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -154,15 +152,8 @@ def _cmd_ingest(args: argparse.Namespace, config: RunConfig) -> int:
         profiles = ingest.parse_counter_csv(fh)
     vectors = [ingest.derive_microarch_metrics(p, schema) for p in profiles]
 
-    outputs = []
-    profiles_path = out_dir / "profiles.json"
-    write_json(profiles_path, ProfilesFile(tuple(profiles)).to_dict())
-    outputs.append(profiles_path)
-
-    vectors_path = out_dir / "vectors.json"
-    write_json(vectors_path, VectorsFile(schema, tuple(vectors)).to_dict())
-    outputs.append(vectors_path)
-
+    # every input is read before the first write, so a bad one leaves --out as it was
+    payloads = {}
     if args.telemetry:
         inputs.append(Path(args.telemetry))
         with open(args.telemetry, "r", encoding="utf-8", newline="") as fh:
@@ -173,9 +164,15 @@ def _cmd_ingest(args: argparse.Namespace, config: RunConfig) -> int:
             steady = ingest.trim_ramp_up(telemetry[workload], config.warmup_s)
             runtime = wall_times.get(workload, telemetry[workload].samples[-1].t_s)
             system_metrics[workload] = ingest.aggregate_telemetry(steady, runtime).to_dict()
-        metrics_path = out_dir / "system_metrics.json"
-        write_json(metrics_path, {"system_metrics": system_metrics})
-        outputs.append(metrics_path)
+        # first: its means and ratio can overflow to infinity, which `write_json` refuses
+        payloads["system_metrics.json"] = {"system_metrics": system_metrics}
+    payloads["profiles.json"] = ProfilesFile(tuple(profiles)).to_dict()
+    payloads["vectors.json"] = VectorsFile(schema, tuple(vectors)).to_dict()
+
+    outputs = []
+    for name, payload in payloads.items():
+        outputs.append(out_dir / name)
+        write_json(outputs[-1], payload)
 
     _write_manifest(out_dir, "ingest", config, inputs, outputs)
     print(f"ingested {len(profiles)} workloads -> {out_dir}")
@@ -284,6 +281,8 @@ def _load_trace(args: argparse.Namespace) -> tuple[cachesim.AccessTrace, list[Pa
 def _cmd_simulate(args: argparse.Namespace, config: RunConfig) -> int:
     if args.workload in ("", ".", "..") or set("/\\") & set(args.workload or ""):
         raise DataError(f"--workload {args.workload!r} is not a plain file name")
+    if not config.sizes:
+        raise DataError("sizes is empty; give at least one cache capacity")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     trace, inputs = _load_trace(args)

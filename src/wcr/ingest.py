@@ -10,10 +10,9 @@ value.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence, TextIO
+from typing import Callable, Mapping, Sequence, TextIO
 
 from .errors import DataError, ParseError
 from .model import (
@@ -28,8 +27,6 @@ from .model import (
     read_csv,
     validate_profile,
 )
-
-log = logging.getLogger("wcr.ingest")
 
 COUNTER_CSV_HEADER = ("workload", "node", "event", "count", "wall_time_s")
 TELEMETRY_CSV_HEADER = (
@@ -322,9 +319,13 @@ def trim_ramp_up(telemetry: SystemTelemetry, warmup_s: float = DEFAULT_WARMUP_S)
 def aggregate_telemetry(telemetry: SystemTelemetry, runtime_s: float) -> SystemBehaviorMetrics:
     """Collapse a telemetry series into one SystemBehaviorMetrics.
 
-    Utilization fractions are averaged with trapezoidal time weighting;
-    the weighted I/O counter is differenced over the run and divided by
-    the runtime; bandwidths are plain means.
+    Utilization fractions are averaged with trapezoidal time weighting, and
+    bandwidths are plain means, over the samples given. The weighted I/O
+    counter is differenced between the first and the last sample given,
+    which for `wcr ingest` is the steady window `trim_ramp_up` leaves, and
+    the difference is divided by `runtime_s`, which `wcr ingest` passes as
+    the profile's full-run wall time (the last sample's time when the
+    counter CSV has no such workload).
     """
     if runtime_s <= 0:
         raise DataError(f"runtime_s {runtime_s} is not positive")
@@ -378,23 +379,3 @@ def derive_microarch_metrics(profile: RawProfile, schema: MetricSchema) -> Metri
     except DataError as exc:
         raise DataError(f"workload '{profile.workload_id}': {exc}")
 
-
-@dataclass(frozen=True)
-class IntegerBreakdown:
-    """Shares of integer work: address math for integer data, for floating-point
-    data, and everything else."""
-
-    int_addr: float
-    fp_addr: float
-    other: float
-
-
-def integer_breakdown(int_addr_calc: float, fp_addr_calc: float, other_calc: float) -> IntegerBreakdown:
-    """Normalize the three integer-operation counts to fractions of their sum."""
-    counts = (int_addr_calc, fp_addr_calc, other_calc)
-    if any(c < 0 for c in counts):
-        raise DataError("integer breakdown counts must be non-negative")
-    total = sum(counts)
-    if total == 0:
-        raise DataError("all integer breakdown counts are zero")
-    return IntegerBreakdown(*(c / total for c in counts))

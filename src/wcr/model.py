@@ -151,16 +151,25 @@ def _decode(tp: Any, value: Any, where: str) -> Any:
 def read_json(path: str | Path) -> Any:
     """Parse a JSON file; malformed text is a `DataError`, not a crash.
 
-    `NaN`, `Infinity` and `-Infinity` are not JSON and are rejected too.
+    `NaN`, `Infinity` and `-Infinity` are not JSON and are rejected too, as
+    is a number such as `1e400` that only a float infinity could hold.
     """
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_no_constant)
+        return json.loads(Path(path).read_text(encoding="utf-8"),
+                          parse_constant=_no_constant, parse_float=_finite_float)
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise DataError(f"{path}: not valid JSON ({exc})")
 
 
 def _no_constant(token: str) -> Any:
     raise ValueError(f"{token} is not a JSON value")
+
+
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"{token} is beyond the float range")
+    return value
 
 
 def write_json(path: str | Path, payload: Any) -> None:

@@ -12,19 +12,23 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError
-from .model import Codec, Matrix, MetricSchema, MetricVector, RawProfile, Vector, write_csv
+from .model import Codec, Matrix, MetricSchema, MetricVector, Vector, write_csv
 
 log = logging.getLogger("wcr.reduction")
 
 # treat a column as zero-variance when its spread is negligible next to its scale
 _ZERO_VARIANCE_RTOL = 1e-12
+# Lloyd stops after _MAX_ITER iterations, or once no centroid moves by _TOL or more;
+# the relocation polish makes at most _MAX_ITER sweeps
+_MAX_ITER = 300
+_TOL = 1e-6
 
 
 @dataclass(eq=False)
@@ -100,8 +104,6 @@ class ReductionConfig:
     k_max: int | None = None
     seed: int = 42
     restarts: int = 8
-    max_iter: int = 300
-    tol: float = 1e-6
 
 
 # --- standardization --------------------------------------------------------
@@ -217,15 +219,14 @@ def kmeans(
     points: np.ndarray,
     k: int,
     seed: int,
-    max_iter: int = 300,
-    tol: float = 1e-6,
     ids: Sequence[str] | None = None,
 ) -> Clustering:
     """Seeded k-means++ initialization, Lloyd iterations, point-move polish.
 
-    Deterministic for a given (points, k, seed). Lloyd iterations stop when
-    the largest centroid movement drops below `tol`; a final single-point
-    relocation pass (Hartigan & Wong 1979, AS 136) then applies any strictly
+    Deterministic for a given (points, k, seed); the seed must not be
+    negative. Lloyd iterations stop when the largest centroid movement drops
+    below 1e-6, or after 300 of them; a final single-point relocation pass
+    (Hartigan & Wong 1979, AS 136) then applies any strictly
     inertia-decreasing moves, which escapes Lloyd-stable local optima on
     small instances. An empty cluster is re-seeded with the point farthest
     from its assigned centroid (that point is moved into the empty cluster),
@@ -235,7 +236,7 @@ def kmeans(
     size n_a >= 2 moves to the other cluster b with the lowest
     n_b/(n_b+1)*|x - c_b|^2 (ties to the lowest index b), and only if that
     cost is strictly below n_a/(n_a-1)*|x - c_a|^2, the inertia x adds to a.
-    Sweeps repeat until one makes no move, at most `max_iter` of them. On
+    Sweeps repeat until one makes no move, at most 300 of them. On
     return every cluster is non-empty and no single-point move lowers the
     inertia.
 
@@ -256,6 +257,8 @@ def kmeans(
         raise DataError(f"k must be positive, got {k}")
     if k > n:
         raise DataError(f"k={k} exceeds the number of points ({n})")
+    if seed < 0:
+        raise DataError(f"seed must not be negative, got {seed}")
     if ids is None:
         ids = tuple(str(i) for i in range(n))
     else:
@@ -271,7 +274,7 @@ def kmeans(
     labels = np.zeros(n, dtype=int)
     history: list[float] = []
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         iterations += 1
         distances = _sq_distances(points, centroids)
         labels = np.argmin(distances, axis=1)
@@ -282,10 +285,10 @@ def kmeans(
             if centroids.size else 0.0
         centroids = new_centroids
         history.append(float(((points - centroids[labels]) ** 2).sum()))
-        if movement < tol:
+        if movement < _TOL:
             break
 
-    polished, centroids = _relocation_polish(points, labels, centroids, k, max_sweeps=max_iter)
+    polished, centroids = _relocation_polish(points, labels, centroids, k, max_sweeps=_MAX_ITER)
     if history and np.array_equal(polished, labels):
         inertia = history[-1]  # same members, same centroids
     else:
@@ -427,8 +430,6 @@ def kmeans_best_of(
     k: int,
     seed: int,
     restarts: int,
-    max_iter: int = 300,
-    tol: float = 1e-6,
     ids: Sequence[str] | None = None,
 ) -> Clustering:
     """Run `restarts` seeded k-means runs and keep the lowest inertia.
@@ -439,7 +440,7 @@ def kmeans_best_of(
         raise DataError(f"restarts must be positive, got {restarts}")
     best: Clustering | None = None
     for r in range(restarts):
-        result = kmeans(points, k, seed + r, max_iter=max_iter, tol=tol, ids=ids)
+        result = kmeans(points, k, seed + r, ids=ids)
         if best is None or result.inertia < best.inertia:
             best = result
     assert best is not None
@@ -481,8 +482,6 @@ def choose_k(
     k_max: int,
     seed: int,
     restarts: int = 8,
-    max_iter: int = 300,
-    tol: float = 1e-6,
     ids: Sequence[str] | None = None,
 ) -> Clustering:
     """Return the clustering in [k_min, k_max] that maximizes the BIC.
@@ -498,9 +497,7 @@ def choose_k(
     best: Clustering | None = None
     best_score = -math.inf
     for k in range(k_min, k_max + 1):
-        clustering = kmeans_best_of(
-            points, k, seed, restarts, max_iter=max_iter, tol=tol, ids=ids
-        )
+        clustering = kmeans_best_of(points, k, seed, restarts, ids=ids)
         score = bic_score(points, clustering)
         log.debug("k=%d inertia=%.6g bic=%.6g", k, clustering.inertia, score)
         if best is None or score > best_score:
@@ -549,15 +546,13 @@ def reduce_vectors(
     projected = project(nm, pca)
     if config.k is not None:
         clustering = kmeans_best_of(
-            projected, config.k, config.seed, config.restarts,
-            max_iter=config.max_iter, tol=config.tol, ids=nm.ids,
+            projected, config.k, config.seed, config.restarts, ids=nm.ids
         )
     else:
         n = projected.shape[0]
         k_max = config.k_max if config.k_max is not None else max(config.k_min, n // 2)
         clustering = choose_k(
-            projected, config.k_min, k_max, config.seed, config.restarts,
-            max_iter=config.max_iter, tol=config.tol, ids=nm.ids,
+            projected, config.k_min, k_max, config.seed, config.restarts, ids=nm.ids
         )
     representatives = select_representatives(clustering, projected, nm.ids)
     sizes = tuple(int(c) for c in np.bincount(clustering.labels, minlength=clustering.k))
@@ -569,15 +564,3 @@ def reduce_vectors(
         normalized=nm,
         projected=projected,
     )
-
-
-def reduce_pipeline(
-    profiles: Sequence[RawProfile], schema: MetricSchema, config: ReductionConfig
-) -> ReductionResult:
-    """Derive metric vectors from raw profiles, then reduce them."""
-    from .ingest import derive_microarch_metrics
-
-    if len(profiles) < 2:
-        raise DataError(f"need at least 2 profiles, got {len(profiles)}")
-    vectors = [derive_microarch_metrics(p, schema) for p in profiles]
-    return reduce_vectors(vectors, schema, config)

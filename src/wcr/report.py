@@ -11,9 +11,9 @@ from __future__ import annotations
 import enum
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Sequence
 
 from .cachesim import MissRatioCurve, write_curve_csv
 from .errors import DataError
@@ -118,46 +118,6 @@ def group_summary(
     return GroupSummary(
         grouping=grouping, rows=rows, total_workloads=len(records), omitted_groups=omitted
     )
-
-
-# --- data-movement share -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InstructionMix:
-    """Fractions of retired instructions by category; sums to at most 1."""
-
-    branch: float
-    integer: float
-    fp: float
-    load: float
-    store: float
-    other: float = 0.0
-
-    def __post_init__(self) -> None:
-        parts = (self.branch, self.integer, self.fp, self.load, self.store, self.other)
-        if any(p < 0 for p in parts):
-            raise DataError("instruction-mix fractions must be non-negative")
-        if sum(parts) > 1.0 + 1e-9:
-            raise DataError(f"instruction-mix fractions sum to {sum(parts)} > 1")
-
-
-@dataclass(frozen=True)
-class MovementShare:
-    without_branch: float
-    with_branch: float
-
-
-def data_movement_share(mix: InstructionMix, int_breakdown) -> MovementShare:
-    """Share of instructions that move data or compute where data lives.
-
-    Loads and stores move data outright; the integer instructions doing
-    address arithmetic (for integer or floating-point data) serve data
-    movement too; branches join in the wider reading.
-    """
-    address_share = int_breakdown.int_addr + int_breakdown.fp_addr
-    without = mix.load + mix.store + mix.integer * address_share
-    return MovementShare(without_branch=without, with_branch=without + mix.branch)
 
 
 # --- stack impact -------------------------------------------------------------

@@ -1,12 +1,23 @@
-"""Shared fixtures and independent oracles used across the test suite."""
+"""Shared fixtures, trace writers and independent oracles used across the test suite."""
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
+from wcr.cachesim import (
+    _RECORD_DTYPE,
+    ALL_KINDS,
+    AccessKind,
+    AccessTrace,
+    SegmentsFile,
+    SegmentSpan,
+    TraceSegment,
+)
+from wcr.errors import DataError
 from wcr.model import (
     MetricDescriptor,
     MetricGroup,
@@ -15,6 +26,7 @@ from wcr.model import (
     MetricVector,
     RawProfile,
     default_schema,
+    write_json,
 )
 
 # Counter totals for one plausible five-node run. Instruction and cycle
@@ -235,3 +247,105 @@ def reference_plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generato
         chosen.append(idx)
         dists = np.minimum(dists, ((points - points[idx]) ** 2).sum(axis=1))
     return chosen
+
+
+# --- trace writers and the reuse-distance oracle ---------------------------------
+
+_KIND_LETTER = {AccessKind.IFETCH: "I", AccessKind.LOAD: "L", AccessKind.STORE: "S"}
+
+
+def write_text_trace(trace: AccessTrace, path: str | Path) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for segment in trace.segments:
+            for address, kind in zip(segment.addresses.tolist(), segment.kinds.tolist()):
+                fh.write(f"{_KIND_LETTER[AccessKind(kind)]} {address:#x}\n")
+
+
+def write_binary_trace(
+    trace: AccessTrace, path: str | Path, sidecar: str | Path | None = None
+) -> None:
+    total = sum(len(s) for s in trace.segments)
+    records = np.empty(total, dtype=_RECORD_DTYPE)
+    offset = 0
+    spans = []
+    for segment in trace.segments:
+        end = offset + len(segment)
+        records["address"][offset:end] = segment.addresses
+        records["kind"][offset:end] = segment.kinds
+        spans.append(SegmentSpan(begin=offset, end=end, weight=segment.weight))
+        offset = end
+    records.tofile(path)
+    if sidecar is not None:
+        write_json(sidecar, SegmentsFile(tuple(spans)).to_dict())
+
+
+class _Fenwick:
+    """Prefix-sum tree over 1-based positions."""
+
+    __slots__ = ("tree",)
+
+    def __init__(self, size: int):
+        self.tree = [0] * (size + 1)
+
+    def add(self, i: int, delta: int) -> None:
+        tree = self.tree
+        while i < len(tree):
+            tree[i] += delta
+            i += i & (-i)
+
+    def prefix(self, i: int) -> int:
+        tree = self.tree
+        total = 0
+        while i > 0:
+            total += tree[i]
+            i -= i & (-i)
+        return total
+
+
+def stack_distance_oracle(
+    segment: TraceSegment,
+    capacity_lines: int,
+    set_count: int,
+    line_bytes: int = 64,
+    kinds: frozenset[AccessKind] = ALL_KINDS,
+) -> int:
+    """LRU miss count via per-set reuse distances; independent of `simulate`.
+
+    An access misses when it is a first touch of its line, or when the
+    number of distinct lines touched in its set since the previous access
+    to the same line reaches the set's way count. Assumes every access
+    allocates, as the simulator does.
+    """
+    if capacity_lines <= 0 or set_count <= 0:
+        raise DataError("capacity_lines and set_count must be positive")
+    if capacity_lines % set_count:
+        raise DataError("capacity_lines must be divisible by set_count")
+    ways = capacity_lines // set_count
+
+    addresses = segment.addresses[np.isin(segment.kinds, [k.value for k in kinds])]
+    if addresses.size == 0:
+        raise DataError("no accesses of the requested kinds in this segment")
+    lines = (addresses // np.uint64(line_bytes)).tolist()
+
+    streams: dict[int, list[int]] = {}
+    for line in lines:
+        streams.setdefault(line % set_count, []).append(line)
+
+    misses = 0
+    for stream in streams.values():
+        fenwick = _Fenwick(len(stream))
+        last_pos: dict[int, int] = {}
+        for pos, line in enumerate(stream, start=1):
+            prev = last_pos.get(line)
+            if prev is None:
+                misses += 1
+            else:
+                # markers sit at each line's most recent position;
+                # the count strictly between prev and pos is the reuse distance
+                distance = fenwick.prefix(pos - 1) - fenwick.prefix(prev)
+                if distance >= ways:
+                    misses += 1
+                fenwick.add(prev, -1)
+            fenwick.add(pos, +1)
+            last_pos[line] = pos
+    return misses

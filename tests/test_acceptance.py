@@ -18,6 +18,7 @@ from helpers import (
     make_profile,
     partition_of,
     planted_metric_vectors,
+    stack_distance_oracle,
 )
 from wcr.cachesim import (
     DEFAULT_SIZE_GRID,
@@ -26,7 +27,6 @@ from wcr.cachesim import (
     TraceSegment,
     estimate_footprint,
     simulate,
-    stack_distance_oracle,
     sweep_capacities,
 )
 from wcr.classification import classify_ratio, classify_system_behavior

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import stack_distance_oracle, write_binary_trace, write_text_trace
 from wcr.cachesim import (
     ALL_KINDS,
     DEFAULT_SIZE_GRID,
@@ -23,11 +24,8 @@ from wcr.cachesim import (
     read_text_trace,
     simulate,
     skip_accesses,
-    stack_distance_oracle,
     sweep_capacities,
-    write_binary_trace,
     write_curve_csv,
-    write_text_trace,
 )
 from wcr.errors import DataError, ParseError
 
@@ -100,12 +98,6 @@ class TestSimulate:
         config = CacheConfig(capacity_bytes=16 * KIB)
         with pytest.raises(DataError, match="no accesses"):
             simulate(seg, config, kinds=frozenset({AccessKind.IFETCH}))
-
-    def test_no_write_allocate_store_misses_do_not_fill(self):
-        config = CacheConfig(capacity_bytes=16 * KIB, write_allocate=False)
-        kinds = np.array([2, 1], dtype=np.uint8)  # store then load, same line
-        result = simulate(segment([5, 5], kinds=kinds), config)
-        assert result.misses == 2  # store missed without allocating
 
     def test_miss_count_exact_cold_when_working_set_fits(self):
         rng = np.random.default_rng(0)
@@ -185,9 +177,8 @@ class TestSweep:
             expected = simulate(seg, CacheConfig(capacity_bytes=size)).miss_ratio
             assert point.miss_ratio == expected
 
-    @pytest.mark.parametrize("write_allocate", [True, False])
     @pytest.mark.parametrize("kinds", [ALL_KINDS, frozenset({AccessKind.LOAD, AccessKind.STORE})])
-    def test_segments_match_simulate_per_capacity(self, write_allocate, kinds):
+    def test_segments_match_simulate_per_capacity(self, kinds):
         # the sweep maps each segment's lines once; its points must stay the
         # weighted sums of one `simulate` call per capacity and segment
         rng = np.random.default_rng(6)
@@ -197,7 +188,7 @@ class TestSweep:
         )
         trace = AccessTrace(segments=segments)
         sizes = [16 * KIB, 4 * KIB, 64 * KIB]
-        template = CacheConfig(capacity_bytes=4 * KIB, write_allocate=write_allocate)
+        template = CacheConfig(capacity_bytes=4 * KIB)
         curve = sweep_capacities(trace, sizes, template, kinds)
         for point, size in zip(curve.points, sorted(sizes)):
             config = replace(template, capacity_bytes=size)

@@ -1,5 +1,6 @@
 """Command-line behavior: subcommands, exit codes, manifests, determinism."""
 
+import copy
 import hashlib
 import json
 import tempfile
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import FIXTURE_COUNTERS, planted_metric_vectors
-from wcr.cachesim import AccessTrace, write_binary_trace
+from helpers import FIXTURE_COUNTERS, planted_metric_vectors, write_binary_trace
+from wcr.cachesim import AccessTrace, TraceSegment
 from wcr.cli import main
 
 COUNTER_HEADER = "workload,node,event,count,wall_time_s\n"
@@ -126,6 +127,24 @@ class TestIngest:
     def test_missing_file_exit_3(self, workdir):
         assert run("ingest", workdir / "nope.csv", "--out", workdir / "o") == 3
 
+    @pytest.mark.parametrize("telemetry", [
+        "workload,t_s\nw1,0\n",
+        # each bandwidth is finite; their mean is not, and JSON has no Infinity
+        TELEMETRY_HEADER + "w1,40,0.5,0.1,0,1e308,0\nw1,50,0.5,0.1,0,1e308,0\n",
+    ], ids=["bad-header", "mean-beyond-float"])
+    def test_failed_telemetry_leaves_earlier_outputs(self, workdir, telemetry):
+        out = workdir / "ingest"
+        assert run("ingest", workdir / "counters.csv", "--out", out) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        # other counters, so outputs written before the telemetry failed would show
+        counters = workdir / "one.csv"
+        counters.write_text(counters_csv({"w1": FIXTURE_COUNTERS}))
+        bad = workdir / "bad.csv"
+        bad.write_text(telemetry)
+        assert run("ingest", counters, "--telemetry", bad, "--out", out) == 2
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert set(before) == {"profiles.json", "vectors.json", "manifest.json"}
+
 
 class TestReduce:
     def test_planted_vectors_fixed_k(self, workdir):
@@ -194,6 +213,18 @@ class TestReduce:
         assert run("report", "--vectors", bad, "--labels", workdir / "behavior.csv",
                    "--out", workdir / "r") == 2
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_exit_2(self, workdir, capsys, source):
+        assert run("ingest", workdir / "counters.csv", "--out", workdir / "ingest") == 0
+        config_path = workdir / "config.json"
+        config_path.write_text(json.dumps({"seed": -1}))
+        seed = ["--seed", "-1"] if source == "flag" else ["--config", config_path]
+        out = workdir / "o"
+        assert run(*seed, "reduce", workdir / "ingest" / "vectors.json", "--k", "2",
+                   "--out", out) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
     def test_non_integer_k_exit_2(self, workdir, capsys):
         assert run("reduce", workdir / "counters.csv", "--k", "abc",
                    "--out", workdir / "o") == 2
@@ -255,10 +286,6 @@ class TestSimulateFootprint:
         assert payload["capacity_bytes"] == 16384
 
     def test_binary_trace_with_segments(self, workdir):
-        import numpy as np
-
-        from wcr.cachesim import AccessTrace, TraceSegment, write_binary_trace
-
         trace = AccessTrace(segments=(
             TraceSegment(0.5, np.arange(8, dtype=np.uint64) * 64,
                          np.zeros(8, dtype=np.uint8)),
@@ -297,6 +324,15 @@ class TestSimulateFootprint:
                    "--workload", name, "--out", out) == 2
         assert "--workload" in capsys.readouterr().err
         assert not list(workdir.rglob("*_unified.csv"))
+
+    def test_empty_sizes_in_config_exit_2(self, workdir, capsys):
+        config_path = workdir / "config.json"
+        config_path.write_text(json.dumps({"sizes": []}))
+        out = workdir / "o"
+        assert run("--config", config_path, "simulate", workdir / "trace.txt",
+                   "--out", out) == 2
+        assert "sizes" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_integer_assoc_exit_2(self, workdir, capsys):
         assert run("simulate", workdir / "trace.txt", "--assoc", "abc",
@@ -439,6 +475,16 @@ class TestCliContract:
         assert f"{constant} is not a JSON value" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_number_beyond_float_range_in_config_exit_2(self, workdir, capsys):
+        # json reads 1e400 as inf, which would reach the manifest after the outputs
+        config_path = workdir / "config.json"
+        config_path.write_text('{"warmup_s": 1e400}')
+        out = workdir / "o"
+        assert run("--config", config_path, "classify", workdir / "behavior.csv",
+                   "--out", out) == 2
+        assert "1e400 is beyond the float range" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["ingest", "{bad}"],
         ["ingest", "{dir}/counters.csv", "--telemetry", "{bad}"],
@@ -501,10 +547,132 @@ _HEADERS = {
 }
 
 
+# JSON inputs: a valid document of each codec type with one place in it changed to
+# any of `_JSON_VALUES`, removed, or joined by an unknown key
+_HUGE = object()  # written as the literal 1e400, which Python's json reads as inf
+_REMOVED = object()
+_JSON_VALUES = [
+    None, True, False, 0, 1, -1, 0.5, -0.5, 2 ** 64, 1e300, _HUGE, "", "x", "auto",
+    [], {}, [1], {"x": 1}, _REMOVED,
+]
+_SCHEMA_DOC = {"metrics": [
+    {"name": "ipc", "group": "pipeline", "unit": "per_cycle", "formula_id": "ipc"},
+    {"name": "l1i_mpki", "group": "cache", "unit": "per_kilo_instr", "formula_id": "l1i_mpki"},
+], "version": "v"}
+_BASE_DOCS = {
+    "schema": _SCHEMA_DOC,
+    "vectors": {"schema": _SCHEMA_DOC, "vectors": [
+        {"workload_id": w, "values": values, "schema_version": "v"}
+        for w, values in (("w1", [1.28, 15]), ("w2", [0.5, 3]), ("w3", [1.0, 7]))
+    ]},
+    "profiles": {"profiles": [
+        {"workload_id": w, "counters": {**FIXTURE_COUNTERS, "cycles": cycles},
+         "wall_time_s": 100, "node_count": 1, "stack": ""}
+        for w, cycles in (("w1", 2e9), ("w2", 4e9), ("w3", 3e9))
+    ]},
+    "segments": {"segments": [{"begin": 0, "end": 4, "weight": 0.5},
+                              {"begin": 4, "end": 8, "weight": 0.5}]},
+}
+
+
+def _places(doc, path=()) -> list[tuple]:
+    """The path of every object member and list item in `doc`, and of an unknown
+    member of every object."""
+    if isinstance(doc, dict):
+        places, items = [path + ("bogus",)], doc.items()
+    elif isinstance(doc, list):
+        places, items = [], enumerate(doc)
+    else:
+        return []
+    for key, value in items:
+        places += [path + (key,)] + _places(value, path + (key,))
+    return places
+
+
+def _changed(doc, path: tuple, value):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is not _REMOVED:
+        node[path[-1]] = value
+    elif isinstance(node, list) or path[-1] in node:
+        del node[path[-1]]
+    return doc
+
+
+def _documents(base):
+    return st.builds(_changed, st.just(base), st.sampled_from(_places(base)),
+                     st.sampled_from(_JSON_VALUES))
+
+
+def _json_text(value) -> str:
+    if value is _HUGE:
+        return "1e400"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_json_text(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(_json_text(v) for v in value) + "]"
+    return json.dumps(value)
+
+
+# a run config is mostly defaults: one key is set, to one of these
+_CONFIG_VALUES = {
+    "schema_path": [None, "", "nope.json"],
+    "warmup_s": [0, -1, _HUGE],
+    "variance_target": [0.5, 0, 2, _HUGE],
+    "k": ["auto", 1, 3, 0, -1, "x"],
+    "k_min": [1, 3, 0, -1],
+    "k_max": [None, 1, 3, 0],
+    "seed": [0, -1, 2 ** 64],
+    "restarts": [1, 0, -1],  # each restart costs a k-means run
+    "sizes": [[16384], [], [0], [-64], [1000], [16384, 16384]],
+    "knee_ratio": [0.5, 0, -1, _HUGE],
+    "line_bytes": [64, 0, -1, 48, 2 ** 64],
+    "associativity": [None, 1, 0, -1, 2 ** 64],
+}
+# per command: its arguments, and the --config keys it reads
+_CONFIG_COMMANDS = {
+    "ingest": (["ingest", "{tmp}/counters.csv"], ("schema_path", "warmup_s")),
+    "reduce": (["reduce", "{tmp}/ingest/vectors.json"],
+               ("variance_target", "k", "k_min", "k_max", "seed", "restarts")),
+    "simulate": (["simulate", "{tmp}/trace.txt"], ("sizes", "line_bytes", "associativity")),
+    "footprint": (["footprint", "{tmp}/curve.csv"], ("knee_ratio",)),
+    "report": (["report", "--vectors", "{tmp}/ingest/profiles.json",
+                "--labels", "{tmp}/labels.csv"], ("schema_path",)),
+}
+_JSON_DOCS = {
+    "profiles-reduce": _documents(_BASE_DOCS["profiles"]),
+    "profiles-report": _documents(_BASE_DOCS["profiles"]),
+    "schema": _documents(_BASE_DOCS["schema"]),
+    "segments": _documents(_BASE_DOCS["segments"]),
+    "vectors-reduce": _documents(_BASE_DOCS["vectors"]),
+    "vectors-report": _documents(_BASE_DOCS["vectors"]),
+    **{f"config-{command}": st.sampled_from(
+        [{key: value} for key in keys for value in _CONFIG_VALUES[key]]
+    ) for command, (_, keys) in _CONFIG_COMMANDS.items()},
+}
+LABELS_CSV = (
+    "workload,category,system,data_out,data_intermediate\n"
+    "w1,data_analysis,cpu_intensive,much_less,less\n"
+    "w2,service,io_intensive,equal,none\n"
+    "w3,service,io_intensive,equal,none\n"
+)
+
+
 def _argv(target: str, tmp: Path, blob: Path) -> list:
     (tmp / "counters.csv").write_text(two_workload_counters())
-    if target == "labels":
+    (tmp / "labels.csv").write_text(LABELS_CSV)
+    if target == "labels" or target.startswith("config-"):
         assert run("ingest", tmp / "counters.csv", "--out", tmp / "ingest") == 0
+    if target.startswith("config-"):
+        (tmp / "trace.txt").write_text("".join(f"I {64 * (i % 4):#x}\n" for i in range(16)))
+        (tmp / "curve.csv").write_text("capacity_bytes,miss_ratio\n16384,0.5\n32768,0.001\n")
+        command, _ = _CONFIG_COMMANDS[target.removeprefix("config-")]
+        return ["--config", blob] + [a.format(tmp=tmp) for a in command] + ["--out", tmp / "out"]
+    if target == "segments":
+        write_binary_trace(AccessTrace.single(np.arange(8, dtype=np.uint64) * 64,
+                                              np.zeros(8, dtype=np.uint8)), tmp / "trace.bin")
     return {
         "counters": ["ingest", blob],
         "telemetry": ["ingest", tmp / "counters.csv", "--telemetry", blob],
@@ -513,6 +681,12 @@ def _argv(target: str, tmp: Path, blob: Path) -> list:
         "labels": ["report", "--vectors", tmp / "ingest" / "vectors.json", "--labels", blob],
         "stack": ["report", "--stack-table", blob],
         "trace": ["simulate", blob, "--sizes", "16K,32K"],
+        "profiles-reduce": ["reduce", blob],
+        "profiles-report": ["report", "--vectors", blob, "--labels", tmp / "labels.csv"],
+        "schema": ["--schema", blob, "ingest", tmp / "counters.csv"],
+        "segments": ["simulate", tmp / "trace.bin", "--segments", blob, "--sizes", "16K"],
+        "vectors-reduce": ["reduce", blob],
+        "vectors-report": ["report", "--vectors", blob, "--labels", tmp / "labels.csv"],
     }[target] + ["--out", tmp / "out"]
 
 
@@ -527,4 +701,16 @@ class TestArbitraryInputBytes:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "input.csv"
             path.write_bytes(blob)
+            assert run(*_argv(target, Path(tmp), path)) in (0, 2, 3)
+
+    @pytest.mark.parametrize("target", sorted(_JSON_DOCS))
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_json_input_exit_code_is_0_2_or_3(self, target, data):
+        """Whatever a JSON input holds under the keys its type expects, a command
+        returns an exit code and never raises."""
+        text = _json_text(data.draw(_JSON_DOCS[target]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.json"
+            path.write_text(text)
             assert run(*_argv(target, Path(tmp), path)) in (0, 2, 3)

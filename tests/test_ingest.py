@@ -11,7 +11,6 @@ from wcr.ingest import (
     aggregate_telemetry,
     check_schema,
     derive_microarch_metrics,
-    integer_breakdown,
     parse_counter_csv,
     parse_telemetry_csv,
     trim_ramp_up,
@@ -227,31 +226,6 @@ class TestCheckSchema:
         )
         with pytest.raises(DataError, match="unit"):
             check_schema(schema)
-
-
-class TestIntegerBreakdown:
-    def test_reference_shares(self):
-        b = integer_breakdown(64, 18, 18)
-        assert (b.int_addr, b.fp_addr, b.other) == (0.64, 0.18, 0.18)
-
-    def test_single_nonzero_count(self):
-        b = integer_breakdown(1, 0, 0)
-        assert (b.int_addr, b.fp_addr, b.other) == (1.0, 0.0, 0.0)
-
-    def test_symmetry(self):
-        b = integer_breakdown(2, 2, 2)
-        assert b.int_addr == b.fp_addr == b.other == pytest.approx(1 / 3)
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(DataError, match="zero"):
-            integer_breakdown(0, 0, 0)
-
-    @given(st.tuples(st.integers(0, 10**9), st.integers(0, 10**9), st.integers(0, 10**9)))
-    def test_fractions_sum_to_one(self, counts):
-        if sum(counts) == 0:
-            return
-        b = integer_breakdown(*counts)
-        assert math.isclose(b.int_addr + b.fp_addr + b.other, 1.0, rel_tol=1e-12)
 
 
 class TestParseTelemetryCsv:

@@ -17,6 +17,7 @@ from helpers import (
     reference_relocation_polish,
 )
 from wcr.errors import DataError
+from wcr.ingest import derive_microarch_metrics
 from wcr.model import MetricVector, default_schema
 from wcr.reduction import (
     Clustering,
@@ -29,7 +30,6 @@ from wcr.reduction import (
     kmeans_best_of,
     normalize_zscore,
     project,
-    reduce_pipeline,
     reduce_vectors,
     select_representatives,
 )
@@ -197,6 +197,10 @@ class TestKmeans:
             kmeans(points, 0, seed=0)
         with pytest.raises(DataError):
             kmeans(points, 4, seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DataError, match="seed"):
+            kmeans(np.zeros((3, 2)), 2, seed=-1)
 
     def test_inertia_history_non_increasing(self):
         rng = np.random.default_rng(11)
@@ -383,8 +387,9 @@ class TestPipeline:
         assert len(set(result.representatives)) == 17
 
     def test_identical_profiles_reduce_to_one(self):
-        profiles = [make_profile("a"), make_profile("b")]
-        result = reduce_pipeline(profiles, default_schema(), ReductionConfig(k=1))
+        schema = default_schema()
+        vectors = [derive_microarch_metrics(make_profile(w), schema) for w in ("a", "b")]
+        result = reduce_vectors(vectors, schema, ReductionConfig(k=1))
         assert result.clustering.k == 1
         assert result.representatives == ("a",)
         assert result.normalized.data.shape == (2, 0)
@@ -458,5 +463,7 @@ class TestPipeline:
         assert result.clustering.k == 17
 
     def test_too_few_profiles_rejected(self):
+        schema = default_schema()
+        vectors = [derive_microarch_metrics(make_profile("a"), schema)]
         with pytest.raises(DataError, match="at least 2"):
-            reduce_pipeline([make_profile("a")], default_schema(), ReductionConfig(k=1))
+            reduce_vectors(vectors, schema, ReductionConfig(k=1))

@@ -1,4 +1,4 @@
-"""Group summaries, data-movement shares, stack impact, and emission."""
+"""Group summaries, stack impact, and emission."""
 
 import csv
 import math
@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from wcr.cachesim import CurveKind, CurvePoint, MissRatioCurve
 from wcr.errors import DataError
-from wcr.ingest import IntegerBreakdown, integer_breakdown
 from wcr.model import (
     BehaviorLabels,
     Category,
@@ -18,11 +17,9 @@ from wcr.model import (
 from wcr.report import (
     GroupSummary,
     Grouping,
-    InstructionMix,
     ReportBundle,
     StackMetricRecord,
     WorkloadRecord,
-    data_movement_share,
     emit,
     group_summary,
     stack_impact_table,
@@ -100,43 +97,6 @@ class TestGroupSummary:
         records = [_record("w", 0.1, Category.SERVICE)]
         with pytest.raises(DataError, match="no metric"):
             group_summary(records, Grouping.APPLICATION_CATEGORY, ["nope"])
-
-
-class TestDataMovementShare:
-    def test_reference_arithmetic(self):
-        mix = InstructionMix(branch=0.19, integer=0.38, fp=0.0, load=0.30, store=0.12)
-        breakdown = integer_breakdown(64, 18, 18)
-        share = data_movement_share(mix, breakdown)
-        # load + store + integer * (0.64 + 0.18) = 0.42 + 0.38 * 0.82
-        assert share.without_branch == pytest.approx(0.7316, abs=1e-12)
-        assert share.with_branch == pytest.approx(0.9216, abs=1e-12)
-
-    def test_all_zero_mix(self):
-        mix = InstructionMix(0, 0, 0, 0, 0)
-        share = data_movement_share(mix, IntegerBreakdown(0.64, 0.18, 0.18))
-        assert share.without_branch == 0.0
-        assert share.with_branch == 0.0
-
-    def test_no_address_share_leaves_loads_and_stores(self):
-        mix = InstructionMix(branch=0.1, integer=0.4, fp=0.0, load=0.3, store=0.1)
-        share = data_movement_share(mix, IntegerBreakdown(0.0, 0.0, 1.0))
-        assert share.without_branch == pytest.approx(0.4)
-
-    @given(
-        st.tuples(*[st.floats(0, 0.2) for _ in range(5)]),
-        st.tuples(st.floats(0, 1), st.floats(0, 1)),
-    )
-    def test_bounded_and_ordered(self, mix_parts, addr_parts):
-        if addr_parts[0] + addr_parts[1] > 1:
-            return
-        mix = InstructionMix(*mix_parts)
-        other = max(0.0, 1.0 - addr_parts[0] - addr_parts[1])
-        share = data_movement_share(mix, IntegerBreakdown(addr_parts[0], addr_parts[1], other))
-        assert 0.0 <= share.without_branch <= share.with_branch <= 1.0 + 1e-9
-
-    def test_overfull_mix_rejected(self):
-        with pytest.raises(DataError):
-            InstructionMix(0.5, 0.5, 0.5, 0.5, 0.5)
 
 
 class TestStackImpact:
