@@ -4,6 +4,13 @@ A trace is a weighted list of access segments; sweeping one cache
 configuration across a capacity grid yields a miss-ratio-versus-capacity
 curve whose knee estimates the workload's instruction or data footprint.
 Every access allocates its line on a miss, stores included.
+
+A set that receives at most `ways` distinct lines never evicts, so each of
+its lines misses exactly once, on its first touch. The simulation counts
+those sets' misses from the distinct lines alone and runs the LRU loop only
+over accesses to the other sets. This is exact: LRU sets are independent of
+one another, and since every access allocates, a set's contents depend only
+on the accesses mapped to it.
 """
 
 from __future__ import annotations
@@ -26,6 +33,9 @@ DEFAULT_SIZE_GRID: tuple[int, ...] = tuple(kb * KIB for kb in (
 DEFAULT_KNEE_RATIO = 0.01
 
 _WEIGHT_SUM_TOL = 1e-9
+# the LRU loop converts this many lines at a time to Python ints, so its
+# list stays small beside the numpy lines it reads
+_CHUNK = 1 << 16
 
 
 class AccessKind(enum.IntEnum):
@@ -115,8 +125,7 @@ class TraceSegment:
             raise DataError("addresses and kinds differ in length")
         if self.weight <= 0:
             raise DataError(f"segment weight {self.weight} is not positive")
-        valid = {k.value for k in AccessKind}
-        if not set(np.unique(kinds).tolist()) <= valid:
+        if int(kinds.max()) > max(AccessKind):
             raise DataError("kinds contain values outside the access-kind codes")
         addresses.setflags(write=False)
         kinds.setflags(write=False)
@@ -192,41 +201,54 @@ def simulate(
     `address // line_bytes`, mapped to set `line % set_count`, with LRU
     replacement inside each set.
     """
-    return _simulate_lines(_segment_lines(segment, kinds, config.line_bytes), config)
+    lines = _segment_lines(segment, kinds, config.line_bytes)
+    return _simulate_lines(lines, np.unique(lines), config)
 
 
 def _segment_lines(
     segment: TraceSegment, kinds: frozenset[AccessKind], line_bytes: int
-) -> list[int]:
+) -> np.ndarray:
     """The line of each access whose kind is in `kinds`."""
     addresses = segment.addresses
     if kinds != ALL_KINDS:
         addresses = addresses[np.isin(segment.kinds, [k.value for k in kinds])]
     if addresses.size == 0:
         raise DataError("no accesses of the requested kinds in this segment")
-    return (addresses // np.uint64(line_bytes)).tolist()
+    return addresses // np.uint64(line_bytes)
 
 
-def _simulate_lines(lines: list[int], config: CacheConfig) -> SimResult:
-    """The LRU pass of `simulate` over lines already mapped with `config.line_bytes`."""
+def _simulate_lines(lines: np.ndarray, distinct: np.ndarray, config: CacheConfig) -> SimResult:
+    """The LRU pass of `simulate` over lines already mapped with `config.line_bytes`;
+    `distinct` holds each of those lines once.
+
+    A set that receives at most `ways` distinct lines never evicts, so each
+    of its lines misses once and its misses are its distinct lines. Only
+    the accesses to the other sets run through the LRU loop. Sets are
+    independent and every access allocates, so the count stays exact.
+    """
     set_count = config.set_count
     ways = config.ways
-    sets: dict[int, OrderedDict] = {}
-    misses = 0
-    for line in lines:
-        s = line % set_count
-        lru = sets.get(s)
-        if lru is None:
-            lru = sets[s] = OrderedDict()
-        if line in lru:
-            lru.move_to_end(line)
-        else:
-            misses += 1
-            lru[line] = None
-            if len(lru) > ways:
-                lru.popitem(last=False)
+    per_set = np.bincount(distinct % set_count, minlength=set_count)
+    overflow = per_set > ways
+    misses = int(per_set[~overflow].sum())
+    evicting = lines[overflow[lines % set_count]]
 
-    total = len(lines)
+    sets: dict[int, OrderedDict] = {}
+    for start in range(0, evicting.size, _CHUNK):
+        for line in evicting[start:start + _CHUNK].tolist():
+            s = line % set_count
+            lru = sets.get(s)
+            if lru is None:
+                lru = sets[s] = OrderedDict()
+            if line in lru:
+                lru.move_to_end(line)
+            else:
+                misses += 1
+                lru[line] = None
+                if len(lru) > ways:
+                    lru.popitem(last=False)
+
+    total = int(lines.size)
     return SimResult(accesses=total, misses=misses, miss_ratio=misses / total)
 
 
@@ -239,9 +261,9 @@ def sweep_capacities(
     """Simulate every segment at every capacity; combine per-segment miss
     ratios as the weighted mean given by the segment weights.
 
-    Each segment's lines are mapped once and then run through a cold cache
-    of each capacity, one segment at a time, so only one segment's lines
-    are held in memory.
+    Each segment's lines and distinct lines are computed once and then run
+    through a cold cache of each capacity, one segment at a time, so only
+    one segment's lines are held in memory.
     """
     if not sizes:
         raise DataError("sizes must be non-empty")
@@ -252,9 +274,10 @@ def sweep_capacities(
     ratios = [0] * len(configs)  # weight * miss ratio, added up in segment order
     for seg in trace.segments:
         lines = _segment_lines(seg, kinds, template.line_bytes)
+        distinct = np.unique(lines)
         for i, config in enumerate(configs):
-            ratios[i] += seg.weight * _simulate_lines(lines, config).miss_ratio
-        del lines  # before the next segment's lines are built
+            ratios[i] += seg.weight * _simulate_lines(lines, distinct, config).miss_ratio
+        del lines, distinct  # before the next segment's lines are built
     points = tuple(
         CurvePoint(capacity_bytes=size, miss_ratio=ratio) for size, ratio in zip(ordered, ratios)
     )

@@ -66,9 +66,15 @@ class RunConfig(Codec):
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
         config = cls.from_dict(read_json(path))
-        if config.schema_path is not None and not Path(config.schema_path).exists():
-            raise DataError(f"schema file {config.schema_path!r} does not exist")
+        if config.schema_path is not None:
+            _check_schema_file("schema_path", config.schema_path)
         return config
+
+
+def _check_schema_file(name: str, path: str) -> None:
+    # Path("").exists() is true: it names the working directory
+    if not Path(path).is_file():
+        raise DataError(f"{name} {path!r} is not a file")
 
 
 @dataclass(frozen=True)
@@ -509,8 +515,7 @@ def _apply_overrides(args: argparse.Namespace, config: RunConfig) -> RunConfig:
     if args.seed is not None:
         config.seed = args.seed
     if args.schema is not None:
-        if not Path(args.schema).exists():
-            raise DataError(f"schema file {args.schema!r} does not exist")
+        _check_schema_file("--schema", args.schema)
         config.schema_path = args.schema
     if getattr(args, "warmup", None) is not None:
         config.warmup_s = args.warmup

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from helpers import stack_distance_oracle, write_binary_trace, write_text_trace
 from wcr.cachesim import (
+    _CHUNK,
     ALL_KINDS,
     DEFAULT_SIZE_GRID,
     AccessKind,
@@ -119,6 +120,51 @@ class TestOracleEquivalence:
                 seg, config.capacity_lines, config.set_count, line_bytes=config.line_bytes
             )
             assert simulate(seg, config).misses == expected
+
+    @staticmethod
+    def assert_sweep_and_simulate_match_oracle(seg, sizes, associativity):
+        template = CacheConfig(capacity_bytes=sizes[0], associativity=associativity)
+        curve = sweep_capacities(AccessTrace(segments=(seg,)), sizes, template)
+        for point, size in zip(curve.points, sorted(sizes)):
+            config = replace(template, capacity_bytes=size)
+            expected = stack_distance_oracle(seg, config.capacity_lines, config.set_count)
+            assert simulate(seg, config).misses == expected
+            assert point.miss_ratio == expected / len(seg)
+
+    def test_set_at_way_count_beside_set_over_it(self):
+        # 2 sets of 4 ways: set 0 cycles exactly 4 lines and never evicts,
+        # set 1 cycles 5 lines and misses on every access; the two interleave
+        ways = 4
+        fits = [2 * i for i in range(ways)]
+        over = [2 * i + 1 for i in range(ways + 1)]
+        lines = [line for pair in zip(fits * 15, over * 12) for line in pair]
+        config = CacheConfig(capacity_bytes=2 * ways * 64, associativity=ways)
+        assert simulate(segment(lines), config).misses == ways + 60
+        # 1 set (all 9 lines overflow it), 2 sets, 4 sets (no set overflows)
+        self.assert_sweep_and_simulate_match_oracle(segment(lines), [256, 512, 1024], ways)
+
+    def test_fully_associative_at_and_below_distinct_lines(self):
+        rng = np.random.default_rng(29)
+        seg = random_segment(rng, n=3000, line_space=200)
+        distinct = len(np.unique(seg.addresses // np.uint64(64)))
+        at = CacheConfig(capacity_bytes=distinct * 64, associativity=None)
+        below = CacheConfig(capacity_bytes=(distinct - 1) * 64, associativity=None)
+        assert simulate(seg, at).misses == distinct
+        assert simulate(seg, below).misses > distinct
+        self.assert_sweep_and_simulate_match_oracle(
+            seg, [distinct * 64, (distinct - 1) * 64], None)
+
+    def test_evicting_accesses_span_chunks(self):
+        # set 1 of 2 has 4 ways and draws mostly from 3 hot lines, now and
+        # then from 3 others, so it evicts, and its hits right after a chunk
+        # boundary depend on the LRU state carried across it; set 0 draws
+        # from 4 lines and never evicts
+        rng = np.random.default_rng(31)
+        ways, n = 4, _CHUNK + 1000
+        over = rng.choice([1, 3, 5, 7, 9, 11], size=n, p=[0.3, 0.3, 0.3, 0.04, 0.03, 0.03])
+        fits = 2 * rng.integers(0, ways, size=n)
+        seg = segment(np.column_stack([fits, over]).ravel())
+        self.assert_sweep_and_simulate_match_oracle(seg, [512], ways)
 
     def test_all_distinct_lines_all_miss(self):
         seg = segment(range(500))

@@ -485,6 +485,29 @@ class TestCliContract:
         assert "1e400 is beyond the float range" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("schema", ["", "{dir}"])
+    @pytest.mark.parametrize("command", [
+        ["ingest", "{dir}/counters.csv"],
+        ["report", "--vectors", "{dir}/ingest/profiles.json",
+         "--labels", "{dir}/classify/labels.csv"],
+    ])
+    def test_schema_path_that_is_not_a_file_exit_2(self, workdir, capsys, schema, command):
+        # Path("").exists() is true, so "" and a directory once passed the
+        # check and the command ended in `wcr: .: Is a directory` (exit 3)
+        assert run("ingest", workdir / "counters.csv", "--out", workdir / "ingest") == 0
+        assert run("classify", workdir / "behavior.csv", "--out", workdir / "classify") == 0
+        argv = [a.format(dir=workdir) for a in command]
+        assert run(*argv, "--out", workdir / "ok") == 0
+        schema = schema.format(dir=workdir)
+        config_path = workdir / "config.json"
+        config_path.write_text(json.dumps({"schema_path": schema}))
+        for prefix, name in ((["--config", config_path], "schema_path"),
+                             (["--schema", schema], "--schema")):
+            out = workdir / "o"
+            assert run(*prefix, *argv, "--out", out) == 2
+            assert f"{name} {schema!r} is not a file" in capsys.readouterr().err
+            assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["ingest", "{bad}"],
         ["ingest", "{dir}/counters.csv", "--telemetry", "{bad}"],
