@@ -19,7 +19,7 @@ import enum
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -423,8 +423,8 @@ def skip_accesses(trace: AccessTrace, n: int) -> AccessTrace:
 CURVE_CSV_HEADER = ("capacity_bytes", "miss_ratio")
 
 
-def write_curve_csv(curve: MissRatioCurve, path: str | Path) -> None:
-    write_csv(path, CURVE_CSV_HEADER,
+def write_curve_csv(curve: MissRatioCurve, out: TextIO) -> None:
+    write_csv(out, CURVE_CSV_HEADER,
               ((p.capacity_bytes, format(p.miss_ratio, ".6f")) for p in curve.points))
 
 

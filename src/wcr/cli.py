@@ -4,9 +4,11 @@ Subcommands cover the whole pipeline: `ingest` turns counter and telemetry
 CSVs into profile/vector JSON, `reduce` clusters workloads and picks
 representatives, `classify` labels behavior CSVs, `simulate` sweeps a
 cache over a trace, `footprint` reads the knee off a curve, and `report`
-aggregates everything into tables. Every run writes a manifest recording
-the effective configuration, the seed, and digests of all inputs and
-outputs, so identical inputs reproduce identical output trees.
+aggregates everything into tables. A command fills its outputs in memory;
+only once it has succeeded does `_publish` create `--out` and write them,
+the manifest last. The manifest records the effective configuration, the
+seed, and digests of all inputs and outputs, so identical inputs reproduce
+identical output trees, and a failed run leaves `--out` as it was.
 
 Exit codes: 1 usage error, 2 data validation error, 3 I/O error.
 """
@@ -111,13 +113,22 @@ def _sha256(path: Path) -> str:
     return "sha256:" + digest.hexdigest()
 
 
-def _write_manifest(
-    out_dir: Path,
-    command: str,
-    config: RunConfig,
-    inputs: Sequence[Path],
-    outputs: Sequence[Path],
-) -> Path:
+class _Outputs(dict):
+    """A run's output files, by name relative to `--out`, as text held in memory."""
+
+    def open(self, name: str) -> io.StringIO:
+        stream = self[name] = io.StringIO()
+        stream.name = name  # for `write_json`'s error message
+        return stream
+
+
+def _publish(out_dir: Path, command: str, config: RunConfig, inputs: Sequence[Path],
+             outputs: _Outputs) -> None:
+    """Write a succeeded run's outputs and its manifest into `out_dir`, the manifest last.
+
+    This is the only place the package creates a directory or writes a file.
+    """
+    files = {name: stream.getvalue().encode("utf-8") for name, stream in outputs.items()}
     # inputs are recorded by name and digest (not absolute path) so that
     # identical runs into different directories stay byte-identical
     manifest = {
@@ -130,13 +141,19 @@ def _write_manifest(
             ({"file": p.name, "sha256": _sha256(p)} for p in inputs),
             key=lambda entry: (entry["file"], entry["sha256"]),
         ),
-        "outputs": {
-            str(p.relative_to(out_dir)): _sha256(p) for p in sorted(outputs)
-        },
+        "outputs": {name: "sha256:" + hashlib.sha256(data).hexdigest()
+                    for name, data in files.items()},
     }
-    path = out_dir / "manifest.json"
-    write_json(path, manifest)
-    return path
+    write_json(outputs.open("manifest.json"), manifest)
+    files["manifest.json"] = outputs["manifest.json"].getvalue().encode("utf-8")
+    for directory in sorted({(out_dir / name).parent for name in files}):
+        directory.mkdir(parents=True, exist_ok=True)
+    for name, data in files.items():
+        (out_dir / name).write_bytes(data)
+
+
+# what a command hands back: the inputs it read, and the lines to print after `_publish`
+_Result = tuple[list[Path], list[str]]
 
 
 def _load_schema(config: RunConfig) -> MetricSchema:
@@ -148,18 +165,13 @@ def _load_schema(config: RunConfig) -> MetricSchema:
 # --- subcommands -----------------------------------------------------------
 
 
-def _cmd_ingest(args: argparse.Namespace, config: RunConfig) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _cmd_ingest(args: argparse.Namespace, config: RunConfig, outputs: _Outputs) -> _Result:
     schema = _load_schema(config)
     inputs = [Path(args.counters)]
 
     with open(args.counters, "r", encoding="utf-8", newline="") as fh:
         profiles = ingest.parse_counter_csv(fh)
     vectors = [ingest.derive_microarch_metrics(p, schema) for p in profiles]
-
-    # every input is read before the first write, so a bad one leaves --out as it was
-    payloads = {}
     if args.telemetry:
         inputs.append(Path(args.telemetry))
         with open(args.telemetry, "r", encoding="utf-8", newline="") as fh:
@@ -170,19 +182,10 @@ def _cmd_ingest(args: argparse.Namespace, config: RunConfig) -> int:
             steady = ingest.trim_ramp_up(telemetry[workload], config.warmup_s)
             runtime = wall_times.get(workload, telemetry[workload].samples[-1].t_s)
             system_metrics[workload] = ingest.aggregate_telemetry(steady, runtime).to_dict()
-        # first: its means and ratio can overflow to infinity, which `write_json` refuses
-        payloads["system_metrics.json"] = {"system_metrics": system_metrics}
-    payloads["profiles.json"] = ProfilesFile(tuple(profiles)).to_dict()
-    payloads["vectors.json"] = VectorsFile(schema, tuple(vectors)).to_dict()
-
-    outputs = []
-    for name, payload in payloads.items():
-        outputs.append(out_dir / name)
-        write_json(outputs[-1], payload)
-
-    _write_manifest(out_dir, "ingest", config, inputs, outputs)
-    print(f"ingested {len(profiles)} workloads -> {out_dir}")
-    return EXIT_OK
+        write_json(outputs.open("system_metrics.json"), {"system_metrics": system_metrics})
+    write_json(outputs.open("profiles.json"), ProfilesFile(tuple(profiles)).to_dict())
+    write_json(outputs.open("vectors.json"), VectorsFile(schema, tuple(vectors)).to_dict())
+    return inputs, [f"ingested {len(profiles)} workloads -> {Path(args.out)}"]
 
 
 def _load_vectors(path: Path, config: RunConfig) -> tuple[MetricSchema, list[MetricVector]]:
@@ -204,9 +207,7 @@ def _load_vectors(path: Path, config: RunConfig) -> tuple[MetricSchema, list[Met
     raise DataError(f"{path} holds neither 'vectors' nor 'profiles'")
 
 
-def _cmd_reduce(args: argparse.Namespace, config: RunConfig) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _cmd_reduce(args: argparse.Namespace, config: RunConfig, outputs: _Outputs) -> _Result:
     input_path = Path(args.input)
     schema, vectors = _load_vectors(input_path, config)
 
@@ -221,33 +222,20 @@ def _cmd_reduce(args: argparse.Namespace, config: RunConfig) -> int:
     )
     result = reduction.reduce_vectors(vectors, schema, reduction_config)
 
-    reduction_path = out_dir / "reduction.json"
-    write_json(reduction_path, result.to_dict())
-    normalized_path = out_dir / "normalized.csv"
-    result.normalized.write_csv(normalized_path)
-
-    _write_manifest(out_dir, "reduce", config, [input_path], [reduction_path, normalized_path])
-    print(
+    write_json(outputs.open("reduction.json"), result.to_dict())
+    result.normalized.write_csv(outputs.open("normalized.csv"))
+    return [input_path], [
         f"reduced {len(vectors)} workloads to {result.clustering.k} representatives "
-        f"-> {out_dir}"
-    )
-    for workload in result.representatives:
-        print(f"  {workload}")
-    return EXIT_OK
+        f"-> {Path(args.out)}",
+        *(f"  {workload}" for workload in result.representatives),
+    ]
 
 
-def _cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _cmd_classify(args: argparse.Namespace, config: RunConfig, outputs: _Outputs) -> _Result:
     input_path = Path(args.input)
-    labels_path = out_dir / "labels.csv"
-    labelled = io.StringIO()  # written out only once every row is labelled
     with open(input_path, "r", encoding="utf-8", newline="") as src:
-        rows = classification.label_csv(src, labelled)
-    labels_path.write_text(labelled.getvalue(), encoding="utf-8", newline="")
-    _write_manifest(out_dir, "classify", config, [input_path], [labels_path])
-    print(f"labeled {rows} workloads -> {labels_path}")
-    return EXIT_OK
+        rows = classification.label_csv(src, outputs.open("labels.csv"))
+    return [input_path], [f"labeled {rows} workloads -> {Path(args.out) / 'labels.csv'}"]
 
 
 _KIND_CHOICES = {
@@ -284,13 +272,11 @@ def _load_trace(args: argparse.Namespace) -> tuple[cachesim.AccessTrace, list[Pa
     return trace, inputs
 
 
-def _cmd_simulate(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_simulate(args: argparse.Namespace, config: RunConfig, outputs: _Outputs) -> _Result:
     if args.workload in ("", ".", "..") or set("/\\") & set(args.workload or ""):
         raise DataError(f"--workload {args.workload!r} is not a plain file name")
     if not config.sizes:
         raise DataError("sizes is empty; give at least one cache capacity")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     trace, inputs = _load_trace(args)
     kinds = _parse_kinds(args.kinds)
     template = cachesim.CacheConfig(
@@ -301,28 +287,20 @@ def _cmd_simulate(args: argparse.Namespace, config: RunConfig) -> int:
     curve = cachesim.sweep_capacities(trace, config.sizes, template, kinds)
 
     name = "curve.csv" if args.workload is None else f"{args.workload}_{curve.kind.value}.csv"
-    curve_path = out_dir / name
-    cachesim.write_curve_csv(curve, curve_path)
-    _write_manifest(out_dir, "simulate", config, inputs, [curve_path])
-    print(f"swept {len(curve.points)} capacities -> {curve_path}")
-    return EXIT_OK
+    cachesim.write_curve_csv(curve, outputs.open(name))
+    return inputs, [f"swept {len(curve.points)} capacities -> {Path(args.out) / name}"]
 
 
-def _cmd_footprint(args: argparse.Namespace, config: RunConfig) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _cmd_footprint(args: argparse.Namespace, config: RunConfig, outputs: _Outputs) -> _Result:
     curve_path = Path(args.curve)
     curve = cachesim.read_curve_csv(curve_path)
     capacity = cachesim.estimate_footprint(curve, config.knee_ratio)
 
-    footprint_path = out_dir / "footprint.json"
     write_json(
-        footprint_path,
+        outputs.open("footprint.json"),
         {"capacity_bytes": capacity, "knee_ratio": config.knee_ratio, "curve": curve_path.name},
     )
-    _write_manifest(out_dir, "footprint", config, [curve_path], [footprint_path])
-    print("not_reached" if capacity is None else str(capacity))
-    return EXIT_OK
+    return [curve_path], ["not_reached" if capacity is None else str(capacity)]
 
 
 def _read_labels_csv(path: Path) -> dict[str, tuple[BehaviorLabels, str | None, str | None]]:
@@ -344,9 +322,9 @@ def _read_labels_csv(path: Path) -> dict[str, tuple[BehaviorLabels, str | None, 
     return labels
 
 
-def _cmd_report(args: argparse.Namespace, config: RunConfig) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _cmd_report(args: argparse.Namespace, config: RunConfig, outputs: _Outputs) -> _Result:
+    if bool(args.vectors) != bool(args.labels):
+        raise _UsageError("give --vectors and --labels together, or neither")
     inputs: list[Path] = []
     notes: list[str] = []
 
@@ -382,6 +360,8 @@ def _cmd_report(args: argparse.Namespace, config: RunConfig) -> int:
     curves: list[tuple[str, cachesim.MissRatioCurve]] = []
     if args.curves:
         curves_dir = Path(args.curves)
+        if not curves_dir.is_dir():
+            raise DataError(f"--curves {args.curves!r} is not a directory")
         for path in sorted(curves_dir.glob("*.csv")):
             inputs.append(path)
             workload, _, kind = path.stem.rpartition("_")
@@ -398,10 +378,8 @@ def _cmd_report(args: argparse.Namespace, config: RunConfig) -> int:
         curves=tuple(curves),
         notes=tuple(notes),
     )
-    outputs = report.emit(bundle, out_dir)
-    _write_manifest(out_dir, "report", config, inputs, outputs)
-    print(f"wrote {len(outputs)} report files -> {out_dir}")
-    return EXIT_OK
+    report.emit(bundle, outputs.open)
+    return inputs, [f"wrote {len(outputs)} report files -> {Path(args.out)}"]
 
 
 def _read_stack_table(path: Path) -> list[report.StackMetricRecord]:
@@ -564,7 +542,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             return EXIT_USAGE
         config = RunConfig.load(args.config) if args.config else RunConfig()
         config = _apply_overrides(args, config)
-        return _HANDLERS[args.command](args, config)
+        outputs = _Outputs()
+        inputs, lines = _HANDLERS[args.command](args, config, outputs)
+        _publish(Path(args.out), args.command, config, inputs, outputs)
+        for line in lines:
+            print(line)
+        return EXIT_OK
     except _UsageError as exc:
         print(f"wcr: {exc}", file=sys.stderr)
         return EXIT_USAGE

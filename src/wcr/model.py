@@ -7,10 +7,12 @@ classification. All types are immutable after construction.
 
 `Codec` is the only mapping between these dataclasses and JSON: every type
 that is written to or read from a JSON file inherits its `to_dict` and
-`from_dict`, which follow the dataclass fields and their annotations;
-`read_json` and `write_json` are the only JSON file reader and writer.
-Likewise `read_csv` and `write_csv` are the only CSV reader and writer, and
-`finite_number` parses every real-valued CSV field.
+`from_dict`, which follow the dataclass fields and their annotations.
+`read_json` is the only JSON reader and `write_json` the only JSON
+serializer; likewise `read_csv` and `write_csv` are the only CSV reader and
+writer, and `finite_number` parses every real-valued CSV field. The writers
+fill a text stream: they never open a file, so `cli` alone decides when a
+run's outputs reach disk.
 """
 
 from __future__ import annotations
@@ -172,17 +174,18 @@ def _finite_float(token: str) -> float:
     return value
 
 
-def write_json(path: str | Path, payload: Any) -> None:
-    """Write `payload` as byte-stable JSON: sorted keys, two-space indent, final newline.
+def write_json(out: TextIO, payload: Any) -> None:
+    """Write `payload` to `out` as byte-stable JSON: sorted keys, two-space indent,
+    final newline.
 
     NaN and infinities have no JSON form; a payload holding one is a
-    `DataError` and nothing is written.
+    `DataError` naming the stream, and nothing is written.
     """
     try:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
-        raise DataError(f"{path}: {exc}")
-    Path(path).write_text(text + "\n", encoding="utf-8")
+        raise DataError(f"{getattr(out, 'name', 'JSON output')}: {exc}")
+    out.write(text + "\n")
 
 
 def read_csv(stream: TextIO | str, columns: Sequence[str], *, extra: bool = False
@@ -242,13 +245,10 @@ def finite_number(name: str, token: str, line: int, source: str | Path | None = 
     return value
 
 
-def write_csv(target: str | Path | TextIO, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write `header` and `rows` to a path or an open text stream, lines ending in "\\n";
-    a field is quoted only when it must be, so a name with a comma reads back whole."""
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            return write_csv(fh, header, rows)
-    writer = csv.writer(target, lineterminator="\n")
+def write_csv(out: TextIO, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write `header` and `rows` to a text stream, lines ending in "\\n"; a field is
+    quoted only when it must be, so a name with a comma reads back whole."""
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
 
@@ -348,9 +348,6 @@ class MetricSchema(Codec):
     @classmethod
     def load(cls, path: str | Path) -> "MetricSchema":
         return cls.from_dict(read_json(path))
-
-    def save(self, path: str | Path) -> None:
-        write_json(path, self.to_dict())
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -29,6 +28,9 @@ _ZERO_VARIANCE_RTOL = 1e-12
 # the relocation polish makes at most _MAX_ITER sweeps
 _MAX_ITER = 300
 _TOL = 1e-6
+# `kmeans_best_of` refuses more restarts than this: a config's count is otherwise
+# unbounded, and 2**64 restarts would never end
+_MAX_RESTARTS = 1000
 
 
 @dataclass(eq=False)
@@ -42,8 +44,8 @@ class NormalizedMatrix(Codec):
     col_stds: Vector
     dropped_cols: tuple[str, ...]
 
-    def write_csv(self, path: str | Path) -> None:
-        write_csv(path, ("workload",) + self.cols,
+    def write_csv(self, out: TextIO) -> None:
+        write_csv(out, ("workload",) + self.cols,
                   ([workload, *row] for workload, row in zip(self.ids, self.data.tolist())))
 
 
@@ -434,10 +436,11 @@ def kmeans_best_of(
 ) -> Clustering:
     """Run `restarts` seeded k-means runs and keep the lowest inertia.
 
-    Restart seeds are seed, seed+1, ...; ties keep the earliest seed.
+    Restart seeds are seed, seed+1, ...; ties keep the earliest seed. A
+    count outside [1, _MAX_RESTARTS] is a `DataError`.
     """
-    if restarts < 1:
-        raise DataError(f"restarts must be positive, got {restarts}")
+    if not 1 <= restarts <= _MAX_RESTARTS:
+        raise DataError(f"restarts must be in [1, {_MAX_RESTARTS}], got {restarts}")
     best: Clustering | None = None
     for r in range(restarts):
         result = kmeans(points, k, seed + r, ids=ids)

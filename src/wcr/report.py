@@ -3,7 +3,7 @@
 Summaries average metrics per group (application category, system
 behavior, suite, or software stack); the stack-impact table compares the
 same algorithm across software stacks and flags order-of-magnitude gaps;
-`emit` writes everything as byte-stable CSV files plus a JSON bundle.
+`emit` formats everything as byte-stable CSV files plus a JSON bundle.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ import enum
 import logging
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence, TextIO
 
 from .cachesim import MissRatioCurve, write_curve_csv
 from .errors import DataError
@@ -217,47 +216,35 @@ def _fmt(value: float) -> str:
     return FLOAT_FORMAT.format(value)
 
 
-def emit(bundle: ReportBundle, out_dir: str | Path) -> list[Path]:
+def emit(bundle: ReportBundle, open_output: Callable[[str], TextIO]) -> None:
     """Write the bundle as CSV tables, curve files, and a JSON index.
 
+    Each file goes to the text stream that `open_output` returns for its
+    name relative to the report directory, such as `curves/wc_instruction.csv`.
     Output is byte-stable for identical inputs: keys are sorted, floats in
     the summary and stack-impact tables and in the JSON index are fixed at
     four decimals, and curve files are written by `write_curve_csv`, the
     same six-decimal format `simulate` produces.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    if not bundle.summaries and bundle.stack_impact is None and not bundle.curves:
-        log.warning("nothing to report; writing an empty bundle")
-
     for summary in bundle.summaries:
-        path = out_dir / f"summary_{summary.grouping.value}.csv"
         metrics = sorted({m for row in summary.rows.values() for m in row.means})
-        write_csv(path, ["group", "count"] + metrics, (
+        write_csv(open_output(f"summary_{summary.grouping.value}.csv"),
+                  ["group", "count"] + metrics, (
             [name, row.count] + [_fmt(row.means[m]) for m in metrics]
             for name, row in sorted(summary.rows.items())
         ))
-        written.append(path)
 
     if bundle.stack_impact is not None:
-        path = out_dir / "stack_impact.csv"
-        write_csv(path, ("algorithm", "metric", "stack", "value", "max_min_ratio", "flag"), (
+        write_csv(open_output("stack_impact.csv"),
+                  ("algorithm", "metric", "stack", "value", "max_min_ratio", "flag"), (
             [row.algorithm, row.metric, stack, _fmt(row.values[stack]),
              "inf" if math.isinf(row.max_min_ratio) else _fmt(row.max_min_ratio),
              row.flag or ""]
             for row in bundle.stack_impact.rows for stack in sorted(row.values)
         ))
-        written.append(path)
 
-    if bundle.curves:
-        curves_dir = out_dir / "curves"
-        curves_dir.mkdir(exist_ok=True)
-        for workload, curve in bundle.curves:
-            path = curves_dir / f"{workload}_{curve.kind.value}.csv"
-            write_curve_csv(curve, path)
-            written.append(path)
+    for workload, curve in bundle.curves:
+        write_curve_csv(curve, open_output(f"curves/{workload}_{curve.kind.value}.csv"))
 
     bundle_dict: dict[str, Any] = {
         "summaries": [s.to_dict() for s in bundle.summaries],
@@ -268,10 +255,7 @@ def emit(bundle: ReportBundle, out_dir: str | Path) -> list[Path]:
         },
         "notes": list(bundle.notes),
     }
-    bundle_path = out_dir / "bundle.json"
-    write_json(bundle_path, _round_floats(bundle_dict))
-    written.append(bundle_path)
-    return written
+    write_json(open_output("bundle.json"), _round_floats(bundle_dict))
 
 
 def _round_floats(obj: Any) -> Any:

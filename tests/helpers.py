@@ -276,7 +276,8 @@ def write_binary_trace(
         offset = end
     records.tofile(path)
     if sidecar is not None:
-        write_json(sidecar, SegmentsFile(tuple(spans)).to_dict())
+        with open(sidecar, "w", encoding="utf-8") as fh:
+            write_json(fh, SegmentsFile(tuple(spans)).to_dict())
 
 
 class _Fenwick:

@@ -415,7 +415,8 @@ class TestTraceIo:
             kind=CurveKind.UNIFIED,
         )
         path = tmp_path / "curve.csv"
-        write_curve_csv(curve, path)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write_curve_csv(curve, fh)
         loaded = read_curve_csv(path)
         assert [p.capacity_bytes for p in loaded.points] == [16 * KIB, 32 * KIB]
         assert loaded.points[0].miss_ratio == 0.5

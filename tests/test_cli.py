@@ -223,7 +223,18 @@ class TestReduce:
         assert run(*seed, "reduce", workdir / "ingest" / "vectors.json", "--k", "2",
                    "--out", out) == 2
         assert "seed" in capsys.readouterr().err
-        assert not list(out.iterdir())
+        assert not out.exists()
+
+    def test_restarts_beyond_bound_in_config_exit_2(self, workdir, capsys):
+        # without a bound, 2**64 k-means restarts would never end
+        assert run("ingest", workdir / "counters.csv", "--out", workdir / "ingest") == 0
+        config_path = workdir / "config.json"
+        config_path.write_text(json.dumps({"restarts": 2 ** 64}))
+        out = workdir / "o"
+        assert run("--config", config_path, "reduce", workdir / "ingest" / "vectors.json",
+                   "--k", "2", "--out", out) == 2
+        assert "restarts" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_integer_k_exit_2(self, workdir, capsys):
         assert run("reduce", workdir / "counters.csv", "--k", "abc",
@@ -421,6 +432,27 @@ class TestReport:
                    "--labels", labels, "--out", workdir / "r") == 2
         assert f"{labels}: line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("curves", ["missing", "counters.csv"])
+    def test_curves_that_is_not_a_directory_exit_2(self, workdir, capsys, curves):
+        # globbing a missing directory finds nothing, which once gave an empty report
+        out = workdir / "r"
+        assert run("report", "--curves", workdir / curves, "--out", out) == 2
+        assert "--curves" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--vectors", "--labels"])
+    def test_vectors_or_labels_alone_is_usage_error(self, workdir, capsys, flag):
+        # the summaries need both; one alone was once dropped without a word
+        assert run("ingest", workdir / "counters.csv", "--out", workdir / "ingest") == 0
+        assert run("classify", workdir / "behavior.csv", "--out", workdir / "classify") == 0
+        given = {"--vectors": workdir / "ingest" / "vectors.json",
+                 "--labels": workdir / "classify" / "labels.csv"}[flag]
+        out = workdir / "r"
+        assert run("report", flag, given, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "--vectors" in err and "--labels" in err
+        assert not out.exists()
+
     def test_empty_report_succeeds(self, workdir):
         out = workdir / "empty"
         assert run("report", "--out", out) == 0
@@ -524,6 +556,33 @@ class TestCliContract:
         argv = [a.format(bad=bad, dir=workdir) for a in argv]
         assert run(*argv, "--out", workdir / "o") == 2
         assert f"{bad}: not valid UTF-8" in capsys.readouterr().err
+
+    # per command: the arguments that read the malformed input, and its text
+    MALFORMED = {
+        "ingest": (["{bad}"], COUNTER_HEADER + "w1,n1,cycles,abc,1\n"),
+        "reduce": (["{bad}"], '{"vectors": ['),
+        "classify": (["{bad}"], BEHAVIOR_HEADER + "w,2.0,0,0,1,1,1,service\n"),
+        "simulate": (["{bad}"], "I 0x0\nQ 0x40\n"),
+        "footprint": (["{bad}"], "capacity_bytes,miss_ratio\n16384,abc\n"),
+        "report": (["--stack-table", "{bad}"], "algorithm,stack,metric,value\nwc,mpi,ipc,x\n"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(MALFORMED))
+    def test_malformed_input_exit_2_leaves_out_absent(self, workdir, command):
+        args, text = self.MALFORMED[command]
+        bad = workdir / "bad.txt"
+        bad.write_text(text)
+        out = workdir / "new" / "out"
+        assert run(command, *[a.format(bad=bad) for a in args], "--out", out) == 2
+        assert not (workdir / "new").exists()
+
+    def test_non_finite_flag_leaves_out_absent(self, workdir, capsys):
+        # the manifest, serialized after every output, cannot hold inf; the outputs
+        # must not reach --out without it
+        out = workdir / "o"
+        assert run("ingest", workdir / "counters.csv", "--warmup", "inf", "--out", out) == 2
+        assert "manifest.json" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rerun_is_byte_identical(self, workdir):
         out_a, out_b = workdir / "a", workdir / "b"

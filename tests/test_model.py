@@ -1,5 +1,6 @@
 """Data-model invariants: schemas, vectors, telemetry, JSON round-trips."""
 
+import io
 import json
 
 import pytest
@@ -64,7 +65,8 @@ class TestDefaultSchema:
     def test_save_load_roundtrip(self, tmp_path):
         schema = default_schema()
         path = tmp_path / "schema.json"
-        schema.save(path)
+        with open(path, "w", encoding="utf-8") as fh:
+            write_json(fh, schema.to_dict())
         loaded = MetricSchema.load(path)
         assert loaded == schema
         raw = json.loads(path.read_text())
@@ -160,11 +162,12 @@ class TestOtherTypes:
         assert RawProfile.from_dict(profile.to_dict()) == profile
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_write_json_rejects_non_finite(self, tmp_path, value):
-        path = tmp_path / "out.json"
+    def test_write_json_rejects_non_finite(self, value):
+        out = io.StringIO()
+        out.name = "out.json"
         with pytest.raises(DataError, match="out.json"):
-            write_json(path, {"a": [1.0, value]})
-        assert not path.exists()
+            write_json(out, {"a": [1.0, value]})
+        assert out.getvalue() == ""
 
     def test_volumes_negative_rejected(self):
         with pytest.raises(DataError):

@@ -1,8 +1,11 @@
-"""The package holds only what its commands reach.
+"""The package holds only what its commands reach, and one function writes files.
 
 Every module-level function or class in `src/wcr` must be referenced by
 other package code or be exported in `wcr.__all__`. Code that only tests
 call belongs in `tests/helpers.py`, not in the package.
+
+Only `cli._publish` may create a directory or write a file: every other
+writer fills a text stream, so a run that fails leaves `--out` untouched.
 """
 
 import ast
@@ -57,3 +60,53 @@ def test_every_definition_is_reached_or_exported():
     )
     # an exception that package code now reaches no longer needs its entry
     assert sorted(set(ALLOWED_UNREFERENCED) - set(found)) == []
+
+
+# method calls that create a directory or write a file
+WRITE_METHODS = {"write_text", "write_bytes", "mkdir", "makedirs", "tofile"}
+
+
+def _writes(call: ast.Call) -> bool:
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return func.attr in WRITE_METHODS
+    if not (isinstance(func, ast.Name) and func.id == "open"):
+        return False
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "mode"), None)
+    if mode is None:  # the default mode, "r"
+        return False
+    # a mode the scan cannot read counts as a write
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))
+
+
+def file_writers() -> list[tuple[str, int]]:
+    """(`module.function`, line) of each call in the package that writes."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and _writes(node):
+                    found.append((f"{path.stem}.{getattr(top, 'name', '<module>')}", node.lineno))
+    return found
+
+
+def test_only_publish_writes_files():
+    writers = file_writers()
+    assert [f"{name}:{line}" for name, line in writers if name != "cli._publish"] == [], (
+        "a file write or mkdir outside `cli._publish`; write to a text stream instead"
+    )
+    # the scan sees the one writer, so it is not blind
+    assert {name for name, _ in writers} == {"cli._publish"}
+
+
+def test_write_scan_flags_each_kind_of_write():
+    calls = ["open(p, 'w')", "open(p, mode='a', encoding='utf-8')", "open(p, 'r+')",
+             "open(p, 'xb')", "open(p, m)", "p.write_text(s)", "p.write_bytes(b)",
+             "p.mkdir()", "os.makedirs(p)", "a.tofile(p)"]
+    reads = ["open(p)", "open(p, 'r', encoding='utf-8')", "open(p, mode='rb')",
+             "outputs.open(name)", "p.read_text()"]
+    for source, expected in [(c, True) for c in calls] + [(r, False) for r in reads]:
+        assert _writes(ast.parse(source, mode="eval").body) is expected, source

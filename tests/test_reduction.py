@@ -1,5 +1,6 @@
 """Standardization, PCA, k-means, model selection, and the reduction pipeline."""
 
+import io
 import math
 
 import numpy as np
@@ -76,12 +77,12 @@ class TestNormalize:
         with pytest.raises(DataError, match="at least 2"):
             normalize_zscore(_vectors([[1]], schema), schema)
 
-    def test_csv_export(self, tmp_path):
+    def test_csv_export(self):
         schema = make_plain_schema(["a", "b"])
         nm = normalize_zscore(_vectors([[1, 0], [2, 1], [3, 2]], schema), schema)
-        path = tmp_path / "nm.csv"
-        nm.write_csv(path)
-        lines = path.read_text().splitlines()
+        out = io.StringIO()
+        nm.write_csv(out)
+        lines = out.getvalue().splitlines()
         assert lines[0] == "workload,a,b"
         assert len(lines) == 4
 
@@ -232,6 +233,14 @@ class TestKmeans:
             c = kmeans_best_of(points, 3, seed=0, restarts=32)
             assert partition_of(c.labels, 3) == partition_of(best_labels, 3)
             assert c.inertia == best_inertia
+
+    def test_restart_count_is_bounded(self):
+        from wcr.reduction import _MAX_RESTARTS
+
+        points = np.array([[0.0], [1.0], [10.0], [11.0]])
+        assert kmeans_best_of(points, 2, seed=0, restarts=_MAX_RESTARTS).inertia == 1.0
+        with pytest.raises(DataError, match="restarts"):
+            kmeans_best_of(points, 2, seed=0, restarts=_MAX_RESTARTS + 1)
 
     def test_no_single_point_move_lowers_inertia(self):
         rng = np.random.default_rng(15)

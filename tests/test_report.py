@@ -1,6 +1,7 @@
 """Group summaries, stack impact, and emission."""
 
 import csv
+import io
 import math
 
 import pytest
@@ -156,6 +157,18 @@ class TestStackImpact:
         assert row.flag == "order_of_magnitude"
 
 
+def _emit(bundle: ReportBundle) -> dict[str, str]:
+    """The text of each file `emit` writes, by its name in the report directory."""
+    files: dict[str, io.StringIO] = {}
+
+    def open_output(name: str) -> io.StringIO:
+        files[name] = io.StringIO()
+        return files[name]
+
+    emit(bundle, open_output)
+    return {name: stream.getvalue() for name, stream in files.items()}
+
+
 class TestEmit:
     def _bundle(self):
         records = [
@@ -172,31 +185,21 @@ class TestEmit:
         )
         return ReportBundle(summaries=summaries, curves=(("wc", curve),))
 
-    def test_two_groupings_two_csvs_one_bundle(self, tmp_path):
-        written = emit(self._bundle(), tmp_path)
-        names = sorted(p.relative_to(tmp_path).as_posix() for p in written)
-        assert names == [
+    def test_two_groupings_two_csvs_one_bundle(self):
+        assert sorted(_emit(self._bundle())) == [
             "bundle.json",
             "curves/wc_instruction.csv",
             "summary_application_category.csv",
             "summary_system_behavior.csv",
         ]
 
-    def test_empty_bundle_succeeds_with_bundle_file(self, tmp_path):
-        written = emit(ReportBundle(notes=("empty input",)), tmp_path)
-        assert [p.name for p in written] == ["bundle.json"]
+    def test_empty_bundle_succeeds_with_bundle_file(self):
+        assert list(_emit(ReportBundle(notes=("empty input",)))) == ["bundle.json"]
 
-    def test_rerun_is_byte_identical(self, tmp_path):
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        emit(self._bundle(), out_a)
-        emit(self._bundle(), out_b)
-        files_a = sorted(p.relative_to(out_a) for p in out_a.rglob("*") if p.is_file())
-        files_b = sorted(p.relative_to(out_b) for p in out_b.rglob("*") if p.is_file())
-        assert files_a == files_b
-        for rel in files_a:
-            assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes()
+    def test_rerun_is_byte_identical(self):
+        assert _emit(self._bundle()) == _emit(self._bundle())
 
-    def test_names_with_commas_and_quotes_read_back(self, tmp_path):
+    def test_names_with_commas_and_quotes_read_back(self):
         records = [
             WorkloadRecord("a", {"ipc": 1.0}, suite="Big,Data"),
             WorkloadRecord("b", {"ipc": 2.0}, suite='say "hi"'),
@@ -208,18 +211,15 @@ class TestEmit:
         bundle = ReportBundle(
             summaries=(group_summary(records, Grouping.SUITE, ["ipc"]),), stack_impact=table,
         )
-        emit(bundle, tmp_path)
-        with open(tmp_path / "summary_suite.csv", newline="") as fh:
-            assert list(csv.reader(fh)) == [
-                ["group", "count", "ipc"], ["Big,Data", "1", "1.0000"], ['say "hi"', "1", "2.0000"],
-            ]
-        with open(tmp_path / "stack_impact.csv", newline="") as fh:
-            assert list(csv.reader(fh))[1:] == [
-                ["word,count", "l1i,mpki", stack, value, "8.5000", "near_order_of_magnitude"]
-                for stack, value in (("mpi", "2.0000"), ("spark, 2", "17.0000"))
-            ]
+        files = _emit(bundle)
+        assert list(csv.reader(io.StringIO(files["summary_suite.csv"]))) == [
+            ["group", "count", "ipc"], ["Big,Data", "1", "1.0000"], ['say "hi"', "1", "2.0000"],
+        ]
+        assert list(csv.reader(io.StringIO(files["stack_impact.csv"])))[1:] == [
+            ["word,count", "l1i,mpki", stack, value, "8.5000", "near_order_of_magnitude"]
+            for stack, value in (("mpi", "2.0000"), ("spark, 2", "17.0000"))
+        ]
 
-    def test_floats_are_fixed_at_four_decimals(self, tmp_path):
-        emit(self._bundle(), tmp_path)
-        text = (tmp_path / "summary_application_category.csv").read_text()
+    def test_floats_are_fixed_at_four_decimals(self):
+        text = _emit(self._bundle())["summary_application_category.csv"]
         assert "0.1800" in text and "0.1900" in text
