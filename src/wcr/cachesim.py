@@ -36,6 +36,8 @@ _WEIGHT_SUM_TOL = 1e-9
 # the LRU loop converts this many lines at a time to Python ints, so its
 # list stays small beside the numpy lines it reads
 _CHUNK = 1 << 16
+# the text reader converts this many characters at a time
+_TEXT_BLOCK = 1 << 18
 
 
 class AccessKind(enum.IntEnum):
@@ -320,35 +322,115 @@ class SegmentsFile(Codec):
     segments: tuple[SegmentSpan, ...]
 
 
+# byte -> access-kind code of a kind letter, and byte -> value of a hex digit;
+# every other byte maps to _NOT_MAPPED
+_NOT_MAPPED = 255
+_KIND_OF_BYTE = np.full(256, _NOT_MAPPED, dtype=np.uint8)
+_KIND_OF_BYTE[np.frombuffer(b"iIlLsS", dtype=np.uint8)] = [
+    AccessKind.IFETCH, AccessKind.IFETCH, AccessKind.LOAD, AccessKind.LOAD,
+    AccessKind.STORE, AccessKind.STORE]
+_DIGIT_OF_BYTE = np.full(256, _NOT_MAPPED, dtype=np.uint8)
+_DIGIT_OF_BYTE[np.frombuffer(b"0123456789abcdefABCDEF", dtype=np.uint8)] = [
+    *range(16), *range(10, 16)]
+
+
 def read_text_trace(path: str | Path) -> AccessTrace:
-    """Read a `kind address-hex` text trace as a single full-weight segment."""
-    addresses: list[int] = []
-    kinds: list[int] = []
+    """Read a `kind address` text trace as a single full-weight segment.
+
+    Each line holds a kind and a hexadecimal address separated by
+    whitespace. The kind is `i`/`ifetch`/`instr`, `l`/`load`/`read` or
+    `s`/`store`/`write`, in any case. The address is 0 to 2**64 - 1 with or
+    without a `0x` prefix. A `#` starts a comment that runs to the end of
+    the line, and blank lines are skipped. Newlines are `\n`, `\r\n` or
+    `\r`. A bad line raises a `ParseError` that names its line number.
+
+    The file is read `_TEXT_BLOCK` characters at a time, each block cut
+    after its last newline. A block whose every line is a kind letter, one
+    space, `0x` and 1 to 16 hex digits (the form the tests' and perfbench's
+    writers use) is converted with numpy in one pass; any other block runs
+    line by line through `_line_accesses`.
+    """
+    blocks: list[tuple[np.ndarray, np.ndarray]] = []  # (addresses, kinds) of each block
+    lineno = 1  # the number of the next block's first line
+    tail = ""  # the text after the last newline read so far
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if len(parts) != 2:
-                    raise ParseError(f"expected 'kind address', got {raw.strip()!r}", line=lineno)
-                kind = _KIND_TOKENS.get(parts[0].lower())
-                if kind is None:
-                    raise ParseError(f"unknown access kind {parts[0]!r}", line=lineno)
-                try:
-                    address = int(parts[1], 16)
-                except ValueError:
-                    raise ParseError(f"address {parts[1]!r} is not hexadecimal", line=lineno)
-                if not 0 <= address < 1 << 64:
-                    raise ParseError(f"address {parts[1]!r} is not a 64-bit address", line=lineno)
-                addresses.append(address)
-                kinds.append(kind.value)
+            while chunk := fh.read(_TEXT_BLOCK):
+                text = tail + chunk
+                cut = text.rfind("\n") + 1
+                block, tail = text[:cut], text[cut:]
+                if block:
+                    blocks.append(_block_accesses(block) or _line_accesses(block, lineno))
+                    lineno += block.count("\n")
         except UnicodeDecodeError:
             raise ParseError("not valid UTF-8 text", source=path)
-    if not addresses:
+    blocks.append(_line_accesses(tail, lineno))  # a last line without a newline
+    addresses, kinds = map(np.concatenate, zip(*blocks))
+    if not addresses.size:
         raise ParseError(f"trace {path} has no accesses")
     return AccessTrace.single(addresses, kinds)
+
+
+def _block_accesses(block: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """(addresses, kinds) of `block`, newline-ended lines that are all of the
+    form `K 0xH` (see `read_text_trace`); None if any line is not.
+
+    Each such line is one the line-by-line reader accepts with the same
+    result: 16 hex digits are always below 2**64.
+    """
+    if not block.isascii():
+        return None
+    data = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    digits = ends - starts - 4  # after the kind, the space and the 0x
+    if digits.min() < 1 or digits.max() > 16:
+        return None
+    kinds = _KIND_OF_BYTE[data[starts]]
+    if ((kinds == _NOT_MAPPED).any() or (data[starts + 1] != ord(" ")).any()
+            or (data[starts + 2] != ord("0")).any()
+            or ((data[starts + 3] | 0x20) != ord("x")).any()):
+        return None
+    values = _DIGIT_OF_BYTE[data]
+    # a line of the form has exactly four bytes that are not hex digits: its
+    # kind letter, space, x and newline, all checked above; so the block is
+    # of the form when no other byte is unmapped
+    if np.count_nonzero(values == _NOT_MAPPED) != 4 * ends.size:
+        return None
+    addresses = np.zeros(ends.size, dtype=np.uint64)
+    for place in range(int(digits.max()), 0, -1):
+        # the digit `place` bytes before each newline; lines with fewer
+        # digits take a leading zero (the index may point before the line)
+        digit = np.where(digits >= place, values[ends - place], 0)
+        addresses <<= np.uint64(4)
+        addresses |= digit
+    return addresses, kinds
+
+
+def _line_accesses(text: str, first_lineno: int) -> tuple[np.ndarray, np.ndarray]:
+    """(addresses, kinds) of the `\n`-separated lines of `text`, the first
+    numbered `first_lineno`, parsed one at a time; raises on a bad line."""
+    addresses: list[int] = []
+    kinds: list[int] = []
+    for lineno, raw in enumerate(text.split("\n"), start=first_lineno):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(f"expected 'kind address', got {raw.strip()!r}", line=lineno)
+        kind = _KIND_TOKENS.get(parts[0].lower())
+        if kind is None:
+            raise ParseError(f"unknown access kind {parts[0]!r}", line=lineno)
+        try:
+            address = int(parts[1], 16)
+        except ValueError:
+            raise ParseError(f"address {parts[1]!r} is not hexadecimal", line=lineno)
+        if not 0 <= address < 1 << 64:
+            raise ParseError(f"address {parts[1]!r} is not a 64-bit address", line=lineno)
+        addresses.append(address)
+        kinds.append(kind.value)
+    return np.array(addresses, dtype=np.uint64), np.array(kinds, dtype=np.uint8)
 
 
 def read_binary_trace(path: str | Path, sidecar: str | Path | None = None) -> AccessTrace:

@@ -19,6 +19,7 @@ import argparse
 import hashlib
 import io
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -265,6 +266,9 @@ def _load_trace(args: argparse.Namespace) -> tuple[cachesim.AccessTrace, list[Pa
         if sidecar is not None:
             inputs.append(sidecar)
         trace = cachesim.read_binary_trace(trace_path, sidecar)
+    elif args.segments:
+        # a text trace is a single segment, which a sidecar cannot split
+        raise _UsageError(f"--segments applies only to a .bin trace, not {trace_path.name}")
     else:
         trace = cachesim.read_text_trace(trace_path)
     if args.skip:
@@ -476,6 +480,12 @@ def _parse_int(name: str, token: str | int) -> int:
         raise DataError(f"bad {name} {token!r}, expected an integer")
 
 
+def _finite(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise DataError(f"bad {name} {value!r}, expected a finite number")
+    return value
+
+
 def _parse_size(token: str) -> int:
     token = token.strip().upper()
     factor = 1
@@ -496,9 +506,9 @@ def _apply_overrides(args: argparse.Namespace, config: RunConfig) -> RunConfig:
         _check_schema_file("--schema", args.schema)
         config.schema_path = args.schema
     if getattr(args, "warmup", None) is not None:
-        config.warmup_s = args.warmup
+        config.warmup_s = _finite("--warmup", args.warmup)
     if getattr(args, "variance_target", None) is not None:
-        config.variance_target = args.variance_target
+        config.variance_target = _finite("--variance-target", args.variance_target)
     if getattr(args, "k", None) is not None:
         config.k = args.k if args.k == "auto" else _parse_int("--k", args.k)
     if getattr(args, "k_range", None) is not None:
@@ -514,7 +524,7 @@ def _apply_overrides(args: argparse.Namespace, config: RunConfig) -> RunConfig:
     if getattr(args, "assoc", None) is not None:
         config.associativity = None if args.assoc == "full" else _parse_int("--assoc", args.assoc)
     if getattr(args, "knee", None) is not None:
-        config.knee_ratio = args.knee
+        config.knee_ratio = _finite("--knee", args.knee)
     return config
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from wcr.cachesim import (
+    _KIND_TOKENS,
     _RECORD_DTYPE,
     ALL_KINDS,
     AccessKind,
@@ -17,7 +18,7 @@ from wcr.cachesim import (
     SegmentSpan,
     TraceSegment,
 )
-from wcr.errors import DataError
+from wcr.errors import DataError, ParseError
 from wcr.model import (
     MetricDescriptor,
     MetricGroup,
@@ -259,6 +260,41 @@ def write_text_trace(trace: AccessTrace, path: str | Path) -> None:
         for segment in trace.segments:
             for address, kind in zip(segment.addresses.tolist(), segment.kinds.tolist()):
                 fh.write(f"{_KIND_LETTER[AccessKind(kind)]} {address:#x}\n")
+
+
+def reference_read_text_trace(path: str | Path) -> AccessTrace:
+    """Line-by-line text-trace reader; the reference for `read_text_trace`'s blocks.
+
+    Every line, in file order, is split, looked up and converted with
+    `int(token, 16)` on its own.
+    """
+    addresses: list[int] = []
+    kinds: list[int] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                parts = line.split()
+                if len(parts) != 2:
+                    raise ParseError(f"expected 'kind address', got {raw.strip()!r}", line=lineno)
+                kind = _KIND_TOKENS.get(parts[0].lower())
+                if kind is None:
+                    raise ParseError(f"unknown access kind {parts[0]!r}", line=lineno)
+                try:
+                    address = int(parts[1], 16)
+                except ValueError:
+                    raise ParseError(f"address {parts[1]!r} is not hexadecimal", line=lineno)
+                if not 0 <= address < 1 << 64:
+                    raise ParseError(f"address {parts[1]!r} is not a 64-bit address", line=lineno)
+                addresses.append(address)
+                kinds.append(kind.value)
+        except UnicodeDecodeError:
+            raise ParseError("not valid UTF-8 text", source=path)
+    if not addresses:
+        raise ParseError(f"trace {path} has no accesses")
+    return AccessTrace.single(addresses, kinds)
 
 
 def write_binary_trace(

@@ -1,15 +1,25 @@
 """LRU simulation, the reuse-distance oracle, capacity sweeps, footprints."""
 
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from helpers import stack_distance_oracle, write_binary_trace, write_text_trace
+from helpers import (
+    reference_read_text_trace,
+    stack_distance_oracle,
+    write_binary_trace,
+    write_text_trace,
+)
+from wcr import cachesim
 from wcr.cachesim import (
     _CHUNK,
+    _block_accesses,
     ALL_KINDS,
     DEFAULT_SIZE_GRID,
     AccessKind,
@@ -356,6 +366,34 @@ class TestTraceIo:
         with pytest.raises(ParseError, match="line 2"):
             read_text_trace(path)
 
+    def test_text_bad_line_past_the_first_block_is_named(self, tmp_path):
+        path = tmp_path / "trace.txt"
+        lines = [f"I {64 * i:#x}\n" for i in range(30_000)]
+        path.write_text("".join(lines) + "bogus\n" + "".join(lines[:100]))
+        assert path.stat().st_size > cachesim._TEXT_BLOCK
+        with pytest.raises(ParseError, match="line 30001: ") as raised:
+            read_text_trace(path)
+        with pytest.raises(ParseError) as reference:
+            reference_read_text_trace(path)
+        assert str(raised.value) == str(reference.value)
+
+    @pytest.mark.parametrize("text", ["", "# only\n\n  # comments\n", "\n\n"])
+    def test_text_without_accesses_rejected(self, tmp_path, text):
+        path = tmp_path / "trace.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="has no accesses"):
+            read_text_trace(path)
+
+    def test_written_trace_takes_the_block_path(self, tmp_path):
+        addresses = [0, 1, 0xABC, 2**63, 2**64 - 1, 0x10661A89]
+        trace = AccessTrace.single(addresses, [0, 1, 2, 0, 1, 2])
+        path = tmp_path / "trace.txt"
+        write_text_trace(trace, path)
+        block = _block_accesses(path.read_text())
+        assert block is not None
+        assert block[0].tolist() == addresses
+        assert block[1].tolist() == [0, 1, 2, 0, 1, 2]
+
     def test_binary_roundtrip_with_sidecar(self, tmp_path):
         trace = AccessTrace(segments=(
             segment([1, 2, 3], weight=0.25),
@@ -420,3 +458,79 @@ class TestTraceIo:
         loaded = read_curve_csv(path)
         assert [p.capacity_bytes for p in loaded.points] == [16 * KIB, 32 * KIB]
         assert loaded.points[0].miss_ratio == 0.5
+
+
+# --- the block reader against the line-by-line reference ----------------------------
+
+_HEX_DIGITS = "0123456789abcdefABCDEF"
+# lines of the form the block reader converts with numpy
+_FORM_LINES = st.builds(
+    lambda kind, x, digits: f"{kind} 0{x}{digits}",
+    st.sampled_from("iIlLsS"), st.sampled_from("xX"),
+    st.text(_HEX_DIGITS, min_size=1, max_size=16),
+)
+# lines of other shapes, which only the line loop reads, and the largest addresses
+_OTHER_LINES = st.sampled_from([
+    "# a comment", "I 0x40  # a trailing comment", "", "   ", "\tL\t0x80\t",
+    "load 0x40", "STORE 0XfF", "ifetch 1234", "Instr 0x1", "read abc", "Write 0x0",
+    "L 40", "s deadbeef", "I 0x0000000000000000040", "L 0x00000000000000000ffffffffffffffff",
+    "S 0xffffffffffffffff", "S 0XFFFFFFFFFFFFFFFF", "L 0x4_0", "I 0x\u0664\u0660",
+    "L 0x40\u2028", "S\x0b0x40", "I 0x40\x85", "I\t0x40",
+])
+_BAD_LINES = st.sampled_from([
+    "bogus", "Q 0x40", "I 0xzz", "I 0x10000000000000000", "L 0x40 0x80", "S -0x40",
+    "\ufeffI 0x40", "I 0x", "i0x40", "I 0z40", "I 1x40", "L;0x40", "S 0x4g",
+])
+
+
+def _edited(line: str, at: int, char: str, removed: int) -> str:
+    at %= len(line)
+    return line[:at] + char + line[at + removed:]
+
+
+# lines one step from the form, which either reader may accept or reject: a
+# form line with one character inserted, deleted or replaced, or one with 17
+# to 20 digits
+_NEAR_FORM_LINES = st.one_of(
+    st.builds(_edited, _FORM_LINES, st.integers(0, 19),
+              st.sampled_from(["", *"Qq#;zgX \t0x_-+1aF\u00e9\r"]), st.integers(0, 1)),
+    st.builds(lambda kind, digits: f"{kind} 0x{digits}",
+              st.sampled_from("iIlLsS"), st.text(_HEX_DIGITS, min_size=17, max_size=20)),
+)
+_NEWLINES = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"])
+
+
+@st.composite
+def _trace_texts(draw):
+    lines = draw(st.lists(
+        st.one_of(_FORM_LINES, _FORM_LINES, _FORM_LINES, _OTHER_LINES, _NEAR_FORM_LINES),
+        max_size=40))
+    bad = draw(st.none() | _BAD_LINES)
+    if bad is not None:
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    text = "".join(line + draw(_NEWLINES) for line in lines)
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # a last line without a newline
+    return text
+
+
+def _read_or_error(reader, path):
+    try:
+        segment = reader(path).segments[0]
+    except ParseError as exc:
+        return str(exc)
+    return segment.addresses.tolist(), segment.kinds.tolist()
+
+
+class TestTextBlocksMatchReference:
+    @settings(max_examples=500, deadline=None)
+    @given(text=_trace_texts(), block=st.integers(1, 48))
+    def test_same_accesses_or_same_error(self, text, block):
+        """Blocks of a few dozen characters split lines across block boundaries;
+        the reader must give the reference's arrays or its error message."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.txt"
+            path.write_bytes(text.encode("utf-8"))
+            with mock.patch.object(cachesim, "_TEXT_BLOCK", block):
+                result = _read_or_error(read_text_trace, path)
+            assert result == _read_or_error(reference_read_text_trace, path)

@@ -350,6 +350,14 @@ class TestSimulateFootprint:
                    "--out", workdir / "o") == 2
         assert "--assoc" in capsys.readouterr().err
 
+    def test_segments_with_text_trace_is_usage_error(self, workdir, capsys):
+        # a text trace is one segment; the sidecar was once dropped without a word
+        out = workdir / "o"
+        assert run("simulate", workdir / "trace.txt", "--segments", workdir / "missing.json",
+                   "--sizes", "16K", "--out", out) == 1
+        assert "--segments" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_skip_flag(self, workdir):
         out = workdir / "simskip"
         code = run(
@@ -577,11 +585,21 @@ class TestCliContract:
         assert not (workdir / "new").exists()
 
     def test_non_finite_flag_leaves_out_absent(self, workdir, capsys):
-        # the manifest, serialized after every output, cannot hold inf; the outputs
-        # must not reach --out without it
+        # inf once reached the manifest, whose JSON cannot hold it, and the error
+        # named manifest.json rather than the flag
         out = workdir / "o"
         assert run("ingest", workdir / "counters.csv", "--warmup", "inf", "--out", out) == 2
-        assert "manifest.json" in capsys.readouterr().err
+        assert "--warmup" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("ingest", "--warmup"), ("reduce", "--variance-target"), ("footprint", "--knee"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_flag_exit_2_names_it(self, workdir, capsys, command, flag, value):
+        out = workdir / "o"
+        assert run(command, workdir / "counters.csv", f"{flag}={value}", "--out", out) == 2
+        assert f"bad {flag} {value}, expected a finite number" in capsys.readouterr().err
         assert not out.exists()
 
     def test_rerun_is_byte_identical(self, workdir):
