@@ -8,7 +8,10 @@ aggregates everything into tables. A command fills its outputs in memory;
 only once it has succeeded does `_publish` create `--out` and write them,
 the manifest last. The manifest records the effective configuration, the
 seed, and digests of all inputs and outputs, so identical inputs reproduce
-identical output trees, and a failed run leaves `--out` as it was.
+identical output trees, and a failed run leaves `--out` as it was. The
+inputs are the files a command reads, a `--schema` (or config `schema_path`)
+file among them whenever it is read; a `vectors.json` carries its own
+schema, so a command given one reads no schema file.
 
 Exit codes: 1 usage error, 2 data validation error, 3 I/O error.
 """
@@ -21,6 +24,7 @@ import io
 import logging
 import math
 import os
+import shutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -125,9 +129,14 @@ class _Outputs(dict):
 
 def _publish(out_dir: Path, command: str, config: RunConfig, inputs: Sequence[Path],
              outputs: _Outputs) -> None:
-    """Write a succeeded run's outputs and its manifest into `out_dir`, the manifest last.
+    """Write a succeeded run's outputs and its manifest into `out_dir`, all or nothing.
 
-    This is the only place the package creates a directory or writes a file.
+    Every file is first written under a temporary name beside its target;
+    only when all are written are they renamed into place, the manifest
+    last. If a write fails, the temporaries and the directories this call
+    made are removed and the error propagates, so `out_dir` is left as it
+    was. This is the only place the package creates a directory or writes
+    a file.
     """
     files = {name: stream.getvalue().encode("utf-8") for name, stream in outputs.items()}
     # inputs are recorded by name and digest (not absolute path) so that
@@ -147,19 +156,38 @@ def _publish(out_dir: Path, command: str, config: RunConfig, inputs: Sequence[Pa
     }
     write_json(outputs.open("manifest.json"), manifest)
     files["manifest.json"] = outputs["manifest.json"].getvalue().encode("utf-8")
-    for directory in sorted({(out_dir / name).parent for name in files}):
-        directory.mkdir(parents=True, exist_ok=True)
-    for name, data in files.items():
-        (out_dir / name).write_bytes(data)
+    made: list[Path] = []  # directories this call creates, parents first
+    staged: dict[Path, Path] = {}  # temporary file -> its target, the manifest last
+    try:
+        for directory in sorted({(out_dir / name).parent for name in files}):
+            for d in reversed((directory, *directory.parents)):
+                if not d.is_dir():
+                    d.mkdir()
+                    made.append(d)
+        for name, data in files.items():
+            target = out_dir / name
+            temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+            staged[temporary] = target
+            temporary.write_bytes(data)
+        for temporary, target in staged.items():
+            os.replace(temporary, target)
+    except BaseException:
+        for temporary in staged:
+            temporary.unlink(missing_ok=True)
+        for directory in reversed(made):
+            shutil.rmtree(directory, ignore_errors=True)
+        raise
 
 
 # what a command hands back: the inputs it read, and the lines to print after `_publish`
 _Result = tuple[list[Path], list[str]]
 
 
-def _load_schema(config: RunConfig) -> MetricSchema:
+def _load_schema(config: RunConfig, inputs: list[Path]) -> MetricSchema:
+    """The configured schema; a schema file it reads is added to `inputs`."""
     if config.schema_path is None:
         return default_schema()
+    inputs.append(Path(config.schema_path))
     return ingest.load_schema(config.schema_path)
 
 
@@ -167,8 +195,8 @@ def _load_schema(config: RunConfig) -> MetricSchema:
 
 
 def _cmd_ingest(args: argparse.Namespace, config: RunConfig, outputs: _Outputs) -> _Result:
-    schema = _load_schema(config)
     inputs = [Path(args.counters)]
+    schema = _load_schema(config, inputs)
 
     with open(args.counters, "r", encoding="utf-8", newline="") as fh:
         profiles = ingest.parse_counter_csv(fh)
@@ -189,7 +217,8 @@ def _cmd_ingest(args: argparse.Namespace, config: RunConfig, outputs: _Outputs) 
     return inputs, [f"ingested {len(profiles)} workloads -> {Path(args.out)}"]
 
 
-def _load_vectors(path: Path, config: RunConfig) -> tuple[MetricSchema, list[MetricVector]]:
+def _load_vectors(path: Path, config: RunConfig, inputs: list[Path]
+                  ) -> tuple[MetricSchema, list[MetricVector]]:
     payload = read_json(path)
     if isinstance(payload, dict) and "vectors" in payload:
         stored = VectorsFile.from_dict(payload)
@@ -202,7 +231,7 @@ def _load_vectors(path: Path, config: RunConfig) -> tuple[MetricSchema, list[Met
         return schema, [MetricVector.from_values(v.workload_id, v.values, schema)
                         for v in stored.vectors]
     if isinstance(payload, dict) and "profiles" in payload:
-        schema = _load_schema(config)
+        schema = _load_schema(config, inputs)
         profiles = ProfilesFile.from_dict(payload).profiles
         return schema, [ingest.derive_microarch_metrics(p, schema) for p in profiles]
     raise DataError(f"{path} holds neither 'vectors' nor 'profiles'")
@@ -210,7 +239,8 @@ def _load_vectors(path: Path, config: RunConfig) -> tuple[MetricSchema, list[Met
 
 def _cmd_reduce(args: argparse.Namespace, config: RunConfig, outputs: _Outputs) -> _Result:
     input_path = Path(args.input)
-    schema, vectors = _load_vectors(input_path, config)
+    inputs = [input_path]
+    schema, vectors = _load_vectors(input_path, config, inputs)
 
     k = config.k
     reduction_config = reduction.ReductionConfig(
@@ -225,7 +255,7 @@ def _cmd_reduce(args: argparse.Namespace, config: RunConfig, outputs: _Outputs) 
 
     write_json(outputs.open("reduction.json"), result.to_dict())
     result.normalized.write_csv(outputs.open("normalized.csv"))
-    return [input_path], [
+    return inputs, [
         f"reduced {len(vectors)} workloads to {result.clustering.k} representatives "
         f"-> {Path(args.out)}",
         *(f"  {workload}" for workload in result.representatives),
@@ -336,7 +366,7 @@ def _cmd_report(args: argparse.Namespace, config: RunConfig, outputs: _Outputs) 
     if args.vectors and args.labels:
         vectors_path, labels_path = Path(args.vectors), Path(args.labels)
         inputs += [vectors_path, labels_path]
-        schema, vectors = _load_vectors(vectors_path, config)
+        schema, vectors = _load_vectors(vectors_path, config, inputs)
         label_rows = _read_labels_csv(labels_path)
         records = []
         for vector in vectors:

@@ -5,19 +5,19 @@ telemetry as CSV (`workload,t_s,cpu_util,io_wait,weighted_io_time_ms,
 disk_bw,net_bw`). Event names are mapped onto a canonical vocabulary via
 an alias table, multi-node counts are summed (wall time takes the max),
 and each schema descriptor's formula turns counter totals into one metric
-value.
+value. The default metric table and the formula registry (`FORMULAS`) live
+in `model`; this module applies them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, TextIO
+from typing import Sequence, TextIO
 
 from .errors import DataError, ParseError
 from .model import (
+    FORMULAS,
     MetricSchema,
-    MetricUnit,
     MetricVector,
     RawProfile,
     SystemBehaviorMetrics,
@@ -25,6 +25,7 @@ from .model import (
     TelemetrySample,
     finite_number,
     read_csv,
+    schema_violations,
     validate_profile,
 )
 
@@ -70,135 +71,7 @@ def canonical_counter_name(event: str) -> str:
     return COUNTER_ALIASES.get(event, event)
 
 
-# --- derivation rules -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Formula:
-    """One derivation rule: counters in, a single metric value out."""
-
-    unit: MetricUnit
-    required: tuple[str, ...]
-    compute: Callable[[Mapping[str, float]], float]
-
-
-def _quotient(numer: str, denom: str, unit: MetricUnit, scale: float = 1.0) -> Formula:
-    def compute(counters: Mapping[str, float]) -> float:
-        d = counters[denom]
-        if d == 0:
-            raise DataError(f"denominator counter '{denom}' is zero")
-        return scale * counters[numer] / d
-
-    return Formula(unit=unit, required=(numer, denom), compute=compute)
-
-
-_MIX_CATEGORIES = (
-    "branch_instructions",
-    "integer_instructions",
-    "fp_instructions",
-    "load_instructions",
-    "store_instructions",
-)
-
-
-def _mix_other() -> Formula:
-    # Residual share: whatever the categorized counters do not cover.
-    def compute(counters: Mapping[str, float]) -> float:
-        total = counters["instructions_retired"]
-        if total == 0:
-            raise DataError("denominator counter 'instructions_retired' is zero")
-        covered = sum(counters[c] for c in _MIX_CATEGORIES)
-        return (total - covered) / total
-
-    return Formula(
-        unit=MetricUnit.RATIO,
-        required=("instructions_retired",) + _MIX_CATEGORIES,
-        compute=compute,
-    )
-
-
-def _build_formulas() -> dict[str, Formula]:
-    r, pki, pc, fpb = (
-        MetricUnit.RATIO, MetricUnit.PER_KILO_INSTR, MetricUnit.PER_CYCLE,
-        MetricUnit.FLOPS_PER_BYTE,
-    )
-    instr = "instructions_retired"
-    f: dict[str, Formula] = {}
-
-    f["mix_branch"] = _quotient("branch_instructions", instr, r)
-    f["mix_integer"] = _quotient("integer_instructions", instr, r)
-    f["mix_fp"] = _quotient("fp_instructions", instr, r)
-    f["mix_load"] = _quotient("load_instructions", instr, r)
-    f["mix_store"] = _quotient("store_instructions", instr, r)
-    f["mix_other"] = _mix_other()
-    # the default schema names mix metrics *_ratio; register both ids
-    f["branch_ratio"] = f["mix_branch"]
-    f["integer_ratio"] = f["mix_integer"]
-    f["fp_ratio"] = f["mix_fp"]
-    f["load_ratio"] = f["mix_load"]
-    f["store_ratio"] = f["mix_store"]
-    f["other_ratio"] = f["mix_other"]
-
-    for level in ("l1i", "l1d", "l2", "l3"):
-        f[f"{level}_mpki"] = _quotient(f"{level}_misses", instr, pki, scale=1000.0)
-        f[f"{level}_miss_ratio"] = _quotient(f"{level}_misses", f"{level}_accesses", r)
-    for tlb in ("itlb", "dtlb"):
-        f[f"{tlb}_mpki"] = _quotient(f"{tlb}_misses", instr, pki, scale=1000.0)
-        f[f"{tlb}_miss_ratio"] = _quotient(f"{tlb}_misses", f"{tlb}_accesses", r)
-        f[f"{tlb}_walk_cycle_ratio"] = _quotient(f"{tlb}_walk_cycles", "cycles", r)
-
-    f["branch_misprediction_ratio"] = _quotient(
-        "mispredicted_branches", "branch_instructions", r)
-    f["branch_misprediction_mpki"] = _quotient(
-        "mispredicted_branches", instr, pki, scale=1000.0)
-    f["branch_taken_ratio"] = _quotient("taken_branches", "branch_instructions", r)
-    f["indirect_branch_ratio"] = _quotient("indirect_branches", "branch_instructions", r)
-
-    f["frontend_stall_ratio"] = _quotient("frontend_stall_cycles", "cycles", r)
-    f["backend_stall_ratio"] = _quotient("backend_stall_cycles", "cycles", r)
-    f["resource_stall_ratio"] = _quotient("resource_stall_cycles", "cycles", r)
-    f["store_buffer_stall_ratio"] = _quotient("store_buffer_stall_cycles", "cycles", r)
-    f["divider_busy_ratio"] = _quotient("divider_busy_cycles", "cycles", r)
-    f["machine_clears_pki"] = _quotient("machine_clears", instr, pki, scale=1000.0)
-    f["uops_issued_per_cycle"] = _quotient("uops_issued", "cycles", pc)
-    f["retired_uop_fraction"] = _quotient("uops_retired", "uops_issued", r)
-
-    f["offcore_requests_pki"] = _quotient("offcore_requests", instr, pki, scale=1000.0)
-    f["offcore_data_read_pki"] = _quotient(
-        "offcore_demand_data_reads", instr, pki, scale=1000.0)
-    f["offcore_rfo_pki"] = _quotient("offcore_rfo_requests", instr, pki, scale=1000.0)
-    f["offcore_writeback_pki"] = _quotient("offcore_writebacks", instr, pki, scale=1000.0)
-    f["snoop_hit_ratio"] = _quotient("snoop_hits", "snoop_responses", r)
-    f["snoop_hitm_ratio"] = _quotient("snoop_hitm", "snoop_responses", r)
-    f["snoop_miss_ratio"] = _quotient("snoop_misses", "snoop_responses", r)
-
-    f["ipc"] = _quotient(instr, "cycles", pc)
-    f["uops_retired_per_cycle"] = _quotient("uops_retired", "cycles", pc)
-    f["offcore_read_mlp"] = _quotient("offcore_read_occupancy_cycles", "cycles", pc)
-    f["l1d_miss_mlp"] = _quotient("l1d_miss_occupancy_cycles", "cycles", pc)
-
-    # flops per byte of off-core traffic (roofline-style intensity)
-    f["operation_intensity"] = _quotient("fp_operations", "offcore_bytes", fpb)
-    f["flops_per_cycle"] = _quotient("fp_operations", "cycles", pc)
-    return f
-
-
-FORMULAS: dict[str, Formula] = _build_formulas()
-
-
-def schema_violations(schema: MetricSchema) -> list[str]:
-    """Descriptors that reference a missing or unit-mismatched formula, one message each."""
-    violations = []
-    for desc in schema.metrics:
-        formula = FORMULAS.get(desc.formula_id)
-        if formula is None:
-            violations.append(f"metric '{desc.name}': unknown formula '{desc.formula_id}'")
-        elif formula.unit is not desc.unit:
-            violations.append(
-                f"metric '{desc.name}': unit {desc.unit.value} does not match "
-                f"formula '{desc.formula_id}' ({formula.unit.value})"
-            )
-    return violations
+# --- schema files ---------------------------------------------------------
 
 
 def check_schema(schema: MetricSchema) -> None:

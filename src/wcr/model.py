@@ -5,6 +5,10 @@ metrics; raw profiles carry the counter totals those metrics are derived
 from; telemetry carries the OS-level time series used for system-behavior
 classification. All types are immutable after construction.
 
+This module owns the one table of the 45 default metrics, `_DEFAULT_METRICS`:
+`default_schema` and the formula registry `FORMULAS` are both built from
+its rows, and `ingest` applies the registry to counter totals.
+
 `Codec` is the only mapping between these dataclasses and JSON: every type
 that is written to or read from a JSON file inherits its `to_dict` and
 `from_dict`, which follow the dataclass fields and their annotations.
@@ -27,8 +31,8 @@ import math
 import types
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (Annotated, Any, Iterable, Iterator, Mapping, Sequence, TextIO, Union,
-                    get_args, get_origin, get_type_hints)
+from typing import (Annotated, Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO,
+                    Union, get_args, get_origin, get_type_hints)
 
 import numpy as np
 
@@ -484,7 +488,7 @@ class BehaviorLabels(Codec):
             raise DataError("data_out cannot be the no-intermediate label")
 
 
-# --- default schema -----------------------------------------------------
+# --- the default metrics and their derivation rules ---------------------
 
 DEFAULT_SCHEMA_VERSION = "wcr-default-1"
 
@@ -502,63 +506,68 @@ _PKI = MetricUnit.PER_KILO_INSTR
 _PC = MetricUnit.PER_CYCLE
 _FPB = MetricUnit.FLOPS_PER_BYTE
 
-# 45 metrics over eight groups. Each formula_id resolves to a derivation
-# rule registered in `ingest`; names here and in custom schemas may differ
-# from the rule id, but the default keeps them 1:1.
-_DEFAULT_METRICS: tuple[tuple[str, MetricGroup, MetricUnit], ...] = (
+_INSTR = "instructions_retired"
+
+# The 45 default metrics over eight groups, in vector order, as
+# (name, group, unit, numerator, denominator, scale): each metric is
+# scale * numerator / denominator over the canonical counter vocabulary, and
+# its formula id is its name. `other_ratio`, whose numerator is None, is the
+# share of the denominator that the other mix numerators leave uncovered.
+_DEFAULT_METRICS: tuple[tuple[str, MetricGroup, MetricUnit, str | None, str, float], ...] = (
     # instruction mix: fractions of retired instructions (6)
-    ("branch_ratio", _MIX, _RATIO),
-    ("integer_ratio", _MIX, _RATIO),
-    ("fp_ratio", _MIX, _RATIO),
-    ("load_ratio", _MIX, _RATIO),
-    ("store_ratio", _MIX, _RATIO),
-    ("other_ratio", _MIX, _RATIO),
+    ("branch_ratio", _MIX, _RATIO, "branch_instructions", _INSTR, 1.0),
+    ("integer_ratio", _MIX, _RATIO, "integer_instructions", _INSTR, 1.0),
+    ("fp_ratio", _MIX, _RATIO, "fp_instructions", _INSTR, 1.0),
+    ("load_ratio", _MIX, _RATIO, "load_instructions", _INSTR, 1.0),
+    ("store_ratio", _MIX, _RATIO, "store_instructions", _INSTR, 1.0),
+    ("other_ratio", _MIX, _RATIO, None, _INSTR, 1.0),
     # cache behavior (8)
-    ("l1i_mpki", _CACHE, _PKI),
-    ("l1d_mpki", _CACHE, _PKI),
-    ("l2_mpki", _CACHE, _PKI),
-    ("l3_mpki", _CACHE, _PKI),
-    ("l1i_miss_ratio", _CACHE, _RATIO),
-    ("l1d_miss_ratio", _CACHE, _RATIO),
-    ("l2_miss_ratio", _CACHE, _RATIO),
-    ("l3_miss_ratio", _CACHE, _RATIO),
+    ("l1i_mpki", _CACHE, _PKI, "l1i_misses", _INSTR, 1000.0),
+    ("l1d_mpki", _CACHE, _PKI, "l1d_misses", _INSTR, 1000.0),
+    ("l2_mpki", _CACHE, _PKI, "l2_misses", _INSTR, 1000.0),
+    ("l3_mpki", _CACHE, _PKI, "l3_misses", _INSTR, 1000.0),
+    ("l1i_miss_ratio", _CACHE, _RATIO, "l1i_misses", "l1i_accesses", 1.0),
+    ("l1d_miss_ratio", _CACHE, _RATIO, "l1d_misses", "l1d_accesses", 1.0),
+    ("l2_miss_ratio", _CACHE, _RATIO, "l2_misses", "l2_accesses", 1.0),
+    ("l3_miss_ratio", _CACHE, _RATIO, "l3_misses", "l3_accesses", 1.0),
     # TLB behavior (6)
-    ("itlb_mpki", _TLB, _PKI),
-    ("dtlb_mpki", _TLB, _PKI),
-    ("itlb_miss_ratio", _TLB, _RATIO),
-    ("dtlb_miss_ratio", _TLB, _RATIO),
-    ("itlb_walk_cycle_ratio", _TLB, _RATIO),
-    ("dtlb_walk_cycle_ratio", _TLB, _RATIO),
+    ("itlb_mpki", _TLB, _PKI, "itlb_misses", _INSTR, 1000.0),
+    ("dtlb_mpki", _TLB, _PKI, "dtlb_misses", _INSTR, 1000.0),
+    ("itlb_miss_ratio", _TLB, _RATIO, "itlb_misses", "itlb_accesses", 1.0),
+    ("dtlb_miss_ratio", _TLB, _RATIO, "dtlb_misses", "dtlb_accesses", 1.0),
+    ("itlb_walk_cycle_ratio", _TLB, _RATIO, "itlb_walk_cycles", "cycles", 1.0),
+    ("dtlb_walk_cycle_ratio", _TLB, _RATIO, "dtlb_walk_cycles", "cycles", 1.0),
     # branch execution (4)
-    ("branch_misprediction_ratio", _BR, _RATIO),
-    ("branch_misprediction_mpki", _BR, _PKI),
-    ("branch_taken_ratio", _BR, _RATIO),
-    ("indirect_branch_ratio", _BR, _RATIO),
+    ("branch_misprediction_ratio", _BR, _RATIO, "mispredicted_branches",
+     "branch_instructions", 1.0),
+    ("branch_misprediction_mpki", _BR, _PKI, "mispredicted_branches", _INSTR, 1000.0),
+    ("branch_taken_ratio", _BR, _RATIO, "taken_branches", "branch_instructions", 1.0),
+    ("indirect_branch_ratio", _BR, _RATIO, "indirect_branches", "branch_instructions", 1.0),
     # pipeline behavior (8)
-    ("frontend_stall_ratio", _PIPE, _RATIO),
-    ("backend_stall_ratio", _PIPE, _RATIO),
-    ("resource_stall_ratio", _PIPE, _RATIO),
-    ("store_buffer_stall_ratio", _PIPE, _RATIO),
-    ("divider_busy_ratio", _PIPE, _RATIO),
-    ("machine_clears_pki", _PIPE, _PKI),
-    ("uops_issued_per_cycle", _PIPE, _PC),
-    ("retired_uop_fraction", _PIPE, _RATIO),
+    ("frontend_stall_ratio", _PIPE, _RATIO, "frontend_stall_cycles", "cycles", 1.0),
+    ("backend_stall_ratio", _PIPE, _RATIO, "backend_stall_cycles", "cycles", 1.0),
+    ("resource_stall_ratio", _PIPE, _RATIO, "resource_stall_cycles", "cycles", 1.0),
+    ("store_buffer_stall_ratio", _PIPE, _RATIO, "store_buffer_stall_cycles", "cycles", 1.0),
+    ("divider_busy_ratio", _PIPE, _RATIO, "divider_busy_cycles", "cycles", 1.0),
+    ("machine_clears_pki", _PIPE, _PKI, "machine_clears", _INSTR, 1000.0),
+    ("uops_issued_per_cycle", _PIPE, _PC, "uops_issued", "cycles", 1.0),
+    ("retired_uop_fraction", _PIPE, _RATIO, "uops_retired", "uops_issued", 1.0),
     # off-core requests and snoop responses (7)
-    ("offcore_requests_pki", _OFF, _PKI),
-    ("offcore_data_read_pki", _OFF, _PKI),
-    ("offcore_rfo_pki", _OFF, _PKI),
-    ("offcore_writeback_pki", _OFF, _PKI),
-    ("snoop_hit_ratio", _OFF, _RATIO),
-    ("snoop_hitm_ratio", _OFF, _RATIO),
-    ("snoop_miss_ratio", _OFF, _RATIO),
+    ("offcore_requests_pki", _OFF, _PKI, "offcore_requests", _INSTR, 1000.0),
+    ("offcore_data_read_pki", _OFF, _PKI, "offcore_demand_data_reads", _INSTR, 1000.0),
+    ("offcore_rfo_pki", _OFF, _PKI, "offcore_rfo_requests", _INSTR, 1000.0),
+    ("offcore_writeback_pki", _OFF, _PKI, "offcore_writebacks", _INSTR, 1000.0),
+    ("snoop_hit_ratio", _OFF, _RATIO, "snoop_hits", "snoop_responses", 1.0),
+    ("snoop_hitm_ratio", _OFF, _RATIO, "snoop_hitm", "snoop_responses", 1.0),
+    ("snoop_miss_ratio", _OFF, _RATIO, "snoop_misses", "snoop_responses", 1.0),
     # realized parallelism (4)
-    ("ipc", _PAR, _PC),
-    ("uops_retired_per_cycle", _PAR, _PC),
-    ("offcore_read_mlp", _PAR, _PC),
-    ("l1d_miss_mlp", _PAR, _PC),
-    # operation intensity (2)
-    ("operation_intensity", _OPI, _FPB),
-    ("flops_per_cycle", _OPI, _PC),
+    ("ipc", _PAR, _PC, _INSTR, "cycles", 1.0),
+    ("uops_retired_per_cycle", _PAR, _PC, "uops_retired", "cycles", 1.0),
+    ("offcore_read_mlp", _PAR, _PC, "offcore_read_occupancy_cycles", "cycles", 1.0),
+    ("l1d_miss_mlp", _PAR, _PC, "l1d_miss_occupancy_cycles", "cycles", 1.0),
+    # operation intensity (2): flops per byte of off-core traffic, roofline-style
+    ("operation_intensity", _OPI, _FPB, "fp_operations", "offcore_bytes", 1.0),
+    ("flops_per_cycle", _OPI, _PC, "fp_operations", "cycles", 1.0),
 )
 
 
@@ -566,17 +575,78 @@ def default_schema() -> MetricSchema:
     """The toolkit's 45-metric default schema.
 
     Covers all eight metric groups with derivations over the canonical
-    counter vocabulary (see `ingest.FORMULAS`). Custom schemas of any
-    dimension may be supplied instead, as long as every descriptor
-    references a registered derivation rule.
+    counter vocabulary (see `FORMULAS`). Custom schemas of any dimension may
+    be supplied instead, as long as every descriptor references a
+    registered derivation rule.
     """
     return MetricSchema(
         metrics=tuple(
             MetricDescriptor(name=n, group=g, unit=u, formula_id=n)
-            for n, g, u in _DEFAULT_METRICS
+            for n, g, u, *_ in _DEFAULT_METRICS
         ),
         version=DEFAULT_SCHEMA_VERSION,
     )
+
+
+@dataclass(frozen=True)
+class Formula:
+    """One derivation rule: counters in, a single metric value out."""
+
+    unit: MetricUnit
+    required: tuple[str, ...]
+    compute: Callable[[Mapping[str, float]], float]
+
+
+def _quotient(numer: str, denom: str, unit: MetricUnit, scale: float) -> Formula:
+    def compute(counters: Mapping[str, float]) -> float:
+        d = counters[denom]
+        if d == 0:
+            raise DataError(f"denominator counter '{denom}' is zero")
+        return scale * counters[numer] / d
+
+    return Formula(unit=unit, required=(numer, denom), compute=compute)
+
+
+# the counters the residual mix share subtracts: every other mix numerator
+_MIX_CATEGORIES = tuple(numer for _, group, _, numer, _, _ in _DEFAULT_METRICS
+                        if group is _MIX and numer is not None)
+
+
+def _mix_other(total: str, unit: MetricUnit) -> Formula:
+    # Residual share: whatever the categorized counters do not cover.
+    def compute(counters: Mapping[str, float]) -> float:
+        t = counters[total]
+        if t == 0:
+            raise DataError(f"denominator counter '{total}' is zero")
+        covered = sum(counters[c] for c in _MIX_CATEGORIES)
+        return (t - covered) / t
+
+    return Formula(unit=unit, required=(total,) + _MIX_CATEGORIES, compute=compute)
+
+
+# Formula id -> rule, each default metric's under its name. Each mix rule also
+# answers to mix_<kind>, an id a custom schema may reference.
+FORMULAS: dict[str, Formula] = {
+    name: _mix_other(denom, unit) if numer is None else _quotient(numer, denom, unit, scale)
+    for name, _, unit, numer, denom, scale in _DEFAULT_METRICS
+}
+FORMULAS.update({f"mix_{name.removesuffix('_ratio')}": FORMULAS[name]
+                 for name, group, *_ in _DEFAULT_METRICS if group is _MIX})
+
+
+def schema_violations(schema: MetricSchema) -> list[str]:
+    """Descriptors that reference a missing or unit-mismatched formula, one message each."""
+    violations = []
+    for desc in schema.metrics:
+        formula = FORMULAS.get(desc.formula_id)
+        if formula is None:
+            violations.append(f"metric '{desc.name}': unknown formula '{desc.formula_id}'")
+        elif formula.unit is not desc.unit:
+            violations.append(
+                f"metric '{desc.name}': unit {desc.unit.value} does not match "
+                f"formula '{desc.formula_id}' ({formula.unit.value})"
+            )
+    return violations
 
 
 def validate_profile(profile: RawProfile, schema: MetricSchema) -> list[str]:
@@ -585,9 +655,6 @@ def validate_profile(profile: RawProfile, schema: MetricSchema) -> list[str]:
     Returns a list of human-readable violations; an empty list means the
     profile can be derived under `schema`. Violations are data, not faults.
     """
-    # late import: the formula registry lives with the derivations
-    from .ingest import FORMULAS, schema_violations
-
     violations: list[str] = []
     if not profile.workload_id:
         violations.append("workload_id is empty")

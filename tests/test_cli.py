@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import FIXTURE_COUNTERS, planted_metric_vectors, write_binary_trace
 from wcr.cachesim import AccessTrace, TraceSegment
 from wcr.cli import main
+from wcr.model import default_schema
 
 COUNTER_HEADER = "workload,node,event,count,wall_time_s\n"
 TELEMETRY_HEADER = "workload,t_s,cpu_util,io_wait,weighted_io_time_ms,disk_bw,net_bw\n"
@@ -242,6 +243,30 @@ class TestReduce:
         assert "--k" in capsys.readouterr().err
 
 
+    def test_k_range_without_a_comma_exit_2(self, workdir, capsys):
+        assert run("ingest", workdir / "counters.csv", "--out", workdir / "ingest") == 0
+        out = workdir / "o"
+        assert run("reduce", workdir / "ingest" / "vectors.json", "--k-range", "5",
+                   "--out", out) == 2
+        assert "bad --k-range '5'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_vector_of_another_schema_version_exit_2(self, workdir, capsys):
+        assert run("ingest", workdir / "counters.csv", "--out", workdir / "ingest") == 0
+        payload = json.loads((workdir / "ingest" / "vectors.json").read_text())
+        payload["vectors"][1]["schema_version"] = "old-1"
+        stale = workdir / "stale.json"
+        stale.write_text(json.dumps(payload))
+        assert run("reduce", stale, "--k", "2", "--out", workdir / "o") == 2
+        assert "vector schema_version 'old-1' does not match" in capsys.readouterr().err
+
+    def test_json_without_vectors_or_profiles_exit_2(self, workdir, capsys):
+        other = workdir / "other.json"
+        other.write_text('{"rows": []}')
+        assert run("reduce", other, "--k", "2", "--out", workdir / "o") == 2
+        assert "neither 'vectors' nor 'profiles'" in capsys.readouterr().err
+
+
 class TestClassify:
     def test_labels_written(self, workdir):
         out = workdir / "classify"
@@ -367,6 +392,25 @@ class TestSimulateFootprint:
         assert code == 0
 
 
+    def test_size_suffix_and_line_size_reach_the_manifest(self, workdir):
+        out = workdir / "sim"
+        assert run("simulate", workdir / "trace.txt", "--sizes", "64K,1M", "--line", "128",
+                   "--out", out) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["sizes"] == [65536, 1048576]
+        assert config["line_bytes"] == 128
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--sizes", "16K,12Q", "bad size '12Q'"),
+        ("--kinds", "bogus", "unknown access kind 'bogus'"),
+    ])
+    def test_bad_sizes_or_kinds_exit_2(self, workdir, capsys, flag, value, message):
+        out = workdir / "o"
+        assert run("simulate", workdir / "trace.txt", flag, value, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestReport:
     def test_full_report(self, workdir):
         assert full_report(workdir) == 0
@@ -466,6 +510,30 @@ class TestReport:
         assert run("report", "--out", out) == 0
         bundle = json.loads((out / "bundle.json").read_text())
         assert bundle["notes"] == ["no inputs supplied; empty report"]
+
+
+    def test_curve_without_a_kind_suffix_is_read_as_unified(self, workdir):
+        sim = workdir / "sim"
+        assert run("simulate", workdir / "trace.txt", "--sizes", "16K,32K", "--out", sim) == 0
+        out = workdir / "r"
+        assert run("report", "--curves", sim, "--out", out) == 0
+        assert list(json.loads((out / "bundle.json").read_text())["curves"]) == ["curve_unified"]
+        assert (out / "curves" / "curve_unified.csv").read_bytes() == (
+            sim / "curve.csv").read_bytes()
+
+    def test_suite_and_stack_columns_add_their_summaries(self, workdir):
+        assert run("ingest", workdir / "counters.csv", "--out", workdir / "ingest") == 0
+        assert run("classify", workdir / "behavior.csv", "--out", workdir / "classify") == 0
+        header, w1, w2 = (workdir / "classify" / "labels.csv").read_text().splitlines()
+        labels = workdir / "labels.csv"
+        labels.write_text(f"{header},suite,stack\n{w1},bdb,hadoop\n{w2},hibench,spark\n")
+        out = workdir / "r"
+        assert run("report", "--vectors", workdir / "ingest" / "vectors.json",
+                   "--labels", labels, "--metrics", "ipc", "--out", out) == 0
+        for grouping, groups in (("suite", ["bdb", "hibench"]), ("stack", ["hadoop", "spark"])):
+            rows = (out / f"summary_{grouping}.csv").read_text().splitlines()
+            assert rows[0] == "group,count,ipc"
+            assert [row.split(",")[0] for row in rows[1:]] == groups
 
 
 class TestCliContract:
@@ -602,6 +670,32 @@ class TestCliContract:
         assert f"bad {flag} {value}, expected a finite number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, read", [
+        (["ingest", "{dir}/counters.csv"], ["counters.csv", "s.json"]),
+        (["reduce", "{dir}/ingest/profiles.json", "--k", "2"], ["profiles.json", "s.json"]),
+        (["report", "--vectors", "{dir}/ingest/profiles.json",
+          "--labels", "{dir}/classify/labels.csv"], ["labels.csv", "profiles.json", "s.json"]),
+        # a vectors.json carries its own schema, so the schema file is not read
+        (["reduce", "{dir}/ingest/vectors.json", "--k", "2"], ["vectors.json"]),
+        (["report", "--vectors", "{dir}/ingest/vectors.json",
+          "--labels", "{dir}/classify/labels.csv"], ["labels.csv", "vectors.json"]),
+    ])
+    def test_schema_file_read_is_a_manifest_input(self, workdir, command, read):
+        assert run("ingest", workdir / "counters.csv", "--out", workdir / "ingest") == 0
+        assert run("classify", workdir / "behavior.csv", "--out", workdir / "classify") == 0
+        schema = workdir / "s.json"
+        schema.write_text(json.dumps(default_schema().to_dict()))
+        digest = "sha256:" + hashlib.sha256(schema.read_bytes()).hexdigest()
+        config_path = workdir / "config.json"
+        config_path.write_text(json.dumps({"schema_path": str(schema)}))
+        argv = [a.format(dir=workdir) for a in command]
+        for i, prefix in enumerate((["--schema", schema], ["--config", config_path])):
+            out = workdir / f"o{i}"
+            assert run(*prefix, *argv, "--out", out) == 0
+            inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+            assert [entry["file"] for entry in inputs] == read
+            assert all(e["sha256"] == digest for e in inputs if e["file"] == "s.json")
+
     def test_rerun_is_byte_identical(self, workdir):
         out_a, out_b = workdir / "a", workdir / "b"
         for out in (out_a, out_b):
@@ -616,6 +710,46 @@ class TestCliContract:
         manifest_a = json.loads((out_a / "manifest.json").read_text())
         manifest_b = json.loads((out_b / "manifest.json").read_text())
         assert manifest_a["outputs"] == manifest_b["outputs"]
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestPublish:
+    """A failed write leaves `--out` as it was: absent, or an earlier run's files."""
+
+    @staticmethod
+    def fail_second_write(monkeypatch):
+        write_bytes, calls = Path.write_bytes, []
+
+        def write_or_fail(path, data):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device", str(path))
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", write_or_fail)
+        return calls
+
+    def test_new_out_is_not_created(self, workdir, monkeypatch, capsys):
+        assert full_report(workdir) == 0
+        calls = self.fail_second_write(monkeypatch)
+        out = workdir / "new" / "out"
+        assert run("report", "--curves", workdir / "sim", "--out", out) == 3
+        assert "No space left on device" in capsys.readouterr().err
+        assert len(calls) == 2 and calls[0].parent == out / "curves"
+        assert not (workdir / "new").exists()
+
+    def test_earlier_run_is_kept(self, workdir, monkeypatch):
+        assert full_report(workdir) == 0
+        out = workdir / "r"
+        assert run("report", "--out", out) == 0
+        before = _tree(out)
+        self.fail_second_write(monkeypatch)
+        # this run would add curves/ and replace bundle.json and the manifest
+        assert run("report", "--curves", workdir / "sim", "--out", out) == 3
+        assert _tree(out) == before
 
 
 # fields that reach the numeric, enum and address parsers, and the characters that

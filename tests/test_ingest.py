@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from helpers import FIXTURE_COUNTERS, make_profile
 from wcr.errors import DataError, ParseError
 from wcr.ingest import (
+    FORMULAS,
     aggregate_telemetry,
     check_schema,
     derive_microarch_metrics,
@@ -183,6 +184,41 @@ class TestDeriveMetrics:
                          "load_ratio", "store_ratio", "other_ratio")
         )
         assert abs(mix - 1.0) <= 1e-9
+
+    # each default metric on the fixture, in schema order, worked out by hand from
+    # FIXTURE_COUNTERS (instructions_retired 2.56e9, cycles 2e9)
+    FIXTURE_VALUES = {
+        "branch_ratio": 0.19, "integer_ratio": 0.38, "fp_ratio": 0.03,
+        "load_ratio": 0.26, "store_ratio": 0.12, "other_ratio": 0.02,
+        "l1i_mpki": 15.0, "l1d_mpki": 10.0, "l2_mpki": 11.0, "l3_mpki": 1.2,
+        "l1i_miss_ratio": 0.075, "l1d_miss_ratio": 1 / 38, "l2_miss_ratio": 0.44,
+        "l3_miss_ratio": 6 / 55,
+        "itlb_mpki": 0.05, "dtlb_mpki": 0.9, "itlb_miss_ratio": 5e-5,
+        "dtlb_miss_ratio": 9 / 3800, "itlb_walk_cycle_ratio": 0.005,
+        "dtlb_walk_cycle_ratio": 0.02,
+        "branch_misprediction_ratio": 0.028, "branch_misprediction_mpki": 5.32,
+        "branch_taken_ratio": 0.6, "indirect_branch_ratio": 0.1,
+        "frontend_stall_ratio": 0.35, "backend_stall_ratio": 0.25,
+        "resource_stall_ratio": 0.15, "store_buffer_stall_ratio": 0.05,
+        "divider_busy_ratio": 0.01, "machine_clears_pki": 0.1,
+        "uops_issued_per_cycle": 1.6, "retired_uop_fraction": 0.9375,
+        "offcore_requests_pki": 15.625, "offcore_data_read_pki": 9.765625,
+        "offcore_rfo_pki": 3.125, "offcore_writeback_pki": 2.734375,
+        "snoop_hit_ratio": 0.4, "snoop_hitm_ratio": 0.1, "snoop_miss_ratio": 0.5,
+        "ipc": 1.28, "uops_retired_per_cycle": 1.5, "offcore_read_mlp": 0.3,
+        "l1d_miss_mlp": 0.2,
+        "operation_intensity": 0.1, "flops_per_cycle": 0.128,
+    }
+
+    def test_every_default_metric_on_the_fixture(self):
+        schema = default_schema()
+        vector = derive_microarch_metrics(make_profile(), schema)
+        assert list(schema.names) == list(self.FIXTURE_VALUES)
+        assert dict(zip(schema.names, vector.values)) == pytest.approx(
+            self.FIXTURE_VALUES, rel=1e-12)
+        # the mix_<kind> ids name the same rules as the default *_ratio ids
+        for kind in ("branch", "integer", "fp", "load", "store", "other"):
+            assert FORMULAS[f"mix_{kind}"] is FORMULAS[f"{kind}_ratio"]
 
     def test_zero_branch_instructions_errors_on_misprediction_ratio(self):
         profile = make_profile(counters={"branch_instructions": 0})

@@ -6,6 +6,9 @@ call belongs in `tests/helpers.py`, not in the package.
 
 Only `cli._publish` may create a directory or write a file: every other
 writer fills a text stream, so a run that fails leaves `--out` untouched.
+
+`model` imports no package module but `errors`, not even inside a function,
+so the package has no import cycle through its base layer.
 """
 
 import ast
@@ -110,3 +113,41 @@ def test_write_scan_flags_each_kind_of_write():
              "outputs.open(name)", "p.read_text()"]
     for source, expected in [(c, True) for c in calls] + [(r, False) for r in reads]:
         assert _writes(ast.parse(source, mode="eval").body) is expected, source
+
+
+def package_imports(path: Path) -> list[tuple[str, int]]:
+    """(`wcr` module, line) of each import of a package module anywhere in `path`,
+    function bodies included."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import is from the package; the package is flat
+            module = ".".join(filter(None, ("wcr" if node.level else "", node.module)))
+            # `from wcr import x` and `from . import x` import the modules they name
+            modules = [f"{module}.{a.name}" for a in node.names] if module == "wcr" else [module]
+        else:
+            continue
+        found += [(m, node.lineno) for m in modules if m.split(".")[0] == "wcr"]
+    return found
+
+
+def test_model_imports_only_errors():
+    # `model` is the base layer: every other module builds on it, so an import
+    # of one of them, even inside a function, is a cycle
+    imports = package_imports(PACKAGE / "model.py")
+    assert [f"{name}:{line}" for name, line in imports if name != "wcr.errors"] == []
+    # the scan sees the one import `model` does make, so it is not blind
+    assert {name for name, _ in imports} == {"wcr.errors"}
+
+
+def test_import_scan_names_each_kind_of_import(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text("from .errors import DataError\nimport wcr.ingest\n"
+                      "from wcr import reduction\nfrom wcr.cli import main\n"
+                      "def f():\n    from . import cachesim\n    import numpy\n"
+                      "    from .ingest import FORMULAS\n")
+    assert package_imports(source) == [
+        ("wcr.errors", 1), ("wcr.ingest", 2), ("wcr.reduction", 3), ("wcr.cli", 4),
+        ("wcr.cachesim", 6), ("wcr.ingest", 8)]
