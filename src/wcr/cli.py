@@ -188,7 +188,7 @@ def _load_schema(config: RunConfig, inputs: list[Path]) -> MetricSchema:
     if config.schema_path is None:
         return default_schema()
     inputs.append(Path(config.schema_path))
-    return ingest.load_schema(config.schema_path)
+    return MetricSchema.from_dict(read_json(config.schema_path))
 
 
 # --- subcommands -----------------------------------------------------------
@@ -223,7 +223,6 @@ def _load_vectors(path: Path, config: RunConfig, inputs: list[Path]
     if isinstance(payload, dict) and "vectors" in payload:
         stored = VectorsFile.from_dict(payload)
         schema = stored.schema
-        ingest.check_schema(schema)
         stale = {v.schema_version for v in stored.vectors} - {schema.version}
         if stale:
             raise DataError(f"vector schema_version {min(stale)!r} does not match "
@@ -320,7 +319,11 @@ def _cmd_simulate(args: argparse.Namespace, config: RunConfig, outputs: _Outputs
     )
     curve = cachesim.sweep_capacities(trace, config.sizes, template, kinds)
 
-    name = "curve.csv" if args.workload is None else f"{args.workload}_{curve.kind.value}.csv"
+    # `report` reads the kind back from the name's suffix; a unified curve keeps `curve.csv`
+    if args.workload is None and curve.kind is cachesim.CurveKind.UNIFIED:
+        name = "curve.csv"
+    else:
+        name = f"{args.workload or 'curve'}_{curve.kind.value}.csv"
     cachesim.write_curve_csv(curve, outputs.open(name))
     return inputs, [f"swept {len(curve.points)} capacities -> {Path(args.out) / name}"]
 
@@ -346,6 +349,8 @@ def _read_labels_csv(path: Path) -> dict[str, tuple[BehaviorLabels, str | None, 
             fh, ("workload", "category", "system", "data_out", "data_intermediate"), extra=True)
         for lineno, row in rows:
             cells = dict(zip(header, row))
+            if cells["workload"] in labels:
+                raise ParseError(f"duplicate row for workload {cells['workload']!r}", lineno, path)
             fields = {k: cells[k] for k in ("system", "data_out", "data_intermediate")}
             try:
                 fields["category"] = classification.parse_category(cells["category"])
@@ -423,9 +428,11 @@ def _read_stack_table(path: Path) -> list[report.StackMetricRecord]:
         header, rows = read_csv(fh, ("algorithm", "stack", "metric", "value"), extra=True)
         for lineno, row in rows:
             cells = dict(zip(header, row))
-            grouped.setdefault((cells["algorithm"], cells["stack"]), {})[cells["metric"]] = (
-                finite_number("value", cells["value"], lineno, path)
-            )
+            metrics = grouped.setdefault((cells["algorithm"], cells["stack"]), {})
+            if cells["metric"] in metrics:
+                raise ParseError(f"duplicate row for algorithm {cells['algorithm']!r}, stack "
+                                 f"{cells['stack']!r}, metric {cells['metric']!r}", lineno, path)
+            metrics[cells["metric"]] = finite_number("value", cells["value"], lineno, path)
     return [
         report.StackMetricRecord(algorithm=a, stack=s, metrics=m)
         for (a, s), m in sorted(grouped.items())
@@ -483,7 +490,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--line", type=int, help="line size in bytes (default 64)")
     p.add_argument("--assoc", help="associativity, or 'full'")
     p.add_argument("--skip", type=int, default=0, help="skip the first N accesses")
-    p.add_argument("--workload", help="workload name used in the curve filename")
+    p.add_argument("--workload", help="workload name used in the curve filename (default: "
+                   "curve.csv, or curve_<kind>.csv for an instruction or data curve)")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("footprint", help="miss-ratio curve CSV -> footprint estimate")

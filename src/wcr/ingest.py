@@ -5,8 +5,10 @@ telemetry as CSV (`workload,t_s,cpu_util,io_wait,weighted_io_time_ms,
 disk_bw,net_bw`). Event names are mapped onto a canonical vocabulary via
 an alias table, multi-node counts are summed (wall time takes the max),
 and each schema descriptor's formula turns counter totals into one metric
-value. The default metric table and the formula registry (`FORMULAS`) live
-in `model`; this module applies them.
+value. The default metric table, the formula registry (`FORMULAS`) and the
+check of a schema's formula references live in `model`, so every schema
+this module receives names registered formulas of matching units; this
+module applies them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .model import (
     TelemetrySample,
     finite_number,
     read_csv,
-    schema_violations,
     validate_profile,
 )
 
@@ -69,23 +70,6 @@ COUNTER_ALIASES: dict[str, str] = {
 
 def canonical_counter_name(event: str) -> str:
     return COUNTER_ALIASES.get(event, event)
-
-
-# --- schema files ---------------------------------------------------------
-
-
-def check_schema(schema: MetricSchema) -> None:
-    """Raise on the first descriptor that references a missing or unit-mismatched formula."""
-    violations = schema_violations(schema)
-    if violations:
-        raise DataError(violations[0])
-
-
-def load_schema(path) -> MetricSchema:
-    """Load a schema file and verify every formula reference."""
-    schema = MetricSchema.load(path)
-    check_schema(schema)
-    return schema
 
 
 # --- counter CSV ----------------------------------------------------------

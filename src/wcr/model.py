@@ -5,9 +5,11 @@ metrics; raw profiles carry the counter totals those metrics are derived
 from; telemetry carries the OS-level time series used for system-behavior
 classification. All types are immutable after construction.
 
-This module owns the one table of the 45 default metrics, `_DEFAULT_METRICS`:
-`default_schema` and the formula registry `FORMULAS` are both built from
-its rows, and `ingest` applies the registry to counter totals.
+This module owns the one table of the 45 default metrics, `_DEFAULT_METRICS`,
+and the formula registry `FORMULAS` built from its rows, which `ingest`
+applies to counter totals. It also holds the one check of a schema's
+formula references: a `MetricSchema` whose descriptor names an unknown
+formula, or a unit other than its formula's, cannot be built.
 
 `Codec` is the only mapping between these dataclasses and JSON: every type
 that is written to or read from a JSON file inherits its `to_dict` and
@@ -322,7 +324,12 @@ class MetricDescriptor(Codec):
 
 @dataclass(frozen=True)
 class MetricSchema(Codec):
-    """Ordered list of metric descriptors; vector indices follow this order."""
+    """Ordered list of metric descriptors; vector indices follow this order.
+
+    Construction, decoding included, rejects duplicate names, an empty
+    version, and a descriptor whose formula is not in `FORMULAS` or whose
+    unit differs from its formula's, so every schema names registered formulas.
+    """
 
     metrics: tuple[MetricDescriptor, ...]
     version: str
@@ -335,6 +342,13 @@ class MetricSchema(Codec):
             raise DataError(f"duplicate metric names in schema: {dupes}")
         if not self.version:
             raise DataError("schema version must be non-empty")
+        for desc in self.metrics:
+            formula = FORMULAS.get(desc.formula_id)
+            if formula is None:
+                raise DataError(f"metric '{desc.name}': unknown formula '{desc.formula_id}'")
+            if formula.unit is not desc.unit:
+                raise DataError(f"metric '{desc.name}': unit {desc.unit.value} does not match "
+                                f"formula '{desc.formula_id}' ({formula.unit.value})")
 
     def __len__(self) -> int:
         return len(self.metrics)
@@ -348,10 +362,6 @@ class MetricSchema(Codec):
             if m.name == name:
                 return i
         raise KeyError(name)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "MetricSchema":
-        return cls.from_dict(read_json(path))
 
 
 @dataclass(frozen=True)
@@ -576,8 +586,8 @@ def default_schema() -> MetricSchema:
 
     Covers all eight metric groups with derivations over the canonical
     counter vocabulary (see `FORMULAS`). Custom schemas of any dimension may
-    be supplied instead, as long as every descriptor references a
-    registered derivation rule.
+    be supplied instead; each descriptor's formula reference is checked
+    when the schema is built.
     """
     return MetricSchema(
         metrics=tuple(
@@ -634,21 +644,6 @@ FORMULAS.update({f"mix_{name.removesuffix('_ratio')}": FORMULAS[name]
                  for name, group, *_ in _DEFAULT_METRICS if group is _MIX})
 
 
-def schema_violations(schema: MetricSchema) -> list[str]:
-    """Descriptors that reference a missing or unit-mismatched formula, one message each."""
-    violations = []
-    for desc in schema.metrics:
-        formula = FORMULAS.get(desc.formula_id)
-        if formula is None:
-            violations.append(f"metric '{desc.name}': unknown formula '{desc.formula_id}'")
-        elif formula.unit is not desc.unit:
-            violations.append(
-                f"metric '{desc.name}': unit {desc.unit.value} does not match "
-                f"formula '{desc.formula_id}' ({formula.unit.value})"
-            )
-    return violations
-
-
 def validate_profile(profile: RawProfile, schema: MetricSchema) -> list[str]:
     """Check a raw profile against its own invariants and a schema's needs.
 
@@ -669,9 +664,8 @@ def validate_profile(profile: RawProfile, schema: MetricSchema) -> list[str]:
         if name in profile.counters and profile.counters[name] <= 0:
             violations.append(f"counter '{name}' must be > 0 (got {profile.counters[name]})")
 
-    violations += schema_violations(schema)
     needed = {"instructions_retired", "cycles"}
     for desc in schema.metrics:
-        needed.update(FORMULAS[desc.formula_id].required if desc.formula_id in FORMULAS else ())
+        needed.update(FORMULAS[desc.formula_id].required)
     violations += [f"counter '{c}' is absent" for c in sorted(needed - profile.counters.keys())]
     return violations

@@ -115,7 +115,8 @@ def normalize_zscore(vectors: Sequence[MetricVector], schema: MetricSchema) -> N
     """Standardize each metric column to mean 0 and sample std 1 (n-1 denominator).
 
     Columns with no variance carry no information for clustering; they are
-    dropped and reported in `dropped_cols`.
+    dropped and reported in `dropped_cols`. A column whose mean or standard
+    deviation is beyond the float range is a `DataError` naming it.
     """
     if len(vectors) < 2:
         raise DataError(f"need at least 2 workloads to normalize, got {len(vectors)}")
@@ -135,8 +136,12 @@ def normalize_zscore(vectors: Sequence[MetricVector], schema: MetricSchema) -> N
             )
 
     matrix = np.array([v.values for v in vectors], dtype=float)
-    means = matrix.mean(axis=0)
-    stds = matrix.std(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = matrix.mean(axis=0)
+        stds = matrix.std(axis=0, ddof=1)
+    for name, mean, std in zip(schema.names, means, stds):
+        if not (math.isfinite(mean) and math.isfinite(std)):
+            raise DataError(f"metric '{name}': mean or standard deviation beyond the float range")
     keep = stds > _ZERO_VARIANCE_RTOL * np.maximum(1.0, np.abs(means))
     dropped = tuple(name for name, kept in zip(schema.names, keep) if not kept)
     if dropped:

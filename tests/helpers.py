@@ -94,11 +94,14 @@ def make_profile(workload_id: str = "w1", **overrides) -> RawProfile:
     )
 
 
-def make_plain_schema(names, unit=MetricUnit.PER_KILO_INSTR) -> MetricSchema:
-    """A schema for synthetic vectors; formula ids are never dereferenced."""
+def make_plain_schema(names) -> MetricSchema:
+    """A schema for synthetic per-kilo-instruction vectors. Every metric names the
+    registered `l1i_mpki` formula, since a schema must reference real formulas;
+    the vectors are never derived, so the formula is never applied."""
     return MetricSchema(
         metrics=tuple(
-            MetricDescriptor(name=n, group=MetricGroup.CACHE, unit=unit, formula_id="synthetic")
+            MetricDescriptor(name=n, group=MetricGroup.CACHE, unit=MetricUnit.PER_KILO_INSTR,
+                             formula_id="l1i_mpki")
             for n in names
         ),
         version="test-1",

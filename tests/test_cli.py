@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -266,6 +267,22 @@ class TestReduce:
         assert run("reduce", other, "--k", "2", "--out", workdir / "o") == 2
         assert "neither 'vectors' nor 'profiles'" in capsys.readouterr().err
 
+    def test_metric_spread_beyond_float_range_exit_2_names_it(self, workdir, capsys):
+        # the spread once overflowed with a numpy warning, and the error named only
+        # reduction.json, whose JSON cannot hold the resulting inf
+        counters = {f"w{i}": {**FIXTURE_COUNTERS, "fp_operations": 10.0 ** (100 * i)}
+                    for i in range(4)}
+        (workdir / "spread.csv").write_text(counters_csv(counters))
+        assert run("ingest", workdir / "spread.csv", "--out", workdir / "ingest") == 0
+        out = workdir / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("reduce", workdir / "ingest" / "profiles.json", "--k", "2",
+                       "--out", out) == 2
+        assert "metric 'operation_intensity': mean or standard deviation" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestClassify:
     def test_labels_written(self, workdir):
@@ -521,6 +538,48 @@ class TestReport:
         assert (out / "curves" / "curve_unified.csv").read_bytes() == (
             sim / "curve.csv").read_bytes()
 
+    def test_instruction_curve_without_workload_keeps_its_kind(self, workdir):
+        # it was once written to curve.csv, which report reads as a unified curve
+        sim = workdir / "sim"
+        assert run("simulate", workdir / "trace.txt", "--kinds", "ifetch",
+                   "--sizes", "16K,32K", "--out", sim) == 0
+        assert sorted(p.name for p in sim.iterdir()) == ["curve_instruction.csv", "manifest.json"]
+        out = workdir / "r"
+        assert run("report", "--curves", sim, "--out", out) == 0
+        curves = json.loads((out / "bundle.json").read_text())["curves"]
+        assert list(curves) == ["curve_instruction"]
+
+    def test_repeated_stack_row_exit_2_names_line(self, workdir, capsys):
+        # the last of two rows once replaced the first without a word
+        stack_csv = workdir / "stack.csv"
+        stack_csv.write_text(
+            "algorithm,stack,metric,value\n"
+            "sort,hadoop,ipc,1.0\n"
+            "sort,spark,ipc,2.0\n"
+            "sort,hadoop,ipc,50.0\n"
+        )
+        out = workdir / "r"
+        assert run("report", "--stack-table", stack_csv, "--out", out) == 2
+        assert (f"{stack_csv}: line 4: duplicate row for algorithm 'sort', stack 'hadoop', "
+                "metric 'ipc'") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_labels_workload_exit_2_names_line(self, workdir, capsys):
+        # the last row once replaced the first, so w1 counted only as I/O-intensive
+        assert run("ingest", workdir / "counters.csv", "--out", workdir / "ingest") == 0
+        labels = workdir / "labels.csv"
+        labels.write_text(
+            "workload,category,system,data_out,data_intermediate\n"
+            "w1,data_analysis,cpu_intensive,much_less,less\n"
+            "w2,service,io_intensive,equal,none\n"
+            "w1,data_analysis,io_intensive,much_less,less\n"
+        )
+        out = workdir / "r"
+        assert run("report", "--vectors", workdir / "ingest" / "vectors.json",
+                   "--labels", labels, "--out", out) == 2
+        assert f"{labels}: line 4: duplicate row for workload 'w1'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_suite_and_stack_columns_add_their_summaries(self, workdir):
         assert run("ingest", workdir / "counters.csv", "--out", workdir / "ingest") == 0
         assert run("classify", workdir / "behavior.csv", "--out", workdir / "classify") == 0
@@ -695,6 +754,44 @@ class TestCliContract:
             inputs = json.loads((out / "manifest.json").read_text())["inputs"]
             assert [entry["file"] for entry in inputs] == read
             assert all(e["sha256"] == digest for e in inputs if e["file"] == "s.json")
+
+    @pytest.mark.parametrize("where, command", [
+        ("--schema", ["ingest", "{dir}/counters.csv"]),
+        ("schema_path", ["reduce", "{dir}/ingest/profiles.json", "--k", "2"]),
+        ("vectors.json", ["reduce", "{bad}", "--k", "2"]),
+        ("vectors.json", ["report", "--vectors", "{bad}",
+                          "--labels", "{dir}/classify/labels.csv"]),
+    ])
+    @pytest.mark.parametrize("change, message", [
+        ({"formula_id": "nope"}, "metric 'l1i_mpki': unknown formula 'nope'"),
+        ({"unit": "ratio"},
+         "metric 'l1i_mpki': unit ratio does not match formula 'l1i_mpki' (per_kilo_instr)"),
+    ])
+    def test_bad_formula_reference_exit_2_names_metric(self, workdir, capsys, where, command,
+                                                       change, message):
+        # a schema from a --schema file, a config schema_path or a vectors.json
+        assert run("ingest", workdir / "counters.csv", "--out", workdir / "ingest") == 0
+        assert run("classify", workdir / "behavior.csv", "--out", workdir / "classify") == 0
+        schema = default_schema().to_dict()
+        next(m for m in schema["metrics"] if m["name"] == "l1i_mpki").update(change)
+        bad = workdir / "bad.json"
+        if where == "vectors.json":
+            payload = json.loads((workdir / "ingest" / "vectors.json").read_text())
+            bad.write_text(json.dumps({**payload, "schema": schema}))
+            prefix = []
+        elif where == "--schema":
+            bad.write_text(json.dumps(schema))
+            prefix = ["--schema", bad]
+        else:
+            bad.write_text(json.dumps(schema))
+            config_path = workdir / "config.json"
+            config_path.write_text(json.dumps({"schema_path": str(bad)}))
+            prefix = ["--config", config_path]
+        out = workdir / "o"
+        argv = [a.format(dir=workdir, bad=bad) for a in command]
+        assert run(*prefix, *argv, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rerun_is_byte_identical(self, workdir):
         out_a, out_b = workdir / "a", workdir / "b"

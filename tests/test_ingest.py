@@ -10,7 +10,6 @@ from wcr.errors import DataError, ParseError
 from wcr.ingest import (
     FORMULAS,
     aggregate_telemetry,
-    check_schema,
     derive_microarch_metrics,
     parse_counter_csv,
     parse_telemetry_csv,
@@ -248,20 +247,19 @@ class TestDeriveMetrics:
 
 class TestCheckSchema:
     def test_unknown_formula_rejected(self):
-        schema = MetricSchema(
-            metrics=(MetricDescriptor("x", MetricGroup.CACHE, MetricUnit.RATIO, "nope"),),
-            version="v",
-        )
-        with pytest.raises(DataError, match="unknown formula"):
-            check_schema(schema)
+        with pytest.raises(DataError, match="metric 'x': unknown formula 'nope'"):
+            MetricSchema(
+                metrics=(MetricDescriptor("x", MetricGroup.CACHE, MetricUnit.RATIO, "nope"),),
+                version="v",
+            )
 
     def test_unit_mismatch_rejected(self):
-        schema = MetricSchema(
-            metrics=(MetricDescriptor("x", MetricGroup.CACHE, MetricUnit.RATIO, "ipc"),),
-            version="v",
-        )
-        with pytest.raises(DataError, match="unit"):
-            check_schema(schema)
+        with pytest.raises(DataError, match=r"metric 'x': unit ratio does not match "
+                                            r"formula 'ipc' \(per_cycle\)"):
+            MetricSchema(
+                metrics=(MetricDescriptor("x", MetricGroup.CACHE, MetricUnit.RATIO, "ipc"),),
+                version="v",
+            )
 
 
 class TestParseTelemetryCsv:

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from helpers import FIXTURE_COUNTERS, make_profile
 from wcr.errors import DataError
-from wcr.ingest import FORMULAS, check_schema
+from wcr.ingest import FORMULAS
 from wcr.model import (
     BehaviorLabels,
     Category,
@@ -25,6 +25,7 @@ from wcr.model import (
     SystemTelemetry,
     TelemetrySample,
     default_schema,
+    read_json,
     validate_profile,
     write_json,
 )
@@ -53,7 +54,6 @@ class TestDefaultSchema:
 
     def test_formulas_registered_and_units_match(self):
         schema = default_schema()
-        check_schema(schema)
         for desc in schema.metrics:
             assert FORMULAS[desc.formula_id].unit is desc.unit
 
@@ -67,7 +67,7 @@ class TestDefaultSchema:
         path = tmp_path / "schema.json"
         with open(path, "w", encoding="utf-8") as fh:
             write_json(fh, schema.to_dict())
-        loaded = MetricSchema.load(path)
+        loaded = MetricSchema.from_dict(read_json(path))
         assert loaded == schema
         raw = json.loads(path.read_text())
         assert set(raw) == {"version", "metrics"}

@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,18 @@ class TestNormalize:
         schema = make_plain_schema(["m"])
         with pytest.raises(DataError, match="at least 2"):
             normalize_zscore(_vectors([[1]], schema), schema)
+
+    @pytest.mark.parametrize("b", [[0, 1e100, 1e200, 1e300], [1e308, 1e308, 1e308, -1e308]])
+    def test_column_beyond_float_range_rejected_without_warning(self, b):
+        # the squared deviations (or the sum) once overflowed to inf with a numpy
+        # warning, and the error came later from the JSON writer, naming no metric
+        schema = make_plain_schema(["a", "b"])
+        vectors = _vectors(np.column_stack([[1, 2, 3, 4], b]), schema)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="metric 'b': mean or standard deviation "
+                                                "beyond the float range"):
+                normalize_zscore(vectors, schema)
 
     def test_csv_export(self):
         schema = make_plain_schema(["a", "b"])
