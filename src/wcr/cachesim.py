@@ -30,7 +30,6 @@ KIB = 1024
 # default sweep: 16 KB doubling up to 8192 KB
 DEFAULT_SIZE_GRID: tuple[int, ...] = tuple(kb * KIB for kb in (
     16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192))
-DEFAULT_KNEE_RATIO = 0.01
 
 _WEIGHT_SUM_TOL = 1e-9
 # the LRU loop converts this many lines at a time to Python ints, so its
@@ -286,9 +285,7 @@ def sweep_capacities(
     return MissRatioCurve(points=points, kind=curve_kind_for(kinds))
 
 
-def estimate_footprint(
-    curve: MissRatioCurve, knee_ratio: float = DEFAULT_KNEE_RATIO
-) -> int | None:
+def estimate_footprint(curve: MissRatioCurve, knee_ratio: float) -> int | None:
     """Smallest listed capacity whose miss ratio drops below the knee.
 
     Returns None when no point on the curve reaches the knee.

@@ -13,12 +13,16 @@ inputs are the files a command reads, a `--schema` (or config `schema_path`)
 file among them whenever it is read; a `vectors.json` carries its own
 schema, so a command given one reads no schema file.
 
+A run's settings are `RunConfig`'s built-in defaults, then the values of a
+`--config` JSON file, then the flags given, each overriding the one before.
+
 Exit codes: 1 usage error, 2 data validation error, 3 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import io
 import logging
@@ -28,7 +32,7 @@ import shutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import __version__
 from .errors import DataError, ParseError
@@ -54,21 +58,32 @@ EXIT_IO = 3
 
 @dataclass
 class RunConfig(Codec):
-    """Defaults shared by all subcommands; a JSON config file may override
-    them and command-line flags override the file."""
+    """The settings of a run, by the subcommand that reads each, with the flag that sets it.
+
+    - ingest: `schema_path` (`--schema`); `warmup_s` (`--warmup`), given `--telemetry`
+    - reduce: `variance_target` (`--variance-target`); `k` (`--k`, or "auto" by
+      `--k-range`); `k_min`, `k_max` (`--k-range`); `seed` (`--seed`); `restarts`
+      (config file only); `schema_path` (`--schema`), given a profiles.json
+    - report: `schema_path` (`--schema`), given a profiles.json
+    - simulate: `sizes` (`--sizes`), `line_bytes` (`--line`), `associativity`
+      (`--assoc`, where `full` is None)
+    - footprint: `knee_ratio` (`--knee`)
+
+    The reduction defaults are `ReductionConfig`'s, the cache geometry's `CacheConfig`'s.
+    """
 
     schema_path: str | None = None
     warmup_s: float = 30.0
-    variance_target: float = 0.85
+    variance_target: float = reduction.ReductionConfig.variance_target
     k: int | str = "auto"
-    k_min: int = 1
-    k_max: int | None = None
-    seed: int = 42
-    restarts: int = 8
+    k_min: int = reduction.ReductionConfig.k_min
+    k_max: int | None = reduction.ReductionConfig.k_max
+    seed: int = reduction.ReductionConfig.seed
+    restarts: int = reduction.ReductionConfig.restarts
     sizes: tuple[int, ...] = cachesim.DEFAULT_SIZE_GRID
-    knee_ratio: float = cachesim.DEFAULT_KNEE_RATIO
-    line_bytes: int = 64
-    associativity: int | None = 8
+    knee_ratio: float = 0.01
+    line_bytes: int = cachesim.CacheConfig.line_bytes
+    associativity: int | None = cachesim.CacheConfig.associativity
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
@@ -78,10 +93,11 @@ class RunConfig(Codec):
         return config
 
 
-def _check_schema_file(name: str, path: str) -> None:
+def _check_schema_file(name: str, path: str) -> str:
     # Path("").exists() is true: it names the working directory
     if not Path(path).is_file():
         raise DataError(f"{name} {path!r} is not a file")
+    return path
 
 
 @dataclass(frozen=True)
@@ -241,15 +257,10 @@ def _cmd_reduce(args: argparse.Namespace, config: RunConfig, outputs: _Outputs) 
     inputs = [input_path]
     schema, vectors = _load_vectors(input_path, config, inputs)
 
-    k = config.k
     reduction_config = reduction.ReductionConfig(
-        variance_target=config.variance_target,
-        k=None if k == "auto" else _parse_int("k", k),
-        k_min=config.k_min,
-        k_max=config.k_max,
-        seed=config.seed,
-        restarts=config.restarts,
-    )
+        k=None if config.k == "auto" else _parse_int("k", config.k),
+        **{f.name: getattr(config, f.name) for f in dataclasses.fields(reduction.ReductionConfig)
+           if f.name != "k"})
     result = reduction.reduce_vectors(vectors, schema, reduction_config)
 
     write_json(outputs.open("reduction.json"), result.to_dict())
@@ -442,75 +453,6 @@ def _read_stack_table(path: Path) -> list[report.StackMetricRecord]:
 # --- argument parsing ---------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, top_level: bool) -> None:
-    # registered on the top-level parser and again on every subparser with
-    # SUPPRESS defaults, so the flags work on either side of the subcommand
-    default = None if top_level else argparse.SUPPRESS
-    p.add_argument("--config", default=default, help="JSON run-configuration file")
-    p.add_argument("--seed", type=int, default=default, help="random seed (default 42)")
-    p.add_argument(
-        "--schema", default=default,
-        help="metric schema JSON (default: built-in 45-metric schema)",
-    )
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="wcr", description="Workload characterization and reduction toolkit")
-    _add_common(parser, top_level=True)
-    sub = parser.add_subparsers(dest="command", metavar="command", parser_class=_Parser)
-
-    p = sub.add_parser("ingest", help="counter/telemetry CSVs -> profile and vector JSON")
-    _add_common(p, top_level=False)
-    p.add_argument("counters", help="counter CSV (workload,node,event,count,wall_time_s)")
-    p.add_argument("--telemetry", help="telemetry CSV")
-    p.add_argument("--warmup", type=float, help="warm-up seconds to trim (default 30)")
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("reduce", help="profiles/vectors JSON -> clustering and representatives")
-    _add_common(p, top_level=False)
-    p.add_argument("input", help="profiles.json or vectors.json")
-    p.add_argument("--k", help="fixed cluster count, or 'auto'")
-    p.add_argument(
-        "--k-range", help="k_min,k_max for auto selection (default: 1 to half the workloads)"
-    )
-    p.add_argument("--variance-target", type=float, help="PCA variance retention (default 0.85)")
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("classify", help="behavior CSV -> labeled CSV")
-    _add_common(p, top_level=False)
-    p.add_argument("input", help="behavior CSV")
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("simulate", help="access trace -> miss-ratio curve")
-    _add_common(p, top_level=False)
-    p.add_argument("trace", help="trace file (.bin packed records, otherwise text)")
-    p.add_argument("--segments", help="JSON sidecar with segment boundaries and weights")
-    p.add_argument("--kinds", default="all", help="access kinds: ifetch, load, store, data, all")
-    p.add_argument("--sizes", help="comma-separated capacities in bytes (suffix K/M allowed)")
-    p.add_argument("--line", type=int, help="line size in bytes (default 64)")
-    p.add_argument("--assoc", help="associativity, or 'full'")
-    p.add_argument("--skip", type=int, default=0, help="skip the first N accesses")
-    p.add_argument("--workload", help="workload name used in the curve filename (default: "
-                   "curve.csv, or curve_<kind>.csv for an instruction or data curve)")
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("footprint", help="miss-ratio curve CSV -> footprint estimate")
-    _add_common(p, top_level=False)
-    p.add_argument("curve", help="curve CSV from simulate")
-    p.add_argument("--knee", type=float, help="knee miss-ratio threshold (default 0.01)")
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("report", help="vectors + labels (+ curves, stack table) -> report files")
-    _add_common(p, top_level=False)
-    p.add_argument("--vectors", help="vectors.json or profiles.json")
-    p.add_argument("--labels", help="labeled CSV from classify (may add suite/stack columns)")
-    p.add_argument("--stack-table", help="CSV algorithm,stack,metric,value")
-    p.add_argument("--curves", help="directory of curve CSVs")
-    p.add_argument("--metrics", help="comma-separated metric names to summarize (default: all)")
-    p.add_argument("--out", required=True)
-    return parser
-
-
 def _parse_int(name: str, token: str | int) -> int:
     try:
         return int(token)
@@ -518,62 +460,126 @@ def _parse_int(name: str, token: str | int) -> int:
         raise DataError(f"bad {name} {token!r}, expected an integer")
 
 
-def _finite(name: str, value: float) -> float:
-    if not math.isfinite(value):
-        raise DataError(f"bad {name} {value!r}, expected a finite number")
-    return value
+def _finite(flag: str) -> Callable[[str], float]:
+    def convert(token: str) -> float:
+        value = float(token)
+        if not math.isfinite(value):
+            raise DataError(f"bad {flag} {value!r}, expected a finite number")
+        return value
+    convert.__name__ = "float"  # argparse's message for a non-number names the type
+    return convert
 
 
 def _parse_size(token: str) -> int:
-    token = token.strip().upper()
-    factor = 1
-    if token.endswith("K"):
-        factor, token = 1024, token[:-1]
-    elif token.endswith("M"):
-        factor, token = 1024 * 1024, token[:-1]
+    given = token.strip()
+    factor = {"K": 1024, "M": 1024 * 1024}.get(given[-1:].upper(), 1)
     try:
-        return int(token) * factor
+        return int(given[:-1] if factor > 1 else given) * factor
     except ValueError:
-        raise DataError(f"bad size {token!r}")
+        raise DataError(f"bad size {given!r}")
+
+
+def _parse_k_range(token: str) -> tuple[str, int, int]:
+    try:
+        k_min, k_max = (int(v) for v in token.split(","))
+    except ValueError:
+        raise DataError(f"bad --k-range {token!r}, expected 'min,max'")
+    return "auto", k_min, k_max
+
+
+# every flag that sets a `RunConfig` field: the flag, the subcommands that take it
+# (() for all of them and the top level), the fields it sets, its converter, its help
+_FLAGS = (
+    ("--seed", (), ("seed",), int, f"random seed (default {RunConfig.seed})"),
+    ("--schema", (), ("schema_path",), lambda t: _check_schema_file("--schema", t),
+     "metric schema JSON (default: built-in 45-metric schema)"),
+    ("--warmup", ("ingest",), ("warmup_s",), _finite("--warmup"),
+     f"warm-up seconds to trim (default {RunConfig.warmup_s:g})"),
+    ("--k", ("reduce",), ("k",), lambda t: t if t == "auto" else _parse_int("--k", t),
+     f"fixed cluster count, or 'auto' (default {RunConfig.k})"),
+    ("--k-range", ("reduce",), ("k", "k_min", "k_max"), _parse_k_range,
+     f"k_min,k_max for auto selection (default: {RunConfig.k_min} to half the workloads)"),
+    ("--variance-target", ("reduce",), ("variance_target",), _finite("--variance-target"),
+     f"PCA variance retention (default {RunConfig.variance_target})"),
+    ("--sizes", ("simulate",), ("sizes",), lambda t: tuple(map(_parse_size, t.split(","))),
+     "comma-separated capacities in bytes (suffix K/M allowed)"),
+    ("--line", ("simulate",), ("line_bytes",), int,
+     f"line size in bytes (default {RunConfig.line_bytes})"),
+    ("--assoc", ("simulate",), ("associativity",),
+     lambda t: None if t == "full" else _parse_int("--assoc", t),
+     f"associativity, or 'full' (default {RunConfig.associativity})"),
+    ("--knee", ("footprint",), ("knee_ratio",), _finite("--knee"),
+     f"knee miss-ratio threshold (default {RunConfig.knee_ratio})"),
+)
+
+# subcommand -> (handler, help)
+_COMMANDS = {
+    "ingest": (_cmd_ingest, "counter/telemetry CSVs -> profile and vector JSON"),
+    "reduce": (_cmd_reduce, "profiles/vectors JSON -> clustering and representatives"),
+    "classify": (_cmd_classify, "behavior CSV -> labeled CSV"),
+    "simulate": (_cmd_simulate, "access trace -> miss-ratio curve"),
+    "footprint": (_cmd_footprint, "miss-ratio curve CSV -> footprint estimate"),
+    "report": (_cmd_report, "vectors + labels (+ curves, stack table) -> report files"),
+}
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="wcr", description="Workload characterization and reduction toolkit")
+    sub = parser.add_subparsers(dest="command", metavar="command", parser_class=_Parser)
+    commands = {name: sub.add_parser(name, help=help) for name, (_, help) in _COMMANDS.items()}
+
+    p = commands["ingest"]
+    p.add_argument("counters", help="counter CSV (workload,node,event,count,wall_time_s)")
+    p.add_argument("--telemetry", help="telemetry CSV")
+
+    commands["reduce"].add_argument("input", help="profiles.json or vectors.json")
+    commands["classify"].add_argument("input", help="behavior CSV")
+
+    p = commands["simulate"]
+    p.add_argument("trace", help="trace file (.bin packed records, otherwise text)")
+    p.add_argument("--segments", help="JSON sidecar with segment boundaries and weights")
+    p.add_argument("--kinds", default="all", help="access kinds: ifetch, load, store, data, all")
+    p.add_argument("--skip", type=int, default=0, help="skip the first N accesses")
+    p.add_argument("--workload", help="workload name used in the curve filename (default: "
+                   "curve.csv, or curve_<kind>.csv for an instruction or data curve)")
+
+    commands["footprint"].add_argument("curve", help="curve CSV from simulate")
+
+    p = commands["report"]
+    p.add_argument("--vectors", help="vectors.json or profiles.json")
+    p.add_argument("--labels", help="labeled CSV from classify (may add suite/stack columns)")
+    p.add_argument("--stack-table", help="CSV algorithm,stack,metric,value")
+    p.add_argument("--curves", help="directory of curve CSVs")
+    p.add_argument("--metrics", help="comma-separated metric names to summarize (default: all)")
+
+    # every subparser takes --config, its command's settings flags and --out; the
+    # common flags go on the top-level parser too, so they work on either side of
+    # the subcommand. Under a SUPPRESS default a flag not given sets nothing, and
+    # one given after the subcommand wins.
+    k_flags = commands["reduce"].add_mutually_exclusive_group()  # --k-range sets k too
+    for name, p in [("", parser), *commands.items()]:
+        p.add_argument("--config", default=None if p is parser else argparse.SUPPRESS,
+                       help="JSON run-configuration file")
+        for flag, takers, fields, convert, text in _FLAGS:
+            if name in takers or not takers:
+                (k_flags if "k" in fields else p).add_argument(
+                    flag, type=convert, default=argparse.SUPPRESS, help=text)
+    for p in commands.values():
+        p.add_argument("--out", required=True, help="output directory")
+    return parser
 
 
 def _apply_overrides(args: argparse.Namespace, config: RunConfig) -> RunConfig:
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.schema is not None:
-        _check_schema_file("--schema", args.schema)
-        config.schema_path = args.schema
-    if getattr(args, "warmup", None) is not None:
-        config.warmup_s = _finite("--warmup", args.warmup)
-    if getattr(args, "variance_target", None) is not None:
-        config.variance_target = _finite("--variance-target", args.variance_target)
-    if getattr(args, "k", None) is not None:
-        config.k = args.k if args.k == "auto" else _parse_int("--k", args.k)
-    if getattr(args, "k_range", None) is not None:
-        try:
-            k_min, k_max = (int(v) for v in args.k_range.split(","))
-        except ValueError:
-            raise DataError(f"bad --k-range {args.k_range!r}, expected 'min,max'")
-        config.k, config.k_min, config.k_max = "auto", k_min, k_max
-    if getattr(args, "sizes", None) is not None:
-        config.sizes = tuple(_parse_size(t) for t in args.sizes.split(","))
-    if getattr(args, "line", None) is not None:
-        config.line_bytes = args.line
-    if getattr(args, "assoc", None) is not None:
-        config.associativity = None if args.assoc == "full" else _parse_int("--assoc", args.assoc)
-    if getattr(args, "knee", None) is not None:
-        config.knee_ratio = _finite("--knee", args.knee)
+    """Set the fields of every settings flag given; its converter has checked the value."""
+    given = vars(args)
+    for flag, _, fields, _, _ in _FLAGS:
+        dest = flag[2:].replace("-", "_")
+        if dest in given:
+            # --k-range sets three fields, and converts to a value for each
+            values = given[dest] if len(fields) > 1 else (given[dest],)
+            for field, value in zip(fields, values):
+                setattr(config, field, value)
     return config
-
-
-_HANDLERS = {
-    "ingest": _cmd_ingest,
-    "reduce": _cmd_reduce,
-    "classify": _cmd_classify,
-    "simulate": _cmd_simulate,
-    "footprint": _cmd_footprint,
-    "report": _cmd_report,
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -591,7 +597,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = RunConfig.load(args.config) if args.config else RunConfig()
         config = _apply_overrides(args, config)
         outputs = _Outputs()
-        inputs, lines = _HANDLERS[args.command](args, config, outputs)
+        inputs, lines = _COMMANDS[args.command][0](args, config, outputs)
         _publish(Path(args.out), args.command, config, inputs, outputs)
         for line in lines:
             print(line)

@@ -35,8 +35,6 @@ TELEMETRY_CSV_HEADER = (
     "workload", "t_s", "cpu_util", "io_wait", "weighted_io_time_ms", "disk_bw", "net_bw",
 )
 
-DEFAULT_WARMUP_S = 30.0
-
 # Vendor/profiler spellings accepted for canonical counter names.
 COUNTER_ALIASES: dict[str, str] = {
     "instructions": "instructions_retired",
@@ -160,7 +158,7 @@ def parse_telemetry_csv(stream: TextIO | str) -> dict[str, SystemTelemetry]:
     return result
 
 
-def trim_ramp_up(telemetry: SystemTelemetry, warmup_s: float = DEFAULT_WARMUP_S) -> SystemTelemetry:
+def trim_ramp_up(telemetry: SystemTelemetry, warmup_s: float) -> SystemTelemetry:
     """Drop samples taken before `warmup_s`, keeping only steady state."""
     if warmup_s < 0:
         raise DataError(f"warmup_s {warmup_s} is negative")

@@ -357,12 +357,6 @@ class MetricSchema(Codec):
     def names(self) -> tuple[str, ...]:
         return tuple(m.name for m in self.metrics)
 
-    def index_of(self, name: str) -> int:
-        for i, m in enumerate(self.metrics):
-            if m.name == name:
-                return i
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class RawProfile(Codec):

@@ -160,7 +160,7 @@ def normalize_zscore(vectors: Sequence[MetricVector], schema: MetricSchema) -> N
 # --- PCA ---------------------------------------------------------------------
 
 
-def fit_pca(nm: NormalizedMatrix | np.ndarray, variance_target: float = 0.85) -> PcaModel:
+def fit_pca(nm: NormalizedMatrix | np.ndarray, variance_target: float) -> PcaModel:
     """Eigendecompose the sample covariance and keep the leading components.
 
     Retains the smallest number of components whose cumulative explained
@@ -489,7 +489,7 @@ def choose_k(
     k_min: int,
     k_max: int,
     seed: int,
-    restarts: int = 8,
+    restarts: int,
     ids: Sequence[str] | None = None,
 ) -> Clustering:
     """Return the clustering in [k_min, k_max] that maximizes the BIC.

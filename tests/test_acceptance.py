@@ -169,10 +169,10 @@ def test_criterion_4_classification_fixtures():
 def test_criterion_5_derived_metric_fixtures():
     schema = default_schema()
     vector = derive_microarch_metrics(make_profile(), schema)
-    ipc = vector.values[schema.index_of("ipc")]
-    l1i_mpki = vector.values[schema.index_of("l1i_mpki")]
+    ipc = vector.values[schema.names.index("ipc")]
+    l1i_mpki = vector.values[schema.names.index("l1i_mpki")]
     mix_sum = sum(
-        vector.values[schema.index_of(name)]
+        vector.values[schema.names.index(name)]
         for name in ("branch_ratio", "integer_ratio", "fp_ratio",
                      "load_ratio", "store_ratio", "other_ratio")
     )

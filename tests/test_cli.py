@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import FIXTURE_COUNTERS, planted_metric_vectors, write_binary_trace
 from wcr.cachesim import AccessTrace, TraceSegment
-from wcr.cli import main
+from wcr.cli import RunConfig, main
 from wcr.model import default_schema
 
 COUNTER_HEADER = "workload,node,event,count,wall_time_s\n"
@@ -252,6 +252,16 @@ class TestReduce:
         assert "bad --k-range '5'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--k", "5", "--k-range", "1,3"],
+                                       ["--k-range", "1,3", "--k", "5"]])
+    def test_k_with_k_range_is_usage_error(self, workdir, capsys, flags):
+        # --k-range sets k to auto, so a --k given with it was once dropped without a word
+        out = workdir / "o"
+        assert run("reduce", workdir / "counters.csv", *flags, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert f"argument {flags[2]}: not allowed with argument {flags[0]}" in err
+        assert not out.exists()
+
     def test_vector_of_another_schema_version_exit_2(self, workdir, capsys):
         assert run("ingest", workdir / "counters.csv", "--out", workdir / "ingest") == 0
         payload = json.loads((workdir / "ingest" / "vectors.json").read_text())
@@ -419,6 +429,8 @@ class TestSimulateFootprint:
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--sizes", "16K,12Q", "bad size '12Q'"),
+        # the token as typed, not as left after its suffix was stripped
+        ("--sizes", "1.5K", "bad size '1.5K'"),
         ("--kinds", "bogus", "unknown access kind 'bogus'"),
     ])
     def test_bad_sizes_or_kinds_exit_2(self, workdir, capsys, flag, value, message):
@@ -807,6 +819,82 @@ class TestCliContract:
         manifest_a = json.loads((out_a / "manifest.json").read_text())
         manifest_b = json.loads((out_b / "manifest.json").read_text())
         assert manifest_a["outputs"] == manifest_b["outputs"]
+
+
+
+class TestSettingsFlags:
+    """Each settings flag sets its own fields of the manifest's `config` and no other."""
+
+    DEFAULTS = json.loads(json.dumps(RunConfig().to_dict()))
+    # a command that takes the flag, with the inputs it reads
+    COMMANDS = {
+        "ingest": ["ingest", "{dir}/counters.csv"],
+        "reduce": ["reduce", "{dir}/ingest/vectors.json"],
+        "simulate": ["simulate", "{dir}/trace.txt"],
+        "footprint": ["footprint", "{dir}/sim/curve.csv"],
+    }
+
+    @pytest.fixture
+    def inputs(self, workdir):
+        assert run("ingest", workdir / "counters.csv", "--out", workdir / "ingest") == 0
+        assert run("simulate", workdir / "trace.txt", "--out", workdir / "sim") == 0
+        (workdir / "s.json").write_text(json.dumps(default_schema().to_dict()))
+        (workdir / "config.json").write_text(json.dumps({"warmup_s": 5.0, "restarts": 3}))
+        return workdir
+
+    def config_of(self, workdir, *argv) -> dict:
+        out = workdir / "o"
+        assert run(*[str(a).format(dir=workdir) for a in argv], "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seed"] == manifest["config"]["seed"]
+        return manifest["config"]
+
+    @pytest.mark.parametrize("command, flag, fields", [
+        ("ingest", ["--warmup", "10"], {"warmup_s": 10.0}),
+        ("reduce", ["--variance-target", "0.5"], {"variance_target": 0.5}),
+        ("reduce", ["--k", "2"], {"k": 2}),
+        ("reduce", ["--k", "auto"], {"k": "auto"}),
+        ("reduce", ["--k-range", "2,2"], {"k": "auto", "k_min": 2, "k_max": 2}),
+        ("simulate", ["--sizes", "16K,32K"], {"sizes": [16384, 32768]}),
+        ("simulate", ["--line", "128"], {"line_bytes": 128}),
+        ("simulate", ["--assoc", "4"], {"associativity": 4}),
+        ("simulate", ["--assoc", "full"], {"associativity": None}),
+        ("footprint", ["--knee", "0.5"], {"knee_ratio": 0.5}),
+    ])
+    def test_flag_sets_only_its_fields(self, inputs, command, flag, fields):
+        assert self.config_of(inputs, *self.COMMANDS[command], *flag) == {
+            **self.DEFAULTS, **fields}
+
+    @pytest.mark.parametrize("flag, fields", [
+        (["--seed", "7"], {"seed": 7}),
+        (["--schema", "{dir}/s.json"], {"schema_path": "{dir}/s.json"}),
+        (["--config", "{dir}/config.json"], {"warmup_s": 5.0, "restarts": 3}),
+    ])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_common_flag_works_on_either_side_of_the_subcommand(self, inputs, command, flag,
+                                                                fields):
+        expected = {**self.DEFAULTS, **{k: v.format(dir=inputs) if isinstance(v, str) else v
+                                        for k, v in fields.items()}}
+        argv = self.COMMANDS[command]
+        assert self.config_of(inputs, *flag, *argv) == expected
+        assert self.config_of(inputs, *argv, *flag) == expected
+
+    @pytest.mark.parametrize("command, texts", [
+        ("ingest", ["random seed (default 42)", "warm-up seconds to trim (default 30)"]),
+        ("reduce", ["(default auto)", "(default: 1 to half the workloads)",
+                    "PCA variance retention (default 0.85)"]),
+        ("simulate", ["line size in bytes (default 64)", "or 'full' (default 8)"]),
+        ("footprint", ["knee miss-ratio threshold (default 0.01)"]),
+    ])
+    def test_help_shows_the_defaults(self, capsys, command, texts):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        shown = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
+        assert [t for t in texts if t not in shown] == []
+
+    def test_defaults_reach_the_manifest(self, inputs):
+        for argv in self.COMMANDS.values():
+            assert self.config_of(inputs, *argv) == self.DEFAULTS
 
 
 def _tree(root: Path) -> dict[str, bytes]:

@@ -104,7 +104,7 @@ def _telemetry(times, cpu=0.5, iow=0.1, wio=None):
 
 class TestTrimRampUp:
     def test_default_warmup_drops_first_30s(self):
-        trimmed = trim_ramp_up(_telemetry(range(0, 70, 10)))
+        trimmed = trim_ramp_up(_telemetry(range(0, 70, 10)), 30.0)
         assert [s.t_s for s in trimmed.samples] == [30, 40, 50, 60]
         assert trimmed.workload_id == "w"
 
@@ -168,17 +168,17 @@ class TestAggregateTelemetry:
 class TestDeriveMetrics:
     def test_ipc_fixture(self):
         vector = derive_microarch_metrics(make_profile(), default_schema())
-        assert vector.values[default_schema().index_of("ipc")] == 1.28
+        assert vector.values[default_schema().names.index("ipc")] == 1.28
 
     def test_l1i_mpki_fixture(self):
         vector = derive_microarch_metrics(make_profile(), default_schema())
-        assert vector.values[default_schema().index_of("l1i_mpki")] == 15.0
+        assert vector.values[default_schema().names.index("l1i_mpki")] == 15.0
 
     def test_mix_ratios_sum_to_one(self):
         schema = default_schema()
         vector = derive_microarch_metrics(make_profile(), schema)
         mix = sum(
-            vector.values[schema.index_of(name)]
+            vector.values[schema.names.index(name)]
             for name in ("branch_ratio", "integer_ratio", "fp_ratio",
                          "load_ratio", "store_ratio", "other_ratio")
         )

@@ -116,14 +116,14 @@ class TestMetricVector:
     def test_ratio_out_of_bounds_rejected(self):
         schema = default_schema()
         values = [0.5] * len(schema)
-        values[schema.index_of("branch_ratio")] = 1.5
+        values[schema.names.index("branch_ratio")] = 1.5
         with pytest.raises(DataError, match="branch_ratio"):
             MetricVector.from_values("w", values, schema)
 
     def test_non_finite_rejected(self):
         schema = default_schema()
         values = [0.5] * len(schema)
-        values[schema.index_of("l1i_mpki")] = float("nan")
+        values[schema.names.index("l1i_mpki")] = float("nan")
         with pytest.raises(DataError):
             MetricVector.from_values("w", values, schema)
 

@@ -1,8 +1,9 @@
 """The package holds only what its commands reach, and one function writes files.
 
-Every module-level function or class in `src/wcr` must be referenced by
-other package code or be exported in `wcr.__all__`. Code that only tests
-call belongs in `tests/helpers.py`, not in the package.
+Every module-level function or class in `src/wcr`, and every method or
+property of its classes that is not a dunder or an override, must be
+referenced by other package code or be exported in `wcr.__all__`. Code that
+only tests call belongs in `tests/helpers.py`, not in the package.
 
 Only `cli._publish` may create a directory or write a file: every other
 writer fills a text stream, so a run that fails leaves `--out` untouched.
@@ -12,11 +13,13 @@ so the package has no import cycle through its base layer.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import wcr
 
 PACKAGE = Path(wcr.__file__).parent
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 # name -> why it stays although no package code references it
 ALLOWED_UNREFERENCED = {
@@ -26,29 +29,51 @@ ALLOWED_UNREFERENCED = {
 
 
 def _definitions_and_references():
+    """The package's definitions by qualified name: module-level ones, and the
+    methods of its classes but for dunders and overrides; and each name the
+    package mentions, with the definitions it is mentioned inside."""
     definitions: dict[str, ast.AST] = {}
-    references: list[tuple[ast.AST, str]] = []  # (top-level statement, name it mentions)
+    references: list[tuple[tuple[ast.AST, ...], str]] = []
+
+    def visit(node: ast.AST, enclosing: tuple[ast.AST, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name):
+                references.append((enclosing, child.id))
+            elif isinstance(child, ast.Attribute):
+                references.append((enclosing, child.attr))
+            is_definition = isinstance(child, DEFINITIONS)
+            visit(child, (*enclosing, child) if is_definition else enclosing)
+
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for top in tree.body:
-            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(top, DEFINITIONS):
                 definitions[f"{path.stem}.{top.name}"] = top
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    references.append((top, node.id))
-                elif isinstance(node, ast.Attribute):
-                    references.append((top, node.attr))
+            if isinstance(top, ast.ClassDef):
+                for member in top.body:
+                    if isinstance(member, DEFINITIONS) and not _dunder_or_override(
+                            path.stem, top.name, member.name):
+                        definitions[f"{path.stem}.{top.name}.{member.name}"] = member
+        visit(tree, ())
     return definitions, references
+
+
+def _dunder_or_override(module: str, cls: str, name: str) -> bool:
+    """Whether a method is called by Python or by a base class (`_Parser.error`)."""
+    if name.startswith("__") and name.endswith("__"):
+        return True
+    owner = getattr(importlib.import_module(f"wcr.{module}"), cls)
+    return any(name in vars(base) for base in owner.__mro__[1:])
 
 
 def unreferenced_definitions() -> list[str]:
     definitions, references = _definitions_and_references()
     found = []
     for qualified, node in definitions.items():
-        name = qualified.split(".", 1)[1]
+        name = qualified.rsplit(".", 1)[1]
         # a definition's mentions of itself (recursion, a classmethod's
         # return annotation) do not count
-        used = any(ref == name and top is not node for top, ref in references)
+        used = any(ref == name and node not in enclosing for enclosing, ref in references)
         if not used and name not in wcr.__all__:
             found.append(qualified)
     return sorted(found)
@@ -63,6 +88,13 @@ def test_every_definition_is_reached_or_exported():
     )
     # an exception that package code now reaches no longer needs its entry
     assert sorted(set(ALLOWED_UNREFERENCED) - set(found)) == []
+
+
+def test_scan_sees_methods_but_not_dunders_or_overrides():
+    definitions, _ = _definitions_and_references()
+    assert {"model.Codec.to_dict", "cachesim.CacheConfig.set_count"} <= set(definitions)
+    # argparse calls `error`; Python calls `__post_init__`
+    assert not {"cli._Parser.error", "model.MetricSchema.__post_init__"} & set(definitions)
 
 
 # method calls that create a directory or write a file

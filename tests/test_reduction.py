@@ -347,15 +347,15 @@ class TestChooseK:
         points = np.vstack([
             center + rng.normal(0, 1.0, size=(20, 2)) for center in centers
         ])
-        assert choose_k(points, 1, 6, seed=0).k == 3
+        assert choose_k(points, 1, 6, seed=0, restarts=8).k == 3
 
     def test_identical_points_pick_one(self):
         points = np.ones((10, 2))
-        assert choose_k(points, 1, 4, seed=0).k == 1
+        assert choose_k(points, 1, 4, seed=0, restarts=8).k == 1
 
     def test_distinct_points_pick_n(self):
         points = np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0], [100.0, 100.0]])
-        assert choose_k(points, 1, 4, seed=0).k == 4
+        assert choose_k(points, 1, 4, seed=0, restarts=8).k == 4
         # direct evaluation: only k=4 reaches zero pooled variance
         scores = [
             bic_score(points, kmeans_best_of(points, k, seed=0, restarts=8))
@@ -366,9 +366,9 @@ class TestChooseK:
 
     def test_bad_range_rejected(self):
         with pytest.raises(DataError):
-            choose_k(np.zeros((3, 2)), 0, 2, seed=0)
+            choose_k(np.zeros((3, 2)), 0, 2, seed=0, restarts=8)
         with pytest.raises(DataError):
-            choose_k(np.zeros((3, 2)), 2, 5, seed=0)
+            choose_k(np.zeros((3, 2)), 2, 5, seed=0, restarts=8)
 
 
 class TestSelectRepresentatives:
