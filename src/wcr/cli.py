@@ -89,11 +89,11 @@ class RunConfig(Codec):
     def load(cls, path: str | Path) -> "RunConfig":
         config = cls.from_dict(read_json(path))
         if config.schema_path is not None:
-            _check_schema_file("schema_path", config.schema_path)
+            _check_file("schema_path", config.schema_path)
         return config
 
 
-def _check_schema_file(name: str, path: str) -> str:
+def _check_file(name: str, path: str) -> str:
     # Path("").exists() is true: it names the working directory
     if not Path(path).is_file():
         raise DataError(f"{name} {path!r} is not a file")
@@ -491,7 +491,7 @@ def _parse_k_range(token: str) -> tuple[str, int, int]:
 # (() for all of them and the top level), the fields it sets, its converter, its help
 _FLAGS = (
     ("--seed", (), ("seed",), int, f"random seed (default {RunConfig.seed})"),
-    ("--schema", (), ("schema_path",), lambda t: _check_schema_file("--schema", t),
+    ("--schema", (), ("schema_path",), lambda t: _check_file("--schema", t),
      "metric schema JSON (default: built-in 45-metric schema)"),
     ("--warmup", ("ingest",), ("warmup_s",), _finite("--warmup"),
      f"warm-up seconds to trim (default {RunConfig.warmup_s:g})"),
@@ -558,7 +558,8 @@ def _build_parser() -> _Parser:
     # one given after the subcommand wins.
     k_flags = commands["reduce"].add_mutually_exclusive_group()  # --k-range sets k too
     for name, p in [("", parser), *commands.items()]:
-        p.add_argument("--config", default=None if p is parser else argparse.SUPPRESS,
+        p.add_argument("--config", type=lambda t: _check_file("--config", t),
+                       default=None if p is parser else argparse.SUPPRESS,
                        help="JSON run-configuration file")
         for flag, takers, fields, convert, text in _FLAGS:
             if name in takers or not takers:
@@ -594,7 +595,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             print("wcr: a subcommand is required", file=sys.stderr)
             return EXIT_USAGE
-        config = RunConfig.load(args.config) if args.config else RunConfig()
+        config = RunConfig() if args.config is None else RunConfig.load(args.config)
         config = _apply_overrides(args, config)
         outputs = _Outputs()
         inputs, lines = _COMMANDS[args.command][0](args, config, outputs)

@@ -253,6 +253,16 @@ def kmeans(
     final members, so equal partitions give bit-equal inertia. Each is
     computed once: the polish starts from Lloyd's final centroids, and when
     it moves nothing they and the last Lloyd inertia are kept as they are.
+
+    The n x k squared distances are likewise computed once and kept: the
+    first Lloyd step takes them from the seeding, which has computed each
+    point's distance to every drawn point, and after each update only the
+    columns whose centroid changed in bytes are recomputed. The polish
+    takes Lloyd's final matrix and recomputes only the columns of the
+    centroids it moves. Each element is `((x - c) ** 2).sum()` over one
+    point and one centroid, whichever call computes it, and (x - c)**2 ==
+    (c - x)**2 exactly, so every comparison sees the bytes a full recompute
+    would give.
     """
     # C order: the sums below then run over rows in index order whatever
     # the caller's memory layout
@@ -276,15 +286,17 @@ def kmeans(
             raise DataError("ids must be unique")
 
     rng = np.random.default_rng(seed)
-    centroids = points[_plus_plus_init(points, k, rng)].copy()
+    chosen, distances = _plus_plus_init(points, k, rng)
+    centroids = points[chosen]
+    basis = centroids.copy()  # the centroids `distances` was computed for
 
     labels = np.zeros(n, dtype=int)
     history: list[float] = []
     iterations = 0
     for _ in range(_MAX_ITER):
         iterations += 1
-        distances = _sq_distances(points, centroids)
         labels = np.argmin(distances, axis=1)
+        # may move centroids in place, which `basis` does not see
         labels = _fill_empty_clusters(points, centroids, labels, k)
 
         new_centroids = _cluster_means(points, labels, k)
@@ -292,10 +304,14 @@ def kmeans(
             if centroids.size else 0.0
         centroids = new_centroids
         history.append(float(((points - centroids[labels]) ** 2).sum()))
+        _refresh_columns(distances, points, centroids, basis)
+        basis = centroids.copy()
         if movement < _TOL:
             break
 
-    polished, centroids = _relocation_polish(points, labels, centroids, k, max_sweeps=_MAX_ITER)
+    polished, centroids = _relocation_polish(
+        points, labels, centroids, distances, k, max_sweeps=_MAX_ITER
+    )
     if history and np.array_equal(polished, labels):
         inertia = history[-1]  # same members, same centroids
     else:
@@ -305,12 +321,12 @@ def kmeans(
             history.append(inertia)
     return Clustering(
         k=k,
-        assignments={ids[i]: int(labels[i]) for i in range(n)},
+        assignments=dict(zip(ids, labels.tolist())),
         centroids=centroids,
         inertia=inertia,
         iterations=iterations,
         seed=seed,
-        labels=tuple(int(v) for v in labels),
+        labels=tuple(labels.tolist()),
         inertia_history=tuple(history),
     )
 
@@ -318,47 +334,71 @@ def kmeans(
 def _cluster_means(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """Row j is the mean of the points labelled j.
 
-    The bytes equal `points[labels == j].mean(axis=0)`: a stable sort keeps
-    each cluster's rows in index order, and `ndarray.mean` is this sum over
-    axis 0 divided by the count. (`np.add.reduceat` sums in another order.)
+    The bytes equal `points[labels == j].mean(axis=0)`. `ndarray.mean` is
+    `np.add.reduce` over axis 0 divided by the count, and for rows of two or
+    more columns that reduce starts at +0.0 and adds the rows in index
+    order, as `np.add.at` into a +0.0-filled array does, in one call. (A
+    -0.0 fill would keep a lone -0.0 coordinate where the reduce gives
+    +0.0.) One column is the exception: there the reduce is numpy's
+    pairwise 1-D sum, so a stable sort groups each cluster's rows in index
+    order and each cluster is reduced on its own. (`np.add.reduceat` sums
+    in another order.)
     """
+    counts = np.bincount(labels, minlength=k)
+    if points.shape[1] != 1:
+        sums = np.zeros((k, points.shape[1]))
+        np.add.at(sums, labels, points)
+        return sums / counts[:, None]
     grouped = points[np.argsort(labels, kind="stable")]
-    means = np.empty((k, points.shape[1]))
+    means = np.empty((k, 1))
     start = 0
-    for j, end in enumerate(np.cumsum(np.bincount(labels, minlength=k)).tolist()):
+    for j, end in enumerate(np.cumsum(counts).tolist()):
         means[j] = np.add.reduce(grouped[start:end], axis=0) / (end - start)
         start = end
     return means
 
 
 def _relocation_polish(
-    points: np.ndarray, labels: np.ndarray, centroids: np.ndarray, k: int, max_sweeps: int
+    points: np.ndarray,
+    labels: np.ndarray,
+    centroids: np.ndarray,
+    distances: np.ndarray,
+    k: int,
+    max_sweeps: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply strictly inertia-decreasing single-point moves.
 
-    `centroids` must be the means of the clusters `labels` gives. Returns
-    the new labels and the means of their clusters. See `kmeans` for the
-    move criterion, visiting order and tie-break.
+    `centroids` must be the means of the clusters `labels` gives, and
+    `distances` the n x k squared distances to them as `_sq_distances`
+    computes them; neither is modified. Returns the new labels and the
+    means of their clusters. See `kmeans` for the move criterion, visiting
+    order and tie-break.
 
     Between two moves the centroids and counts do not change, so a sweep
     screens all the points not yet visited at once, with the same
     arithmetic a point-by-point test would do, and jumps to the first
     point that moves. The two centroids a move touches are updated in
-    place; every later sweep starts from centroids recomputed exactly from
-    the members, so rounding drift cannot build up across sweeps. A point
-    never leaves a cluster of size 1.
+    place, and only their two distance columns are recomputed. Every later
+    sweep starts from centroids recomputed exactly from the members, so
+    rounding drift cannot build up across sweeps, and recomputes the
+    columns of those that changed in bytes. So each screen sees the
+    distances a full recompute would give. A point never leaves a cluster
+    of size 1.
     """
     labels = labels.copy()
     centroids = centroids.copy()
+    distances = distances.copy()
     n = points.shape[0]
     for sweep in range(max_sweeps):
         if sweep:
-            centroids = _cluster_means(points, labels, k)
+            means = _cluster_means(points, labels, k)
+            _refresh_columns(distances, points, means, centroids)
+            centroids = means
         counts = np.bincount(labels, minlength=k).astype(float)
         moved = False
         start = 0
         while start < n:
-            d2 = ((points[start:, None, :] - centroids[None]) ** 2).sum(axis=2)
+            d2 = distances[start:]
             rows = np.arange(n - start)
             own = labels[start:]
             add_cost = counts / (counts + 1.0) * d2
@@ -375,6 +415,8 @@ def _relocation_polish(
             a, b, x = labels[i], int(best[moves[0]]), points[i]
             centroids[a] = (counts[a] * centroids[a] - x) / (counts[a] - 1.0)
             centroids[b] = (counts[b] * centroids[b] + x) / (counts[b] + 1.0)
+            distances[:, a] = ((points - centroids[a]) ** 2).sum(axis=1)
+            distances[:, b] = ((points - centroids[b]) ** 2).sum(axis=1)
             counts[a] -= 1.0
             counts[b] += 1.0
             labels[i] = b
@@ -385,11 +427,16 @@ def _relocation_polish(
     return labels, _cluster_means(points, labels, k)
 
 
-def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> list[int]:
+def _plus_plus_init(
+    points: np.ndarray, k: int, rng: np.random.Generator
+) -> tuple[list[int], np.ndarray]:
+    """k-means++ seeding: the k drawn point indices, and the n x k squared
+    distances whose column j is `((points - points[chosen[j]]) ** 2).sum(axis=1)`."""
     n = points.shape[0]
+    distances = np.empty((n, k))
     chosen = [int(rng.integers(n))]
-    dists = ((points - points[chosen[0]]) ** 2).sum(axis=1)
-    for _ in range(1, k):
+    dists = distances[:, 0] = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    for j in range(1, k):
         total = float(dists.sum())
         if total > 0:
             # the draw of `rng.choice(n, p=dists / total)`, without its input checks
@@ -399,8 +446,24 @@ def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> lis
         else:
             idx = int(rng.integers(n))  # all remaining mass at existing centers
         chosen.append(idx)
-        dists = np.minimum(dists, ((points - points[idx]) ** 2).sum(axis=1))
-    return chosen
+        row = distances[:, j] = ((points - points[idx]) ** 2).sum(axis=1)
+        dists = np.minimum(dists, row)
+    return chosen, distances
+
+
+def _refresh_columns(
+    distances: np.ndarray, points: np.ndarray, centroids: np.ndarray, old: np.ndarray
+) -> None:
+    """Make `distances`, computed for the centroids `old`, match `centroids`.
+
+    Only the columns whose centroid row differs from `old`'s in bytes are
+    recomputed, in one `_sq_distances` call: each element of its result
+    depends only on its own point and centroid, so a subset of the
+    centroids gives the bytes of the full matrix's columns.
+    """
+    changed = (centroids.view(np.int64) != old.view(np.int64)).any(axis=1)
+    if changed.any():
+        distances[:, changed] = _sq_distances(points, centroids[changed])
 
 
 def _sq_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:

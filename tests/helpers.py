@@ -29,6 +29,7 @@ from wcr.model import (
     default_schema,
     write_json,
 )
+from wcr.reduction import Clustering
 
 # Counter totals for one plausible five-node run. Instruction and cycle
 # totals are chosen so the headline derivations come out to round numbers
@@ -235,6 +236,66 @@ def reference_relocation_polish(
         if not moved:
             break
     return labels
+
+
+def reference_kmeans(points: np.ndarray, k: int, seed: int, ids=None) -> Clustering:
+    """`wcr.reduction.kmeans` computed the plain way; the byte-for-byte reference.
+
+    Seeding, Lloyd, empty-cluster re-seeding, stopping rule, polish and
+    history follow what `kmeans` documents, with nothing reused: every Lloyd
+    step computes the full n x k x d distance array, each centroid is the
+    masked `mean(axis=0)` of its members, and the polish is the
+    point-by-point `reference_relocation_polish`. Takes valid arguments only.
+    """
+    points = np.ascontiguousarray(points, dtype=float)
+    n = points.shape[0]
+    ids = tuple(str(i) for i in range(n)) if ids is None else tuple(ids)
+
+    def means(labels):
+        return np.array([points[labels == j].mean(axis=0) for j in range(k)])
+
+    rng = np.random.default_rng(seed)
+    centroids = points[reference_plus_plus_init(points, k, rng)]
+    history = []
+    iterations = 0
+    for _ in range(300):
+        iterations += 1
+        labels = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+        counts = np.bincount(labels, minlength=k)
+        for empty in np.flatnonzero(counts == 0).tolist():
+            # the farthest point from its own centroid, among clusters of two or more
+            dist_to_own = ((points - centroids[labels]) ** 2).sum(axis=1)
+            donor = int(np.argmax(np.where(counts[labels] >= 2, dist_to_own, -np.inf)))
+            counts[labels[donor]] -= 1
+            counts[empty] += 1
+            labels[donor] = empty
+            centroids[empty] = points[donor]
+        new = means(labels)
+        movement = float(np.sqrt(((new - centroids) ** 2).sum(axis=1)).max()) \
+            if centroids.size else 0.0
+        centroids = new
+        history.append(float(((points - centroids[labels]) ** 2).sum()))
+        if movement < 1e-6:
+            break
+
+    polished = reference_relocation_polish(points, labels, k, max_sweeps=300)
+    if np.array_equal(polished, labels):
+        inertia = history[-1]
+    else:
+        labels, centroids = polished, means(polished)
+        inertia = float(((points - centroids[labels]) ** 2).sum())
+        if inertia < history[-1]:
+            history.append(inertia)
+    return Clustering(
+        k=k,
+        assignments={ids[i]: int(labels[i]) for i in range(n)},
+        centroids=centroids,
+        inertia=inertia,
+        iterations=iterations,
+        seed=seed,
+        labels=tuple(int(v) for v in labels),
+        inertia_history=tuple(history),
+    )
 
 
 def reference_plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> list[int]:

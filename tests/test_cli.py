@@ -643,6 +643,19 @@ class TestCliContract:
         assert run("--config", config_path, "classify",
                    workdir / "behavior.csv", "--out", workdir / "o") == 2
 
+    @pytest.mark.parametrize("config", ["", "{dir}"])
+    def test_config_that_is_not_a_file_exit_2(self, workdir, capsys, config):
+        # `--config ''` once ran on the built-in defaults (exit 0), and a
+        # directory ended in `Is a directory` (exit 3)
+        config = config.format(dir=workdir)
+        out = workdir / "o"
+        behavior = workdir / "behavior.csv"
+        for argv in (["--config", config, "classify", behavior],
+                     ["classify", behavior, "--config", config]):
+            assert run(*argv, "--out", out) == 2
+            assert f"--config {config!r} is not a file" in capsys.readouterr().err
+            assert not out.exists()
+
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_non_json_constant_in_config_exit_2(self, workdir, capsys, constant):
         # the value would reach the manifest, which JSON cannot hold

@@ -15,6 +15,7 @@ from helpers import (
     partition_of,
     plant_clusters,
     planted_metric_vectors,
+    reference_kmeans,
     reference_plus_plus_init,
     reference_relocation_polish,
 )
@@ -35,7 +36,7 @@ from wcr.reduction import (
     reduce_vectors,
     select_representatives,
 )
-from wcr.reduction import _cluster_means, _plus_plus_init, _relocation_polish
+from wcr.reduction import _cluster_means, _plus_plus_init, _relocation_polish, _sq_distances
 
 
 def _vectors(matrix, schema):
@@ -305,8 +306,10 @@ class TestKmeans:
         for points, k, labels in self._labelled_instances():
             for max_sweeps in (1, 2, 300):
                 expected = reference_relocation_polish(points, labels, k, max_sweeps)
+                start = _cluster_means(points, labels, k)
+                distances = _sq_distances(points, start)
                 got, centroids = _relocation_polish(
-                    points, labels, _cluster_means(points, labels, k), k, max_sweeps
+                    points, labels, start, distances, k, max_sweeps
                 )
                 assert np.array_equal(got, expected)
                 assert centroids.tobytes() == _cluster_means(points, got, k).tobytes()
@@ -314,7 +317,15 @@ class TestKmeans:
         assert moved > 100  # the instances exercise the moving path
 
     def test_cluster_means_match_masked_mean_bytes(self):
-        for points, k, labels in self._labelled_instances():
+        # a lone -0.0 coordinate: the masked mean gives +0.0, a sum started
+        # at -0.0 would keep -0.0
+        signed_zero = (np.array([[-0.0, 1.0], [2.0, -0.0], [3.0, -0.0]]), 2, np.array([0, 1, 1]))
+        # one column: the 1-D pairwise sum differs from a row-by-row one on
+        # clusters of nine or more points
+        rng = np.random.default_rng(17)
+        one_column = [(rng.normal(size=(60, 1)), k, rng.integers(0, k, size=60))
+                      for k in (1, 2, 3) for _ in range(4)]
+        for points, k, labels in [signed_zero, *one_column, *self._labelled_instances()]:
             expected = np.array([points[labels == j].mean(axis=0) for j in range(k)])
             assert _cluster_means(points, labels, k).tobytes() == expected.tobytes()
 
@@ -324,8 +335,76 @@ class TestKmeans:
         for points, k, _ in self._labelled_instances():
             for seed in range(5):
                 a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-                assert _plus_plus_init(points, k, a) == reference_plus_plus_init(points, k, b)
+                chosen, distances = _plus_plus_init(points, k, a)
+                assert chosen == reference_plus_plus_init(points, k, b)
                 assert a.random() == b.random()
+                assert distances.tobytes() == _sq_distances(points, points[chosen]).tobytes()
+
+    @staticmethod
+    def _reference_instances():
+        """Seeded point sets for d in {0, 1, 2, 11}: plain, duplicated, rounded
+        to one decimal (which makes ties and -0.0), a column of -0.0, and all
+        zeros."""
+        # seed 32's rounded sets hold near-ties that a distance column left
+        # stale after a polish sweep would decide differently
+        rng = np.random.default_rng(32)
+        for t in range(25):
+            d = (0, 1, 2, 11)[t % 4]
+            n = int(rng.integers(2, 20))
+            points = rng.normal(size=(n, d))
+            variant = t % 5
+            if variant == 1:
+                points = np.repeat(points[: (n + 1) // 2], 2, axis=0)[:n]
+            elif variant == 2:
+                points = np.round(points, 1)
+            elif variant == 3 and d:
+                points[:, rng.integers(d)] = -0.0
+            elif variant == 4:
+                points = np.zeros((n, d))
+            yield points
+
+    @staticmethod
+    def _assert_same_clustering(got, expected):
+        assert got.centroids.tobytes() == expected.centroids.tobytes()
+        assert got.centroids.shape == expected.centroids.shape
+        for field in ("k", "assignments", "inertia", "iterations", "seed", "labels",
+                      "inertia_history"):
+            assert getattr(got, field) == getattr(expected, field), field
+
+    def test_kmeans_best_of_and_choose_k_match_reference_bytes(self):
+        restarts = 3
+        polished = 0
+        for points in self._reference_instances():
+            n = len(points)
+            ids = tuple(f"p{i}" for i in range(n))
+            best_per_k = []
+            for k in range(1, n + 1):
+                runs = [reference_kmeans(points, k, seed, ids) for seed in range(restarts)]
+                for seed, expected in enumerate(runs):
+                    self._assert_same_clustering(kmeans(points, k, seed, ids), expected)
+                    polished += len(expected.inertia_history) > expected.iterations
+                best = min(runs, key=lambda c: c.inertia)  # the first of equal inertias
+                self._assert_same_clustering(kmeans_best_of(points, k, 0, restarts, ids), best)
+                best_per_k.append(best)
+            scores = [bic_score(points, c) for c in best_per_k]
+            expected = best_per_k[scores.index(max(scores))]  # ties to the smallest k
+            self._assert_same_clustering(choose_k(points, 1, n, 0, restarts, ids), expected)
+        assert polished > 50  # the instances exercise the polish's moves
+
+    def test_cluster_emptied_after_an_update_matches_reference_bytes(self):
+        # at k=20, seed 1, Lloyd's third step leaves cluster 13 empty; its
+        # re-seeding moves a centroid in place, and the distance column kept
+        # for it must then be recomputed
+        points = np.array([
+            [-0.1, 1.5, -0.9], [-1.4, 1.8, -0.1], [2.0, 0.2, -1.3], [0.6, -0.0, 0.7],
+            [-0.3, 0.0, -0.2], [-1.1, 1.0, 0.2], [1.3, -0.1, 1.0], [1.1, -0.6, -0.2],
+            [1.4, -1.9, 0.3], [-0.5, -0.5, 1.0], [1.1, 0.8, 1.0], [-1.4, 0.4, -1.2],
+            [0.9, 0.8, 0.4], [0.9, -2.0, 0.6], [1.2, -3.7, 0.3], [0.8, 0.7, -0.6],
+            [-0.6, 0.4, -0.3], [-1.9, -0.1, 0.7], [0.9, 0.0, 0.2], [-0.7, 0.6, 0.8],
+            [-0.2, 0.6, -0.2], [-1.0, 0.9, 0.7], [-1.0, 0.3, -0.8], [0.5, 0.0, -2.0],
+            [-0.1, -1.8, -0.9],
+        ])
+        self._assert_same_clustering(kmeans(points, 20, 1), reference_kmeans(points, 20, 1))
 
     def test_custom_ids(self):
         points = np.array([[0.0], [10.0]])
