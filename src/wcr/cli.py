@@ -288,14 +288,22 @@ _KIND_CHOICES = {
 }
 
 
+def _split_items(flag: str, token: str) -> list[str]:
+    """The comma-separated items of a list flag; an empty one is a `DataError`."""
+    items = token.split(",")
+    if not all(item.strip() for item in items):
+        raise DataError(f"{flag} {token!r} has an empty item")
+    return items
+
+
 def _parse_kinds(token: str) -> frozenset:
-    parts = [p.strip().lower() for p in token.split(",") if p.strip()]
     kinds: frozenset = frozenset()
-    for part in parts:
+    for part in _split_items("--kinds", token):
+        part = part.strip().lower()
         if part not in _KIND_CHOICES:
             raise DataError(f"unknown access kind {part!r} (use ifetch/load/store/data/all)")
         kinds |= _KIND_CHOICES[part]
-    return kinds or cachesim.ALL_KINDS
+    return kinds
 
 
 def _load_trace(args: argparse.Namespace) -> tuple[cachesim.AccessTrace, list[Path]]:
@@ -375,6 +383,7 @@ def _read_labels_csv(path: Path) -> dict[str, tuple[BehaviorLabels, str | None, 
 def _cmd_report(args: argparse.Namespace, config: RunConfig, outputs: _Outputs) -> _Result:
     if bool(args.vectors) != bool(args.labels):
         raise _UsageError("give --vectors and --labels together, or neither")
+    metric_names = None if args.metrics is None else _split_items("--metrics", args.metrics)
     inputs: list[Path] = []
     notes: list[str] = []
 
@@ -392,7 +401,8 @@ def _cmd_report(args: argparse.Namespace, config: RunConfig, outputs: _Outputs) 
                 vector.workload_id, dict(zip(schema.names, vector.values)),
                 *label_rows[vector.workload_id],
             ))
-        metric_names = list(args.metrics.split(",")) if args.metrics else list(schema.names)
+        if metric_names is None:
+            metric_names = list(schema.names)
         groupings = [report.Grouping.APPLICATION_CATEGORY, report.Grouping.SYSTEM_BEHAVIOR]
         if all(r.suite is not None for r in records):
             groupings.append(report.Grouping.SUITE)

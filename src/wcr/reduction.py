@@ -227,6 +227,8 @@ def kmeans(
     k: int,
     seed: int,
     ids: Sequence[str] | None = None,
+    *,
+    seeding: _Seeding | None = None,
 ) -> Clustering:
     """Seeded k-means++ initialization, Lloyd iterations, point-move polish.
 
@@ -263,6 +265,12 @@ def kmeans(
     point and one centroid, whichever call computes it, and (x - c)**2 ==
     (c - x)**2 exactly, so every comparison sees the bytes a full recompute
     would give.
+
+    `seeding`, when given, holds the k-means++ draws of `seed` on the
+    C-ordered float copy of `points` made here; `choose_k` passes one per
+    restart so that its search over k draws each center once. A draw uses
+    the generator only after the draws before it, so the first k centers
+    it holds, and their distance columns, are the bytes a fresh draw gives.
     """
     # C order: the sums below then run over rows in index order whatever
     # the caller's memory layout
@@ -285,8 +293,9 @@ def kmeans(
         if len(set(ids)) != n:
             raise DataError("ids must be unique")
 
-    rng = np.random.default_rng(seed)
-    chosen, distances = _plus_plus_init(points, k, rng)
+    if seeding is None:
+        seeding = _Seeding(points, seed)
+    chosen, distances = seeding.first(k)
     centroids = points[chosen]
     basis = centroids.copy()  # the centroids `distances` was computed for
 
@@ -427,28 +436,51 @@ def _relocation_polish(
     return labels, _cluster_means(points, labels, k)
 
 
-def _plus_plus_init(
-    points: np.ndarray, k: int, rng: np.random.Generator
-) -> tuple[list[int], np.ndarray]:
-    """k-means++ seeding: the k drawn point indices, and the n x k squared
-    distances whose column j is `((points - points[chosen[j]]) ** 2).sum(axis=1)`."""
-    n = points.shape[0]
-    distances = np.empty((n, k))
-    chosen = [int(rng.integers(n))]
-    dists = distances[:, 0] = ((points - points[chosen[0]]) ** 2).sum(axis=1)
-    for j in range(1, k):
-        total = float(dists.sum())
-        if total > 0:
-            # the draw of `rng.choice(n, p=dists / total)`, without its input checks
-            cdf = (dists / total).cumsum()
-            cdf /= cdf[-1]
-            idx = int(cdf.searchsorted(rng.random(), side="right"))
-        else:
-            idx = int(rng.integers(n))  # all remaining mass at existing centers
-        chosen.append(idx)
-        row = distances[:, j] = ((points - points[idx]) ** 2).sum(axis=1)
-        dists = np.minimum(dists, row)
-    return chosen, distances
+class _Seeding:
+    """One seed's k-means++ draws on one point set, grown as a larger k asks
+    for more.
+
+    `first(k)` draws only the centers not drawn yet, with the generator
+    state the draws before them left, so its k centers are those a fresh
+    draw for k gives. The generator is made at the first draw, after
+    `kmeans` has checked the seed.
+    """
+
+    def __init__(self, points: np.ndarray, seed: int) -> None:
+        self._points = points
+        self._seed = seed
+        self._rng: np.random.Generator | None = None
+        self._chosen: list[int] = []
+        # column j: squared distances to point chosen[j]
+        self._columns = np.empty((points.shape[0], 0))
+        self._nearest = np.empty(0)  # row-wise minimum of the drawn columns
+
+    def first(self, k: int) -> tuple[list[int], np.ndarray]:
+        """The first k drawn point indices, and a new n x k array whose column j
+        is `((points - points[chosen[j]]) ** 2).sum(axis=1)`."""
+        points = self._points
+        n = points.shape[0]
+        if self._rng is None:
+            self._rng = np.random.default_rng(self._seed)
+        rng = self._rng
+        drawn = len(self._chosen)
+        if k > drawn:
+            self._columns = np.concatenate([self._columns, np.empty((n, k - drawn))], axis=1)
+        for j in range(drawn, k):
+            total = float(self._nearest.sum()) if j else 0.0
+            if total > 0:
+                # the draw of `rng.choice(n, p=nearest / total)`, without its input checks
+                cdf = (self._nearest / total).cumsum()
+                cdf /= cdf[-1]
+                idx = int(cdf.searchsorted(rng.random(), side="right"))
+            else:
+                # the first center, or all remaining mass at existing centers
+                idx = int(rng.integers(n))
+            column = self._columns[:, j] = ((points - points[idx]) ** 2).sum(axis=1)
+            self._nearest = np.minimum(self._nearest, column) if j else column
+            self._chosen.append(idx)
+        # a copy: the caller updates its columns in place
+        return self._chosen[:k], self._columns[:, :k].copy()
 
 
 def _refresh_columns(
@@ -501,21 +533,32 @@ def kmeans_best_of(
     seed: int,
     restarts: int,
     ids: Sequence[str] | None = None,
+    *,
+    seedings: Sequence[_Seeding] | None = None,
 ) -> Clustering:
     """Run `restarts` seeded k-means runs and keep the lowest inertia.
 
     Restart seeds are seed, seed+1, ...; ties keep the earliest seed. A
     count outside [1, _MAX_RESTARTS] is a `DataError`.
+
+    `seedings`, when given, holds restart r's k-means++ draws, passed to
+    `kmeans` as its `seeding`; `choose_k` shares them across its k. Without
+    it every restart draws afresh, with the same result.
     """
-    if not 1 <= restarts <= _MAX_RESTARTS:
-        raise DataError(f"restarts must be in [1, {_MAX_RESTARTS}], got {restarts}")
+    _check_restarts(restarts)
     best: Clustering | None = None
     for r in range(restarts):
-        result = kmeans(points, k, seed + r, ids=ids)
+        seeding = None if seedings is None else seedings[r]
+        result = kmeans(points, k, seed + r, ids=ids, seeding=seeding)
         if best is None or result.inertia < best.inertia:
             best = result
     assert best is not None
     return best
+
+
+def _check_restarts(restarts: int) -> None:
+    if not 1 <= restarts <= _MAX_RESTARTS:
+        raise DataError(f"restarts must be in [1, {_MAX_RESTARTS}], got {restarts}")
 
 
 # --- model selection ---------------------------------------------------------
@@ -560,15 +603,25 @@ def choose_k(
     Each candidate k is scored on its best-of-`restarts` k-means result,
     and the winning result is returned as it was scored. Ties go to the
     smallest k.
+
+    Each restart seed's k-means++ centers are drawn once per call and
+    shared by every k: the centers drawn for k are the first k drawn for
+    any larger k, since a draw uses the generator only after the draws
+    before it. So each k gets the bytes a fresh `kmeans_best_of` gives. The
+    draws are made on the C-ordered copy `kmeans` works on, because the row
+    sums depend on the memory layout.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     if not 1 <= k_min <= k_max <= n:
         raise DataError(f"need 1 <= k_min <= k_max <= n, got ({k_min}, {k_max}) with n={n}")
+    _check_restarts(restarts)
+    points = np.ascontiguousarray(points)
+    seedings = [_Seeding(points, seed + r) for r in range(restarts)]
     best: Clustering | None = None
     best_score = -math.inf
     for k in range(k_min, k_max + 1):
-        clustering = kmeans_best_of(points, k, seed, restarts, ids=ids)
+        clustering = kmeans_best_of(points, k, seed, restarts, ids=ids, seedings=seedings)
         score = bic_score(points, clustering)
         log.debug("k=%d inertia=%.6g bic=%.6g", k, clustering.inertia, score)
         if best is None or score > best_score:

@@ -432,6 +432,9 @@ class TestSimulateFootprint:
         # the token as typed, not as left after its suffix was stripped
         ("--sizes", "1.5K", "bad size '1.5K'"),
         ("--kinds", "bogus", "unknown access kind 'bogus'"),
+        ("--kinds", "", "--kinds '' has an empty item"),
+        ("--kinds", ",", "--kinds ',' has an empty item"),
+        ("--kinds", "ifetch,,load", "--kinds 'ifetch,,load' has an empty item"),
     ])
     def test_bad_sizes_or_kinds_exit_2(self, workdir, capsys, flag, value, message):
         out = workdir / "o"
@@ -590,6 +593,17 @@ class TestReport:
         assert run("report", "--vectors", workdir / "ingest" / "vectors.json",
                    "--labels", labels, "--out", out) == 2
         assert f"{labels}: line 4: duplicate row for workload 'w1'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("metrics", ["", "ipc,", ",", "ipc,,l1i_mpki"])
+    def test_empty_metric_item_exits_2(self, workdir, capsys, metrics):
+        assert run("ingest", workdir / "counters.csv", "--out", workdir / "ingest") == 0
+        assert run("classify", workdir / "behavior.csv", "--out", workdir / "classify") == 0
+        out = workdir / "r"
+        assert run("report", "--vectors", workdir / "ingest" / "vectors.json",
+                   "--labels", workdir / "classify" / "labels.csv", "--metrics", metrics,
+                   "--out", out) == 2
+        assert f"--metrics {metrics!r} has an empty item" in capsys.readouterr().err
         assert not out.exists()
 
     def test_suite_and_stack_columns_add_their_summaries(self, workdir):

@@ -19,6 +19,7 @@ from helpers import (
     reference_plus_plus_init,
     reference_relocation_polish,
 )
+from wcr import reduction
 from wcr.errors import DataError
 from wcr.ingest import derive_microarch_metrics
 from wcr.model import MetricVector, default_schema
@@ -36,7 +37,7 @@ from wcr.reduction import (
     reduce_vectors,
     select_representatives,
 )
-from wcr.reduction import _cluster_means, _plus_plus_init, _relocation_polish, _sq_distances
+from wcr.reduction import _cluster_means, _relocation_polish, _Seeding, _sq_distances
 
 
 def _vectors(matrix, schema):
@@ -331,14 +332,21 @@ class TestKmeans:
 
     def test_plus_plus_draw_matches_generator_choice(self):
         # the inline draw restates what Generator.choice(n, p=...) computes;
-        # a numpy release that changes choice fails here
-        for points, k, _ in self._labelled_instances():
-            for seed in range(5):
-                a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-                chosen, distances = _plus_plus_init(points, k, a)
-                assert chosen == reference_plus_plus_init(points, k, b)
-                assert a.random() == b.random()
-                assert distances.tobytes() == _sq_distances(points, points[chosen]).tobytes()
+        # a numpy release that changes choice fails here. One seeding grown k
+        # by k must give at each k what a fresh draw of k centers gives.
+        zeros = np.zeros((7, 3))  # every draw takes the rng.integers branch
+        duplicated = np.repeat(np.random.default_rng(18).normal(size=(5, 2)), 3, axis=0)
+        instances = [points for points, _, _ in self._labelled_instances()]
+        for points in [zeros, duplicated, *instances]:
+            for seed in range(3):
+                seeding = _Seeding(points, seed)
+                for k in range(1, min(len(points), 24) + 1):
+                    chosen, distances = seeding.first(k)
+                    reference = np.random.default_rng(seed)
+                    assert chosen == reference_plus_plus_init(points, k, reference)
+                    assert distances.tobytes() == _sq_distances(points, points[chosen]).tobytes()
+                    distances[:] = np.nan  # the caller's array, not the seeding's
+                assert seeding._rng.random() == reference.random()  # same state after the last draw
 
     @staticmethod
     def _reference_instances():
@@ -389,6 +397,14 @@ class TestKmeans:
             scores = [bic_score(points, c) for c in best_per_k]
             expected = best_per_k[scores.index(max(scores))]  # ties to the smallest k
             self._assert_same_clustering(choose_k(points, 1, n, 0, restarts, ids), expected)
+            # Fortran order: the seeding's row sums must still run in C order
+            self._assert_same_clustering(
+                choose_k(np.asfortranarray(points), 1, n, 0, restarts, ids), expected)
+            # k_min > 1: the draws for k_min still start from the first center
+            k_min = (n + 1) // 2
+            scores = scores[k_min - 1:]
+            expected = best_per_k[k_min - 1 + scores.index(max(scores))]
+            self._assert_same_clustering(choose_k(points, k_min, n, 0, restarts, ids), expected)
         assert polished > 50  # the instances exercise the polish's moves
 
     def test_cluster_emptied_after_an_update_matches_reference_bytes(self):
@@ -448,6 +464,47 @@ class TestChooseK:
             choose_k(np.zeros((3, 2)), 0, 2, seed=0, restarts=8)
         with pytest.raises(DataError):
             choose_k(np.zeros((3, 2)), 2, 5, seed=0, restarts=8)
+
+    @staticmethod
+    def _count_generators(monkeypatch) -> list[int]:
+        made = [0]
+        default_rng = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            made[0] += 1
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        return made
+
+    def test_each_restart_draws_its_seeding_once(self, monkeypatch):
+        # the row sums of a Fortran-ordered array can differ from the C-ordered
+        # copy's in the last bit, so the seedings must hold that copy
+        points = np.asfortranarray(np.random.default_rng(19).normal(size=(30, 12)))
+        made = self._count_generators(monkeypatch)
+        c_ordered = []
+
+        class Recording(_Seeding):
+            def __init__(self, points, seed):
+                c_ordered.append(points.flags.c_contiguous)
+                super().__init__(points, seed)
+
+        monkeypatch.setattr(reduction, "_Seeding", Recording)
+        choose_k(points, 1, 12, seed=5, restarts=4)
+        assert made[0] == 4
+        assert c_ordered == [True] * 4
+
+    @pytest.mark.parametrize("seed, restarts, message", [
+        (-1, 8, "seed must not be negative, got -1"),
+        (0, 0, r"restarts must be in \[1, 1000\], got 0"),
+        (0, 1001, r"restarts must be in \[1, 1000\], got 1001"),
+    ])
+    def test_bad_seed_or_restarts_rejected_before_drawing(self, monkeypatch, seed, restarts,
+                                                          message):
+        made = self._count_generators(monkeypatch)
+        with pytest.raises(DataError, match=message):
+            choose_k(np.zeros((3, 2)), 1, 2, seed=seed, restarts=restarts)
+        assert made[0] == 0
 
 
 class TestSelectRepresentatives:
