@@ -4,6 +4,8 @@ A trace is a weighted list of access segments; sweeping one cache
 configuration across a capacity grid yields a miss-ratio-versus-capacity
 curve whose knee estimates the workload's instruction or data footprint.
 Every access allocates its line on a miss, stores included.
+`sweep_capacities` maps each segment's accesses to lines once and runs
+`simulate`, the LRU pass, over them at each capacity.
 
 A set that receives at most `ways` distinct lines never evicts, so each of
 its lines misses exactly once, on its first touch. The simulation counts
@@ -191,21 +193,6 @@ class MissRatioCurve(Codec):
 # --- simulation ---------------------------------------------------------------
 
 
-def simulate(
-    segment: TraceSegment,
-    config: CacheConfig,
-    kinds: frozenset[AccessKind] = ALL_KINDS,
-) -> SimResult:
-    """Run one segment through a cold cache and count misses.
-
-    Only accesses whose kind is in `kinds` reach the cache. Lines are
-    `address // line_bytes`, mapped to set `line % set_count`, with LRU
-    replacement inside each set.
-    """
-    lines = _segment_lines(segment, kinds, config.line_bytes)
-    return _simulate_lines(lines, np.unique(lines), config)
-
-
 def _segment_lines(
     segment: TraceSegment, kinds: frozenset[AccessKind], line_bytes: int
 ) -> np.ndarray:
@@ -218,14 +205,15 @@ def _segment_lines(
     return addresses // np.uint64(line_bytes)
 
 
-def _simulate_lines(lines: np.ndarray, distinct: np.ndarray, config: CacheConfig) -> SimResult:
-    """The LRU pass of `simulate` over lines already mapped with `config.line_bytes`;
-    `distinct` holds each of those lines once.
+def simulate(lines: np.ndarray, distinct: np.ndarray, config: CacheConfig) -> SimResult:
+    """Run one segment's lines through a cold cache and count misses.
 
-    A set that receives at most `ways` distinct lines never evicts, so each
-    of its lines misses once and its misses are its distinct lines. Only
-    the accesses to the other sets run through the LRU loop. Sets are
-    independent and every access allocates, so the count stays exact.
+    `lines` holds the line (`address // config.line_bytes`) of each access
+    that reaches the cache, in trace order, and `distinct` each of those
+    lines once. Line `x` maps to set `x % set_count`, with LRU replacement
+    inside each set. The sets that never evict are counted from `distinct`
+    alone (see the module docstring); only the accesses to the other sets
+    run through the LRU loop.
     """
     set_count = config.set_count
     ways = config.ways
@@ -262,9 +250,11 @@ def sweep_capacities(
     """Simulate every segment at every capacity; combine per-segment miss
     ratios as the weighted mean given by the segment weights.
 
-    Each segment's lines and distinct lines are computed once and then run
-    through a cold cache of each capacity, one segment at a time, so only
-    one segment's lines are held in memory.
+    Each segment's lines and distinct lines are computed once, and
+    `simulate` runs them through a cold cache of each capacity: one call per
+    (segment, capacity), looked up as a module global, so a wrapper set on
+    `cachesim.simulate` sees every pass. Segments are done one at a time,
+    so only one segment's lines are held in memory.
     """
     if not sizes:
         raise DataError("sizes must be non-empty")
@@ -277,7 +267,7 @@ def sweep_capacities(
         lines = _segment_lines(seg, kinds, template.line_bytes)
         distinct = np.unique(lines)
         for i, config in enumerate(configs):
-            ratios[i] += seg.weight * _simulate_lines(lines, distinct, config).miss_ratio
+            ratios[i] += seg.weight * simulate(lines, distinct, config).miss_ratio
         del lines, distinct  # before the next segment's lines are built
     points = tuple(
         CurvePoint(capacity_bytes=size, miss_ratio=ratio) for size, ratio in zip(ordered, ratios)

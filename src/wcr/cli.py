@@ -383,6 +383,8 @@ def _read_labels_csv(path: Path) -> dict[str, tuple[BehaviorLabels, str | None, 
 def _cmd_report(args: argparse.Namespace, config: RunConfig, outputs: _Outputs) -> _Result:
     if bool(args.vectors) != bool(args.labels):
         raise _UsageError("give --vectors and --labels together, or neither")
+    if args.metrics is not None and not args.vectors:
+        raise _UsageError("--metrics names metrics to summarize; give --vectors and --labels too")
     metric_names = None if args.metrics is None else _split_items("--metrics", args.metrics)
     inputs: list[Path] = []
     notes: list[str] = []

@@ -160,8 +160,9 @@ def normalize_zscore(vectors: Sequence[MetricVector], schema: MetricSchema) -> N
 # --- PCA ---------------------------------------------------------------------
 
 
-def fit_pca(nm: NormalizedMatrix | np.ndarray, variance_target: float) -> PcaModel:
-    """Eigendecompose the sample covariance and keep the leading components.
+def fit_pca(data: np.ndarray, variance_target: float) -> PcaModel:
+    """Eigendecompose the sample covariance of the standardized matrix
+    `data` (rows are workloads) and keep the leading components.
 
     Retains the smallest number of components whose cumulative explained
     variance reaches `variance_target`. Rank-deficient input is fine:
@@ -170,7 +171,7 @@ def fit_pca(nm: NormalizedMatrix | np.ndarray, variance_target: float) -> PcaMod
     """
     if not 0.0 < variance_target <= 1.0:
         raise DataError(f"variance_target {variance_target} outside (0, 1]")
-    data = nm.data if isinstance(nm, NormalizedMatrix) else np.asarray(nm, dtype=float)
+    data = np.asarray(data, dtype=float)
     n, d = data.shape
     if d == 0:
         return PcaModel(
@@ -206,9 +207,9 @@ def fit_pca(nm: NormalizedMatrix | np.ndarray, variance_target: float) -> PcaMod
     )
 
 
-def project(nm: NormalizedMatrix | np.ndarray, model: PcaModel) -> np.ndarray:
-    """Map rows into the retained component space."""
-    data = nm.data if isinstance(nm, NormalizedMatrix) else np.asarray(nm, dtype=float)
+def project(data: np.ndarray, model: PcaModel) -> np.ndarray:
+    """Map the rows of the standardized matrix `data` into the retained component space."""
+    data = np.asarray(data, dtype=float)
     if model.retained == 0:
         return np.zeros((data.shape[0], 0))
     if data.shape[1] != model.components.shape[1]:
@@ -664,20 +665,20 @@ def select_representatives(
 def reduce_vectors(
     vectors: Sequence[MetricVector], schema: MetricSchema, config: ReductionConfig
 ) -> ReductionResult:
-    """Normalize, project, cluster, and pick representatives for metric vectors."""
+    """Normalize, project, cluster, and pick representatives for metric vectors.
+
+    A fixed k is clustered as a search over [k, k], so every k goes through
+    `choose_k`.
+    """
     nm = normalize_zscore(vectors, schema)
-    pca = fit_pca(nm, config.variance_target)
-    projected = project(nm, pca)
+    pca = fit_pca(nm.data, config.variance_target)
+    projected = project(nm.data, pca)
     if config.k is not None:
-        clustering = kmeans_best_of(
-            projected, config.k, config.seed, config.restarts, ids=nm.ids
-        )
+        k_min = k_max = config.k
     else:
-        n = projected.shape[0]
-        k_max = config.k_max if config.k_max is not None else max(config.k_min, n // 2)
-        clustering = choose_k(
-            projected, config.k_min, k_max, config.seed, config.restarts, ids=nm.ids
-        )
+        k_min = config.k_min
+        k_max = config.k_max if config.k_max is not None else max(k_min, projected.shape[0] // 2)
+    clustering = choose_k(projected, k_min, k_max, config.seed, config.restarts, ids=nm.ids)
     representatives = select_representatives(clustering, projected, nm.ids)
     sizes = tuple(int(c) for c in np.bincount(clustering.labels, minlength=clustering.k))
     return ReductionResult(

@@ -14,9 +14,13 @@ from wcr.cachesim import (
     ALL_KINDS,
     AccessKind,
     AccessTrace,
+    CacheConfig,
     SegmentsFile,
     SegmentSpan,
+    SimResult,
     TraceSegment,
+    _segment_lines,
+    simulate,
 )
 from wcr.errors import DataError, ParseError
 from wcr.model import (
@@ -316,6 +320,15 @@ def reference_plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generato
 
 # --- trace writers and the reuse-distance oracle ---------------------------------
 
+
+def simulate_segment(
+    segment: TraceSegment, config: CacheConfig, kinds: frozenset[AccessKind] = ALL_KINDS
+) -> SimResult:
+    """`cachesim.simulate` on one segment, mapped to lines as `sweep_capacities` maps it."""
+    lines = _segment_lines(segment, kinds, config.line_bytes)
+    return simulate(lines, np.unique(lines), config)
+
+
 _KIND_LETTER = {AccessKind.IFETCH: "I", AccessKind.LOAD: "L", AccessKind.STORE: "S"}
 
 
@@ -422,7 +435,23 @@ def stack_distance_oracle(
     if capacity_lines % set_count:
         raise DataError("capacity_lines must be divisible by set_count")
     ways = capacity_lines // set_count
+    return int((reuse_distances(segment, set_count, line_bytes, kinds) >= ways).sum())
 
+
+def reuse_distances(
+    segment: TraceSegment,
+    set_count: int,
+    line_bytes: int = 64,
+    kinds: frozenset[AccessKind] = ALL_KINDS,
+) -> np.ndarray:
+    """The reuse distance of each access, grouped by set: the number of
+    distinct lines touched in its set since the previous access to its
+    line, or +inf for a first touch.
+
+    The distances do not depend on the way count, so at one `set_count` a
+    single pass gives the LRU misses of every capacity: an access misses at
+    `ways` ways when its distance is `ways` or more (Mattson et al. 1970).
+    """
     addresses = segment.addresses[np.isin(segment.kinds, [k.value for k in kinds])]
     if addresses.size == 0:
         raise DataError("no accesses of the requested kinds in this segment")
@@ -432,21 +461,19 @@ def stack_distance_oracle(
     for line in lines:
         streams.setdefault(line % set_count, []).append(line)
 
-    misses = 0
+    distances: list[float] = []
     for stream in streams.values():
         fenwick = _Fenwick(len(stream))
         last_pos: dict[int, int] = {}
         for pos, line in enumerate(stream, start=1):
             prev = last_pos.get(line)
             if prev is None:
-                misses += 1
+                distances.append(np.inf)
             else:
                 # markers sit at each line's most recent position;
                 # the count strictly between prev and pos is the reuse distance
-                distance = fenwick.prefix(pos - 1) - fenwick.prefix(prev)
-                if distance >= ways:
-                    misses += 1
+                distances.append(fenwick.prefix(pos - 1) - fenwick.prefix(prev))
                 fenwick.add(prev, -1)
             fenwick.add(pos, +1)
             last_pos[line] = pos
-    return misses
+    return np.array(distances)

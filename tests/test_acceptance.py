@@ -18,6 +18,8 @@ from helpers import (
     make_profile,
     partition_of,
     planted_metric_vectors,
+    reuse_distances,
+    simulate_segment,
     stack_distance_oracle,
 )
 from wcr.cachesim import (
@@ -26,7 +28,6 @@ from wcr.cachesim import (
     CacheConfig,
     TraceSegment,
     estimate_footprint,
-    simulate,
     sweep_capacities,
 )
 from wcr.classification import classify_ratio, classify_system_behavior
@@ -194,20 +195,25 @@ def test_criterion_6_cache_oracle_equivalence():
         kinds = rng.integers(0, 3, size=10_000).astype(np.uint8)
         segment = TraceSegment(1.0, lines * np.uint64(64), kinds)
 
+        # fully associative: one set, so one reuse-distance pass serves every capacity
+        distances = reuse_distances(segment, set_count=1)
         for associativity in (None, 8):
             for capacity in capacities:
                 config = CacheConfig(capacity_bytes=capacity, associativity=associativity)
-                simulated = simulate(segment, config).misses
-                oracle = stack_distance_oracle(
-                    segment, config.capacity_lines, config.set_count,
-                    line_bytes=config.line_bytes,
-                )
+                simulated = simulate_segment(segment, config).misses
+                if associativity is None:
+                    oracle = int((distances >= config.ways).sum())
+                else:
+                    oracle = stack_distance_oracle(
+                        segment, config.capacity_lines, config.set_count,
+                        line_bytes=config.line_bytes,
+                    )
                 comparisons += 1
                 if simulated != oracle:
                     mismatches += 1
 
         grid_misses = [
-            simulate(segment, CacheConfig(capacity_bytes=s, associativity=None)).misses
+            simulate_segment(segment, CacheConfig(capacity_bytes=s, associativity=None)).misses
             for s in DEFAULT_SIZE_GRID
         ]
         if any(b > a for a, b in zip(grid_misses, grid_misses[1:])):

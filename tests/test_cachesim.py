@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     reference_read_text_trace,
+    simulate_segment,
     stack_distance_oracle,
     write_binary_trace,
     write_text_trace,
@@ -87,7 +88,7 @@ class TestSimulate:
             CacheConfig(capacity_bytes=16 * KIB),
             CacheConfig(capacity_bytes=16 * KIB, associativity=None),
         ):
-            result = simulate(seg, config)
+            result = simulate_segment(seg, config)
             assert result.misses == 1
             assert result.miss_ratio == 0.01
 
@@ -95,26 +96,26 @@ class TestSimulate:
         # two passes over twice the capacity in distinct lines: every access misses
         config = CacheConfig(capacity_bytes=16 * KIB, associativity=None)
         lines = list(range(2 * config.capacity_lines)) * 2
-        result = simulate(segment(lines), config)
+        result = simulate_segment(segment(lines), config)
         assert result.miss_ratio == 1.0
 
     def test_kind_filter_restricts_accesses(self):
         seg = segment([1, 2, 3, 4], kinds=np.array([0, 1, 2, 1], dtype=np.uint8))
         config = CacheConfig(capacity_bytes=16 * KIB)
-        result = simulate(seg, config, kinds=frozenset({AccessKind.LOAD}))
+        result = simulate_segment(seg, config, kinds=frozenset({AccessKind.LOAD}))
         assert result.accesses == 2
 
     def test_no_matching_kinds_rejected(self):
         seg = segment([1, 2], kinds=np.array([1, 1], dtype=np.uint8))
         config = CacheConfig(capacity_bytes=16 * KIB)
         with pytest.raises(DataError, match="no accesses"):
-            simulate(seg, config, kinds=frozenset({AccessKind.IFETCH}))
+            simulate_segment(seg, config, kinds=frozenset({AccessKind.IFETCH}))
 
     def test_miss_count_exact_cold_when_working_set_fits(self):
         rng = np.random.default_rng(0)
         lines = rng.integers(0, 128, size=5000)
         config = CacheConfig(capacity_bytes=64 * KIB, associativity=None)  # 1024 lines
-        result = simulate(segment(lines), config)
+        result = simulate_segment(segment(lines), config)
         assert result.misses == len(np.unique(lines))
 
 
@@ -129,7 +130,7 @@ class TestOracleEquivalence:
             expected = stack_distance_oracle(
                 seg, config.capacity_lines, config.set_count, line_bytes=config.line_bytes
             )
-            assert simulate(seg, config).misses == expected
+            assert simulate_segment(seg, config).misses == expected
 
     @staticmethod
     def assert_sweep_and_simulate_match_oracle(seg, sizes, associativity):
@@ -138,7 +139,7 @@ class TestOracleEquivalence:
         for point, size in zip(curve.points, sorted(sizes)):
             config = replace(template, capacity_bytes=size)
             expected = stack_distance_oracle(seg, config.capacity_lines, config.set_count)
-            assert simulate(seg, config).misses == expected
+            assert simulate_segment(seg, config).misses == expected
             assert point.miss_ratio == expected / len(seg)
 
     def test_set_at_way_count_beside_set_over_it(self):
@@ -149,7 +150,7 @@ class TestOracleEquivalence:
         over = [2 * i + 1 for i in range(ways + 1)]
         lines = [line for pair in zip(fits * 15, over * 12) for line in pair]
         config = CacheConfig(capacity_bytes=2 * ways * 64, associativity=ways)
-        assert simulate(segment(lines), config).misses == ways + 60
+        assert simulate_segment(segment(lines), config).misses == ways + 60
         # 1 set (all 9 lines overflow it), 2 sets, 4 sets (no set overflows)
         self.assert_sweep_and_simulate_match_oracle(segment(lines), [256, 512, 1024], ways)
 
@@ -159,8 +160,8 @@ class TestOracleEquivalence:
         distinct = len(np.unique(seg.addresses // np.uint64(64)))
         at = CacheConfig(capacity_bytes=distinct * 64, associativity=None)
         below = CacheConfig(capacity_bytes=(distinct - 1) * 64, associativity=None)
-        assert simulate(seg, at).misses == distinct
-        assert simulate(seg, below).misses > distinct
+        assert simulate_segment(seg, at).misses == distinct
+        assert simulate_segment(seg, below).misses > distinct
         self.assert_sweep_and_simulate_match_oracle(
             seg, [distinct * 64, (distinct - 1) * 64], None)
 
@@ -189,14 +190,14 @@ class TestOracleEquivalence:
         ways = 4
         seg = segment([0, 1, 2, 3, 4, 0])
         config = CacheConfig(capacity_bytes=ways * 64, line_bytes=64, associativity=None)
-        assert simulate(seg, config).misses == 6
+        assert simulate_segment(seg, config).misses == 6
         assert stack_distance_oracle(seg, ways, 1) == 6
 
     def test_fully_associative_inclusion_property(self):
         rng = np.random.default_rng(23)
         seg = random_segment(rng, n=4000, line_space=4096)
         misses = [
-            simulate(seg, CacheConfig(capacity_bytes=size, associativity=None)).misses
+            simulate_segment(seg, CacheConfig(capacity_bytes=size, associativity=None)).misses
             for size in DEFAULT_SIZE_GRID
         ]
         assert all(b <= a for a, b in zip(misses, misses[1:]))
@@ -230,7 +231,7 @@ class TestSweep:
         template = CacheConfig(capacity_bytes=sizes[0])
         curve = sweep_capacities(trace, sizes, template)
         for point, size in zip(curve.points, sizes):
-            expected = simulate(seg, CacheConfig(capacity_bytes=size)).miss_ratio
+            expected = simulate_segment(seg, CacheConfig(capacity_bytes=size)).miss_ratio
             assert point.miss_ratio == expected
 
     @pytest.mark.parametrize("kinds", [ALL_KINDS, frozenset({AccessKind.LOAD, AccessKind.STORE})])
@@ -248,8 +249,32 @@ class TestSweep:
         curve = sweep_capacities(trace, sizes, template, kinds)
         for point, size in zip(curve.points, sorted(sizes)):
             config = replace(template, capacity_bytes=size)
-            expected = sum(seg.weight * simulate(seg, config, kinds).miss_ratio for seg in segments)
+            expected = sum(
+                seg.weight * simulate_segment(seg, config, kinds).miss_ratio for seg in segments
+            )
             assert point.miss_ratio == expected
+
+    def test_sweep_calls_simulate_once_per_segment_and_capacity(self):
+        # a counting wrapper on the module global, as a tracer would install it,
+        # sees every LRU pass of the sweep
+        segments = (
+            segment([1, 2, 3, 1] * 50, kinds=np.array([0, 1, 2, 1] * 50, dtype=np.uint8),
+                    weight=0.25),
+            segment(np.arange(300), weight=0.75),
+        )
+        trace = AccessTrace(segments=segments)
+        sizes = [16 * KIB, 4 * KIB, 64 * KIB]
+        kinds = frozenset({AccessKind.LOAD, AccessKind.STORE})
+        calls = []
+
+        def counting(lines, distinct, config):
+            calls.append((lines.size, config.capacity_bytes))
+            return simulate(lines, distinct, config)
+
+        with mock.patch.object(cachesim, "simulate", counting):
+            sweep_capacities(trace, sizes, CacheConfig(capacity_bytes=4 * KIB), kinds)
+        # segment 0 keeps its 150 loads and stores, segment 1 all 300 loads
+        assert calls == [(n, size) for n in (150, 300) for size in sorted(sizes)]
 
     def test_weighted_mean_of_segments(self):
         # segment A: 1 miss / 10 accesses = 0.1; segment B: 3 misses / 10 = 0.3

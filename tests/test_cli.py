@@ -524,17 +524,19 @@ class TestReport:
         assert "--curves" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", ["--vectors", "--labels"])
+    @pytest.mark.parametrize("flag", ["--vectors", "--labels", "--metrics"])
     def test_vectors_or_labels_alone_is_usage_error(self, workdir, capsys, flag):
-        # the summaries need both; one alone was once dropped without a word
+        # the summaries need both, and --metrics selects what they summarize;
+        # each alone was once dropped without a word
         assert run("ingest", workdir / "counters.csv", "--out", workdir / "ingest") == 0
         assert run("classify", workdir / "behavior.csv", "--out", workdir / "classify") == 0
         given = {"--vectors": workdir / "ingest" / "vectors.json",
-                 "--labels": workdir / "classify" / "labels.csv"}[flag]
+                 "--labels": workdir / "classify" / "labels.csv",
+                 "--metrics": "bogus"}[flag]
         out = workdir / "r"
         assert run("report", flag, given, "--out", out) == 1
         err = capsys.readouterr().err
-        assert "--vectors" in err and "--labels" in err
+        assert flag in err and "--vectors" in err and "--labels" in err
         assert not out.exists()
 
     def test_empty_report_succeeds(self, workdir):

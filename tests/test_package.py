@@ -22,10 +22,7 @@ PACKAGE = Path(wcr.__file__).parent
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 # name -> why it stays although no package code references it
-ALLOWED_UNREFERENCED = {
-    "cachesim.simulate": "perfbench/tracing.py wraps it by name, and the tests use it as "
-                         "the per-segment API",
-}
+ALLOWED_UNREFERENCED: dict[str, str] = {}
 
 
 def _definitions_and_references():

@@ -393,6 +393,8 @@ class TestKmeans:
                     polished += len(expected.inertia_history) > expected.iterations
                 best = min(runs, key=lambda c: c.inertia)  # the first of equal inertias
                 self._assert_same_clustering(kmeans_best_of(points, k, 0, restarts, ids), best)
+                # a one-k range: how `reduce_vectors` clusters a fixed k
+                self._assert_same_clustering(choose_k(points, k, k, 0, restarts, ids), best)
                 best_per_k.append(best)
             scores = [bic_score(points, c) for c in best_per_k]
             expected = best_per_k[scores.index(max(scores))]  # ties to the smallest k
