@@ -12,7 +12,14 @@ its lines misses exactly once, on its first touch. The simulation counts
 those sets' misses from the distinct lines alone and runs the LRU loop only
 over accesses to the other sets. This is exact: LRU sets are independent of
 one another, and since every access allocates, a set's contents depend only
-on the accesses mapped to it.
+on the accesses mapped to it. When no set evicts, the miss count is the
+number of distinct lines and no access is looked at.
+
+The loop also skips each access whose line is that of the access just
+before it in the trace. The earlier access left that line most recently
+used in its set, and nothing has touched the set since, so the repeat is a
+hit that changes nothing (the stack property of Mattson et al., 1970). The
+miss count stays exact; the skipped accesses still count as accesses.
 """
 
 from __future__ import annotations
@@ -212,15 +219,24 @@ def simulate(lines: np.ndarray, distinct: np.ndarray, config: CacheConfig) -> Si
     that reaches the cache, in trace order, and `distinct` each of those
     lines once. Line `x` maps to set `x % set_count`, with LRU replacement
     inside each set. The sets that never evict are counted from `distinct`
-    alone (see the module docstring); only the accesses to the other sets
-    run through the LRU loop.
+    alone (see the module docstring), and when no set evicts the result
+    comes from that count with no pass over `lines`. Otherwise only the
+    accesses to the evicting sets run through the LRU loop, less each one
+    whose line is that of the access just before it: such an access hits
+    and leaves its set as it was. `accesses` counts every access.
     """
     set_count = config.set_count
     ways = config.ways
+    total = int(lines.size)
     per_set = np.bincount(distinct % set_count, minlength=set_count)
     overflow = per_set > ways
     misses = int(per_set[~overflow].sum())
-    evicting = lines[overflow[lines % set_count]]
+    if not overflow.any():
+        return SimResult(accesses=total, misses=misses, miss_ratio=misses / total)
+    keep = overflow[lines % set_count]
+    keep[1:] &= lines[1:] != lines[:-1]
+    evicting = lines[keep]
+    del keep
 
     sets: dict[int, OrderedDict] = {}
     for start in range(0, evicting.size, _CHUNK):
@@ -237,7 +253,6 @@ def simulate(lines: np.ndarray, distinct: np.ndarray, config: CacheConfig) -> Si
                 if len(lru) > ways:
                     lru.popitem(last=False)
 
-    total = int(lines.size)
     return SimResult(accesses=total, misses=misses, miss_ratio=misses / total)
 
 
@@ -332,10 +347,10 @@ def read_text_trace(path: str | Path) -> AccessTrace:
     `\r`. A bad line raises a `ParseError` that names its line number.
 
     The file is read `_TEXT_BLOCK` characters at a time, each block cut
-    after its last newline. A block whose every line is a kind letter, one
-    space, `0x` and 1 to 16 hex digits (the form the tests' and perfbench's
-    writers use) is converted with numpy in one pass; any other block runs
-    line by line through `_line_accesses`.
+    after its last newline. The lines of a block that are a kind letter,
+    one space, `0x` and 1 to 16 hex digits (the form the tests' and
+    perfbench's writers use) are converted with numpy in one pass; any
+    other line, such as a comment, is parsed on its own by `_line_access`.
     """
     blocks: list[tuple[np.ndarray, np.ndarray]] = []  # (addresses, kinds) of each block
     lineno = 1  # the number of the next block's first line
@@ -347,77 +362,94 @@ def read_text_trace(path: str | Path) -> AccessTrace:
                 cut = text.rfind("\n") + 1
                 block, tail = text[:cut], text[cut:]
                 if block:
-                    blocks.append(_block_accesses(block) or _line_accesses(block, lineno))
+                    blocks.append(_block_accesses(block, lineno))
                     lineno += block.count("\n")
         except UnicodeDecodeError:
             raise ParseError("not valid UTF-8 text", source=path)
-    blocks.append(_line_accesses(tail, lineno))  # a last line without a newline
-    addresses, kinds = map(np.concatenate, zip(*blocks))
-    if not addresses.size:
+    if tail:
+        blocks.append(_block_accesses(tail + "\n", lineno))  # a last line without a newline
+    if not any(addresses.size for addresses, _ in blocks):
         raise ParseError(f"trace {path} has no accesses")
+    addresses, kinds = map(np.concatenate, zip(*blocks))
     return AccessTrace.single(addresses, kinds)
 
 
-def _block_accesses(block: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """(addresses, kinds) of `block`, newline-ended lines that are all of the
-    form `K 0xH` (see `read_text_trace`); None if any line is not.
+def _block_accesses(block: str, first_lineno: int) -> tuple[np.ndarray, np.ndarray]:
+    """(addresses, kinds) of `block`, newline-ended lines the first of which
+    is numbered `first_lineno`, in line order; raises on a bad line.
 
-    Each such line is one the line-by-line reader accepts with the same
-    result: 16 hex digits are always below 2**64.
+    Lines of the form `K 0xH` (see `read_text_trace`) are converted with
+    numpy. Each is one the line-by-line reader accepts with the same
+    result: 16 hex digits are always below 2**64. Every other line goes
+    through `_line_access`, so the first bad line in the block raises.
     """
-    if not block.isascii():
-        return None
-    data = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
+    # three bytes past the last line let every line's first four be read
+    padded = np.frombuffer(block.encode("utf-8") + b"\0\0\0", dtype=np.uint8)
+    data = padded[:-3]
     ends = np.flatnonzero(data == ord("\n"))
     starts = np.concatenate(([0], ends[:-1] + 1))
     digits = ends - starts - 4  # after the kind, the space and the 0x
-    if digits.min() < 1 or digits.max() > 16:
-        return None
     kinds = _KIND_OF_BYTE[data[starts]]
-    if ((kinds == _NOT_MAPPED).any() or (data[starts + 1] != ord(" ")).any()
-            or (data[starts + 2] != ord("0")).any()
-            or ((data[starts + 3] | 0x20) != ord("x")).any()):
-        return None
-    values = _DIGIT_OF_BYTE[data]
+    form = ((digits >= 1) & (digits <= 16) & (kinds != _NOT_MAPPED)
+            & (padded[starts + 1] == ord(" ")) & (padded[starts + 2] == ord("0"))
+            & ((padded[starts + 3] | 0x20) == ord("x")))
+    values = _DIGIT_OF_BYTE.take(data)  # `take` is faster than indexing here
     # a line of the form has exactly four bytes that are not hex digits: its
-    # kind letter, space, x and newline, all checked above; so the block is
-    # of the form when no other byte is unmapped
-    if np.count_nonzero(values == _NOT_MAPPED) != 4 * ends.size:
-        return None
-    addresses = np.zeros(ends.size, dtype=np.uint64)
-    for place in range(int(digits.max()), 0, -1):
+    # kind letter, space, x and newline, all checked above (a byte of UTF-8
+    # beyond ASCII is no hex digit); counted per line only when the count
+    # over the block does not show every line to be of the form
+    unmapped = values == _NOT_MAPPED
+    if not (form.all() and np.count_nonzero(unmapped) == 4 * ends.size):
+        form &= np.add.reduceat(unmapped, starts, dtype=np.intp) == 4
+    every = bool(form.all())
+    at, width, kinds = (ends, digits, kinds) if every else (ends[form], digits[form], kinds[form])
+    addresses = np.zeros(at.size, dtype=np.uint64)
+    shortest = int(width.min(initial=16))
+    for place in range(int(width.max(initial=0)), 0, -1):
         # the digit `place` bytes before each newline; lines with fewer
         # digits take a leading zero (the index may point before the line)
-        digit = np.where(digits >= place, values[ends - place], 0)
+        digit = values.take(at - place)
+        if place > shortest:
+            digit = np.where(width >= place, digit, 0)
         addresses <<= np.uint64(4)
         addresses |= digit
-    return addresses, kinds
+    if every:
+        return addresses, kinds
+
+    # parse the other lines and merge all accesses in line order
+    found = form.copy()
+    all_addresses = np.zeros(form.size, dtype=np.uint64)
+    all_kinds = np.zeros(form.size, dtype=np.uint8)
+    all_addresses[form] = addresses
+    all_kinds[form] = kinds
+    for i in np.flatnonzero(~form).tolist():
+        raw = data[starts[i]:ends[i]].tobytes().decode("utf-8")
+        access = _line_access(raw, first_lineno + i)
+        if access is not None:
+            all_addresses[i], all_kinds[i] = access
+            found[i] = True
+    return all_addresses[found], all_kinds[found]
 
 
-def _line_accesses(text: str, first_lineno: int) -> tuple[np.ndarray, np.ndarray]:
-    """(addresses, kinds) of the `\n`-separated lines of `text`, the first
-    numbered `first_lineno`, parsed one at a time; raises on a bad line."""
-    addresses: list[int] = []
-    kinds: list[int] = []
-    for lineno, raw in enumerate(text.split("\n"), start=first_lineno):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"expected 'kind address', got {raw.strip()!r}", line=lineno)
-        kind = _KIND_TOKENS.get(parts[0].lower())
-        if kind is None:
-            raise ParseError(f"unknown access kind {parts[0]!r}", line=lineno)
-        try:
-            address = int(parts[1], 16)
-        except ValueError:
-            raise ParseError(f"address {parts[1]!r} is not hexadecimal", line=lineno)
-        if not 0 <= address < 1 << 64:
-            raise ParseError(f"address {parts[1]!r} is not a 64-bit address", line=lineno)
-        addresses.append(address)
-        kinds.append(kind.value)
-    return np.array(addresses, dtype=np.uint64), np.array(kinds, dtype=np.uint8)
+def _line_access(raw: str, lineno: int) -> tuple[int, int] | None:
+    """(address, kind code) of one trace line, numbered `lineno`, or None
+    for a blank or comment line; raises on a bad line."""
+    line = raw.split("#", 1)[0].strip()
+    if not line:
+        return None
+    parts = line.split()
+    if len(parts) != 2:
+        raise ParseError(f"expected 'kind address', got {raw.strip()!r}", line=lineno)
+    kind = _KIND_TOKENS.get(parts[0].lower())
+    if kind is None:
+        raise ParseError(f"unknown access kind {parts[0]!r}", line=lineno)
+    try:
+        address = int(parts[1], 16)
+    except ValueError:
+        raise ParseError(f"address {parts[1]!r} is not hexadecimal", line=lineno)
+    if not 0 <= address < 1 << 64:
+        raise ParseError(f"address {parts[1]!r} is not a 64-bit address", line=lineno)
+    return address, kind.value
 
 
 def read_binary_trace(path: str | Path, sidecar: str | Path | None = None) -> AccessTrace:

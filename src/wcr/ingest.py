@@ -80,20 +80,41 @@ def parse_counter_csv(stream: TextIO | str) -> list[RawProfile]:
     wall time is the maximum across nodes. Duplicate (workload, node,
     event) rows, malformed rows and a sum beyond the float range are
     errors naming the line.
+
+    Each field is stripped of surrounding whitespace, and each row is
+    checked in this order, the first failing check giving the error:
+    workload, node and event non-empty; count a finite number, then not
+    negative; wall_time_s a finite number; the (workload, node, event)
+    not seen before, once the event is mapped through `COUNTER_ALIASES`;
+    the workload's total for the event still finite after the count is
+    added. Totals are added up in row order, starting from 0.0.
     """
     _, rows = read_csv(stream, COUNTER_CSV_HEADER)
-    counters: dict[str, dict[str, float]] = {}  # in order of first appearance
-    wall_times: dict[str, float] = {}
-    nodes: dict[str, set[str]] = {}
+    # workload -> [counter totals, max wall time, nodes], in order of first appearance
+    totals: dict[str, list] = {}
     seen: set[tuple[str, str, str]] = set()
-    for lineno, row in rows:
-        workload, node, event, count_s, wall_s = (field.strip() for field in row)
+    inf = math.inf
+    for lineno, (workload, node, event, count_s, wall_s) in rows:
+        workload = workload.strip()
+        node = node.strip()
+        event = event.strip()
         if not workload or not node or not event:
             raise ParseError("workload, node and event must be non-empty", line=lineno)
-        count = finite_number("count", count_s, lineno)
-        if count < 0:
+        # float() ignores the whitespace strip() removes; finite_number runs
+        # only on a failure, to raise its message
+        try:
+            count = float(count_s)
+        except ValueError:
+            count = finite_number("count", count_s.strip(), lineno)  # raises
+        if not 0.0 <= count < inf:  # NaN, an infinity or negative
+            finite_number("count", count_s.strip(), lineno)
             raise ParseError(f"count {count} is negative", line=lineno)
-        wall = finite_number("wall_time_s", wall_s, lineno)
+        try:
+            wall = float(wall_s)
+        except ValueError:
+            wall = finite_number("wall_time_s", wall_s.strip(), lineno)  # raises
+        if not -inf < wall < inf:
+            finite_number("wall_time_s", wall_s.strip(), lineno)
 
         event = canonical_counter_name(event)
         key = (workload, node, event)
@@ -103,28 +124,24 @@ def parse_counter_csv(stream: TextIO | str) -> list[RawProfile]:
                 f"event {event!r}", line=lineno,
             )
         seen.add(key)
-        if workload not in counters:
-            counters[workload] = {}
-            wall_times[workload] = wall
-            nodes[workload] = set()
-        total = counters[workload].get(event, 0.0) + count
-        if not math.isfinite(total):
+        entry = totals.get(workload)
+        if entry is None:
+            entry = totals[workload] = [{}, wall, set()]
+        counters = entry[0]
+        total = counters.get(event, 0.0) + count
+        if total == inf:  # a sum of finite non-negative counts overflows to +inf only
             raise ParseError(
                 f"counts for workload {workload!r}, event {event!r} sum beyond the float range",
                 line=lineno,
             )
-        counters[workload][event] = total
-        wall_times[workload] = max(wall_times[workload], wall)
-        nodes[workload].add(node)
+        counters[event] = total
+        if wall > entry[1]:
+            entry[1] = wall
+        entry[2].add(node)
 
     return [
-        RawProfile(
-            workload_id=w,
-            counters=counters[w],
-            wall_time_s=wall_times[w],
-            node_count=len(nodes[w]),
-        )
-        for w in counters
+        RawProfile(workload_id=w, counters=counters, wall_time_s=wall, node_count=len(nodes))
+        for w, (counters, wall, nodes) in totals.items()
     ]
 
 

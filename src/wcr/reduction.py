@@ -668,12 +668,16 @@ def reduce_vectors(
     """Normalize, project, cluster, and pick representatives for metric vectors.
 
     A fixed k is clustered as a search over [k, k], so every k goes through
-    `choose_k`.
+    `choose_k`; a fixed k outside [1, n] for n workloads is an error that
+    names k.
     """
     nm = normalize_zscore(vectors, schema)
     pca = fit_pca(nm.data, config.variance_target)
     projected = project(nm.data, pca)
     if config.k is not None:
+        n = projected.shape[0]
+        if not 1 <= config.k <= n:
+            raise DataError(f"need 1 <= k <= n, got k={config.k} with n={n}")
         k_min = k_max = config.k
     else:
         k_min = config.k_min

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from wcr.cachesim import (
     simulate,
 )
 from wcr.errors import DataError, ParseError
+from wcr.ingest import COUNTER_ALIASES, COUNTER_CSV_HEADER
 from wcr.model import (
     MetricDescriptor,
     MetricGroup,
@@ -31,6 +33,8 @@ from wcr.model import (
     MetricVector,
     RawProfile,
     default_schema,
+    finite_number,
+    read_csv,
     write_json,
 )
 from wcr.reduction import Clustering
@@ -111,6 +115,47 @@ def make_plain_schema(names) -> MetricSchema:
         ),
         version="test-1",
     )
+
+
+def reference_parse_counter_csv(text: str) -> list[RawProfile]:
+    """`wcr.ingest.parse_counter_csv` written from its docstring's rules,
+    one check at a time in the order listed there; the reference for the
+    parser's single pass.
+
+    The rows come from `model.read_csv`, the reader every table shares.
+    Every field is stripped first, each count goes through `finite_number`,
+    and each workload's wall times are kept in a list whose `max` is taken
+    at the end.
+    """
+    _, rows = read_csv(text, COUNTER_CSV_HEADER)
+    per_workload: dict[str, tuple[dict[str, float], list[float], set[str]]] = {}
+    seen: set[tuple[str, str, str]] = set()
+    for lineno, row in rows:
+        workload, node, event, count_s, wall_s = [field.strip() for field in row]
+        if not (workload and node and event):
+            raise ParseError("workload, node and event must be non-empty", line=lineno)
+        count = finite_number("count", count_s, lineno)
+        if count < 0:
+            raise ParseError(f"count {count} is negative", line=lineno)
+        wall = finite_number("wall_time_s", wall_s, lineno)
+        event = COUNTER_ALIASES.get(event, event)
+        if (workload, node, event) in seen:
+            raise ParseError(f"duplicate row for workload {workload!r}, node {node!r}, "
+                             f"event {event!r}", line=lineno)
+        seen.add((workload, node, event))
+        totals, walls, nodes = per_workload.setdefault(workload, ({}, [], set()))
+        total = totals.get(event, 0.0) + count
+        if not math.isfinite(total):
+            raise ParseError(f"counts for workload {workload!r}, event {event!r} "
+                             "sum beyond the float range", line=lineno)
+        totals[event] = total
+        walls.append(wall)
+        nodes.add(node)
+    return [
+        RawProfile(workload_id=workload, counters=totals, wall_time_s=max(walls),
+                   node_count=len(nodes))
+        for workload, (totals, walls, nodes) in per_workload.items()
+    ]
 
 
 def plant_clusters(

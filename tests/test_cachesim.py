@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     reference_read_text_trace,
+    reuse_distances,
     simulate_segment,
     stack_distance_oracle,
     write_binary_trace,
@@ -29,6 +30,7 @@ from wcr.cachesim import (
     CurveKind,
     CurvePoint,
     MissRatioCurve,
+    SimResult,
     TraceSegment,
     estimate_footprint,
     read_binary_trace,
@@ -201,6 +203,30 @@ class TestOracleEquivalence:
             for size in DEFAULT_SIZE_GRID
         ]
         assert all(b <= a for a, b in zip(misses, misses[1:]))
+
+    @pytest.mark.parametrize("set_count", [1, 2, 8, 32])
+    def test_same_line_runs_match_reuse_distances(self, set_count):
+        # every access repeated 1-4 times in a row: the repeats the LRU loop
+        # skips are hits, and they still count as accesses
+        rng = np.random.default_rng(41 + set_count)
+        base = rng.integers(0, 64, size=2000)
+        lines = np.repeat(base, rng.integers(1, 5, size=base.size))
+        seg = segment(lines)
+        distances = reuse_distances(seg, set_count)
+        for ways in (1, 2, 4, 8, 16):
+            config = CacheConfig(capacity_bytes=set_count * ways * 64, associativity=ways)
+            result = simulate_segment(seg, config)
+            assert result.accesses == lines.size
+            assert result.misses == int((distances >= ways).sum())
+
+    def test_no_evicting_set_gives_the_distinct_line_count(self):
+        # 64 sets of 4 ways, each receiving exactly 4 distinct lines
+        rng = np.random.default_rng(43)
+        lines = rng.integers(0, 256, size=5000).astype(np.uint64)
+        distinct = np.unique(lines)
+        assert distinct.size == 256 and np.bincount(distinct % 64).max() == 4
+        result = simulate(lines, distinct, CacheConfig(capacity_bytes=256 * 64, associativity=4))
+        assert result == SimResult(accesses=5000, misses=256, miss_ratio=256 / 5000)
 
 
 class TestTraceTypes:
@@ -414,10 +440,37 @@ class TestTraceIo:
         trace = AccessTrace.single(addresses, [0, 1, 2, 0, 1, 2])
         path = tmp_path / "trace.txt"
         write_text_trace(trace, path)
-        block = _block_accesses(path.read_text())
-        assert block is not None
+        with mock.patch.object(cachesim, "_line_access", side_effect=AssertionError):
+            block = _block_accesses(path.read_text(), 1)
         assert block[0].tolist() == addresses
         assert block[1].tolist() == [0, 1, 2, 0, 1, 2]
+
+    @pytest.mark.parametrize("bad", [None, "L 0xzz"])
+    def test_comment_in_every_block_parses_only_the_comments(self, tmp_path, bad):
+        # a header, then a comment about every 300 lines: every 4096-character
+        # block of the reader holds one or two lines not of the form
+        rng = np.random.default_rng(37)
+        lines = [f"{'ILS'[k]} {a:#x}\n" for k, a in zip(
+            rng.integers(0, 3, size=3000).tolist(), rng.integers(0, 2**40, size=3000).tolist())]
+        for at in range(2900, 0, -300):
+            lines.insert(at, f"# comment {at}\n")
+        lines.insert(0, "# header\n")
+        if bad is not None:
+            lines.insert(2000, bad + "\n")
+        path = tmp_path / "trace.txt"
+        path.write_text("".join(lines))
+        with mock.patch.object(cachesim, "_TEXT_BLOCK", 4096), \
+                mock.patch.object(cachesim, "_line_access",
+                                  wraps=cachesim._line_access) as parsed:
+            result = _read_or_error(read_text_trace, path)
+        assert result == _read_or_error(reference_read_text_trace, path)
+        others = [line for line in lines if not line.startswith(("I 0x", "L 0x", "S 0x"))]
+        if bad is None:
+            assert len(result[0]) == 3000
+            assert parsed.call_count == len(others) == 11
+        else:
+            assert result.startswith("line 2001: ")
+            assert parsed.call_count <= len(others)
 
     def test_binary_roundtrip_with_sidecar(self, tmp_path):
         trace = AccessTrace(segments=(

@@ -243,6 +243,19 @@ class TestReduce:
                    "--out", workdir / "o") == 2
         assert "--k" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", ["0", "-1", "3"])
+    def test_k_outside_one_to_n_names_k(self, workdir, capsys, k):
+        # the two workloads allow k = 1 or 2; the user gave --k, so the message
+        # names k, not the k_min and k_max of a search
+        assert run("ingest", workdir / "counters.csv", "--out", workdir / "ingest") == 0
+        capsys.readouterr()
+        out = workdir / "o"
+        assert run("reduce", workdir / "ingest" / "vectors.json", "--k", k, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"need 1 <= k <= n, got k={k} with n=2" in err
+        assert "k_min" not in err
+        assert not out.exists()
+
 
     def test_k_range_without_a_comma_exit_2(self, workdir, capsys):
         assert run("ingest", workdir / "counters.csv", "--out", workdir / "ingest") == 0

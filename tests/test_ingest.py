@@ -3,9 +3,9 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from helpers import FIXTURE_COUNTERS, make_profile
+from helpers import FIXTURE_COUNTERS, make_profile, reference_parse_counter_csv
 from wcr.errors import DataError, ParseError
 from wcr.ingest import (
     FORMULAS,
@@ -70,6 +70,11 @@ class TestParseCounterCsv:
         with pytest.raises(ParseError, match="header"):
             parse_counter_csv("a,b,c\n")
 
+    def test_sum_below_the_float_maximum_is_kept(self):
+        text = COUNTER_HEADER + "w1,n1,foo,1e308,10\nw1,n2,foo,7.9e307,10\n"
+        (profile,) = parse_counter_csv(text)
+        assert profile.counters["foo"] == 1e308 + 7.9e307 < math.inf
+
     def test_aliases_map_to_canonical_names(self):
         text = COUNTER_HEADER + (
             "w1,n1,instructions,100,10\n"
@@ -88,6 +93,111 @@ class TestParseCounterCsv:
         )
         profiles = parse_counter_csv(text)
         assert [p.workload_id for p in profiles] == ["w2", "w1"]
+
+
+# (rows after the header, the error); each row's first failing check, in the
+# docstring's order, names the error
+_MALFORMED_DUMPS = [
+    (" ,n1,cycles,1,10", "line 2: workload, node and event must be non-empty"),
+    ("w1,\t,cycles,1,10", "line 2: workload, node and event must be non-empty"),
+    ("w1,n1,,1,10", "line 2: workload, node and event must be non-empty"),
+    ("w1,n1,cycles,abc,10", "line 2: count 'abc' is not a number"),
+    ("w1,n1,cycles, 1 000 ,10", "line 2: count '1 000' is not a number"),
+    ("w1,n1,cycles,,10", "line 2: count '' is not a number"),
+    ("w1,n1,cycles, nan ,10", "line 2: count 'nan' is not finite"),
+    ("w1,n1,cycles,-inf,10", "line 2: count '-inf' is not finite"),
+    ("w1,n1,cycles,1e999,10", "line 2: count '1e999' is not finite"),
+    ("w1,n1,cycles,-5,10", "line 2: count -5.0 is negative"),
+    ("w1,n1,cycles,-1e-300,10", "line 2: count -1e-300 is negative"),
+    ("w1,n1,cycles,1,ten", "line 2: wall_time_s 'ten' is not a number"),
+    ("w1,n1,cycles,1, Infinity ", "line 2: wall_time_s 'Infinity' is not finite"),
+    ("w1,n1,cycles,1,10\nw1,n1,cpu-cycles,2,10",
+     "line 3: duplicate row for workload 'w1', node 'n1', event 'cycles'"),
+    ("w1,n1,foo,1e308,1\nw1,n2, foo ,1e308,1",
+     "line 3: counts for workload 'w1', event 'foo' sum beyond the float range"),
+    ("w1,n1,cycles,1", "line 2: expected 5 fields, got 4"),
+    # two faults in one row: the earlier check wins
+    ("w1,,cycles,abc,10", "line 2: workload, node and event must be non-empty"),
+    ("w1,n1,cycles,abc,xyz", "line 2: count 'abc' is not a number"),
+    ("w1,n1,cycles,nan,-1", "line 2: count 'nan' is not finite"),
+    ("w1,n1,cycles,-1,xyz", "line 2: count -1.0 is negative"),
+    ("w1,n1,cycles,-1,inf", "line 2: count -1.0 is negative"),
+    ("w1,n1,cycles,1,10\nw1,n1,cycles,2,nan", "line 3: wall_time_s 'nan' is not finite"),
+    ("w1,n1,cycles,1,10\nw1,n1,cycles,-2,10", "line 3: count -2.0 is negative"),
+    ("w1,n1,foo,1e308,1\nw1,n1,foo,1e308,1",
+     "line 3: duplicate row for workload 'w1', node 'n1', event 'foo'"),
+    # a fault on a later line, after a blank line
+    ("w1,n1,cycles,1,10\n\nw2,n1,cycles,x,10", "line 4: count 'x' is not a number"),
+]
+
+
+_PAD = st.sampled_from(["", "", " ", "\t", " \u2007"])
+# spellings of four counters, aliases among them
+_EVENTS = {"cycles": ["cycles", "cpu-cycles", "cpu_clk_unhalted.thread"],
+           "instructions_retired": ["instructions_retired", "instructions", "inst_retired.any"],
+           "mispredicted_branches": ["branch-misses", "mispredicted_branches"],
+           "foo": ["foo"]}
+_GOOD_COUNTS = st.one_of(
+    st.sampled_from(["0", "-0.0", "1e3", "1_000", "7", "0.1", "0.2", "0.3", "1e308", "5e307",
+                     "3.3e-5", "\u0661\u0662", "+4", "1e-320", "2.5E+2"]),
+    st.floats(0, 1e6).map(repr))
+_GOOD_WALLS = st.one_of(st.sampled_from(["10", "-0.0", "0", "99.5", "1e2", "-3"]),
+                        st.floats(-1e3, 1e3).map(repr))
+# one faulty field: (column, value)
+_FAULTS = st.tuples(st.integers(0, 4), st.sampled_from(
+    ["", " ", "nan", "inf", "-inf", "-1", "-0.5", "x", "1__0", "1e999"]))
+
+
+@st.composite
+def _counter_dumps(draw):
+    """A counter dump of unique (workload, node, counter) rows, then perhaps
+    one row with a faulty field or a repeat of an earlier key."""
+    keys = draw(st.lists(st.tuples(st.sampled_from(["w1", "w2", "w3"]),
+                                   st.sampled_from(["n1", "n2", "n3", "n4"]),
+                                   st.sampled_from(sorted(_EVENTS))),
+                         unique=True, max_size=25))
+    rows = [[workload, node, draw(st.sampled_from(_EVENTS[event])),
+             draw(_GOOD_COUNTS), draw(_GOOD_WALLS)] for workload, node, event in keys]
+    fault = draw(st.none() | _FAULTS | st.just("repeat"))
+    if fault == "repeat" and rows:
+        workload, node, event = draw(st.sampled_from(keys))
+        rows.insert(draw(st.integers(0, len(rows))), [
+            workload, node, draw(st.sampled_from(_EVENTS[event])), "1", "1"])
+    elif isinstance(fault, tuple) and rows:
+        column, value = fault
+        draw(st.sampled_from(rows))[column] = value
+    return COUNTER_HEADER + "".join(
+        ",".join(draw(_PAD) + field + draw(_PAD) for field in row) + "\n" for row in rows)
+
+
+class TestCounterCsvMatchesReference:
+    @pytest.mark.parametrize("rows, message", _MALFORMED_DUMPS)
+    def test_malformed_dump_names_the_first_failing_check(self, rows, message):
+        text = COUNTER_HEADER + rows + "\n"
+        for parse in (parse_counter_csv, reference_parse_counter_csv):
+            with pytest.raises(ParseError) as raised:
+                parse(text)
+            assert str(raised.value) == message
+            assert raised.value.line == int(message.split()[1].rstrip(":"))
+
+    @settings(max_examples=300)
+    @given(_counter_dumps())
+    def test_same_profiles_or_same_error(self, text):
+        """Padded fields, aliases that collide once mapped, counts such as -0.0,
+        1e3 and 1_000, and sums over nodes whose bits depend on the order of
+        the additions: the parser gives the reference's profiles, compared
+        with float.hex, or its error."""
+        assert _profiles_or_error(parse_counter_csv, text) == \
+            _profiles_or_error(reference_parse_counter_csv, text)
+
+
+def _profiles_or_error(parse, text):
+    try:
+        profiles = parse(text)
+    except ParseError as exc:
+        return str(exc)
+    return [(p.workload_id, [(name, total.hex()) for name, total in p.counters.items()],
+             p.wall_time_s.hex(), p.node_count) for p in profiles]
 
 
 def _telemetry(times, cpu=0.5, iow=0.1, wio=None):
