@@ -419,17 +419,23 @@ def _cmd_report(args: argparse.Namespace, config: RunConfig, outputs: _Outputs) 
         inputs.append(stack_path)
         stack_table = report.stack_impact_table(_read_stack_table(stack_path))
 
-    curves: list[tuple[str, cachesim.MissRatioCurve]] = []
+    curves: dict[str, cachesim.MissRatioCurve] = {}
     if args.curves:
         curves_dir = Path(args.curves)
         if not curves_dir.is_dir():
             raise DataError(f"--curves {args.curves!r} is not a directory")
+        read_from: dict[str, Path] = {}
         for path in sorted(curves_dir.glob("*.csv")):
             inputs.append(path)
             workload, _, kind = path.stem.rpartition("_")
             if not workload or kind not in {k.value for k in cachesim.CurveKind}:
                 workload, kind = path.stem, cachesim.CurveKind.UNIFIED
-            curves.append((workload, cachesim.read_curve_csv(path, cachesim.CurveKind(kind))))
+            curve = cachesim.read_curve_csv(path, cachesim.CurveKind(kind))
+            name = f"{workload}_{curve.kind.value}"
+            if name in read_from:
+                raise DataError(f"{read_from[name]} and {path} both name the curve '{name}'")
+            read_from[name] = path
+            curves[name] = curve
 
     if not summaries and stack_table is None and not curves:
         notes.append("no inputs supplied; empty report")
@@ -437,7 +443,7 @@ def _cmd_report(args: argparse.Namespace, config: RunConfig, outputs: _Outputs) 
     bundle = report.ReportBundle(
         summaries=tuple(summaries),
         stack_impact=stack_table,
-        curves=tuple(curves),
+        curves=curves,
         notes=tuple(notes),
     )
     report.emit(bundle, outputs.open)

@@ -226,7 +226,10 @@ def _time_weighted_mean(times: Sequence[float], values: Sequence[float]) -> floa
         (values[i] + values[i + 1]) / 2.0 * (times[i + 1] - times[i])
         for i in range(len(values) - 1)
     )
-    return area / span
+    # rounding can carry the quotient a few ulps past the values averaged, so
+    # a series pegged at 1.0 would leave [0, 1]; the clamp also keeps a
+    # constant series at exactly its value
+    return min(max(area / span, min(values)), max(values))
 
 
 # --- metric derivation ------------------------------------------------------

@@ -173,11 +173,6 @@ def fit_pca(data: np.ndarray, variance_target: float) -> PcaModel:
         raise DataError(f"variance_target {variance_target} outside (0, 1]")
     data = np.asarray(data, dtype=float)
     n, d = data.shape
-    if d == 0:
-        return PcaModel(
-            components=np.zeros((0, 0)), eigenvalues=(), explained_variance_ratio=(),
-            retained=0,
-        )
     if n < 2:
         raise DataError(f"need at least 2 rows to fit, got {n}")
 
@@ -210,8 +205,6 @@ def fit_pca(data: np.ndarray, variance_target: float) -> PcaModel:
 def project(data: np.ndarray, model: PcaModel) -> np.ndarray:
     """Map the rows of the standardized matrix `data` into the retained component space."""
     data = np.asarray(data, dtype=float)
-    if model.retained == 0:
-        return np.zeros((data.shape[0], 0))
     if data.shape[1] != model.components.shape[1]:
         raise DataError(
             f"matrix has {data.shape[1]} columns but the model expects "
@@ -300,7 +293,6 @@ def kmeans(
     centroids = points[chosen]
     basis = centroids.copy()  # the centroids `distances` was computed for
 
-    labels = np.zeros(n, dtype=int)
     history: list[float] = []
     iterations = 0
     for _ in range(_MAX_ITER):
@@ -310,8 +302,7 @@ def kmeans(
         labels = _fill_empty_clusters(points, centroids, labels, k)
 
         new_centroids = _cluster_means(points, labels, k)
-        movement = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()) \
-            if centroids.size else 0.0
+        movement = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
         history.append(float(((points - centroids[labels]) ** 2).sum()))
         _refresh_columns(distances, points, centroids, basis)
@@ -322,12 +313,12 @@ def kmeans(
     polished, centroids = _relocation_polish(
         points, labels, centroids, distances, k, max_sweeps=_MAX_ITER
     )
-    if history and np.array_equal(polished, labels):
+    if np.array_equal(polished, labels):
         inertia = history[-1]  # same members, same centroids
     else:
         labels = polished
         inertia = float(((points - centroids[labels]) ** 2).sum())
-        if not history or inertia < history[-1]:
+        if inertia < history[-1]:
             history.append(inertia)
     return Clustering(
         k=k,
@@ -500,8 +491,6 @@ def _refresh_columns(
 
 
 def _sq_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    if points.shape[1] == 0:
-        return np.zeros((points.shape[0], centroids.shape[0]))
     return ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence, TextIO
 
 from .cachesim import MissRatioCurve, write_curve_csv
@@ -146,8 +146,6 @@ class StackImpactTable(Codec):
 
 
 def _gap_flag(ratio: float) -> str | None:
-    if ratio <= 0 or not math.isfinite(ratio):
-        return ORDER_OF_MAGNITUDE if ratio == math.inf else None
     decades = math.log10(ratio)
     if decades >= 1.0:
         return ORDER_OF_MAGNITUDE
@@ -203,12 +201,15 @@ def stack_impact_table(records: Sequence[StackMetricRecord]) -> StackImpactTable
 
 
 @dataclass(frozen=True)
-class ReportBundle:
-    """Everything one report run produces, ready for `emit`."""
+class ReportBundle(Codec):
+    """Everything one report run produces, ready for `emit`.
+
+    `curves` maps each curve's file name, without `.csv`, to the curve.
+    """
 
     summaries: tuple[GroupSummary, ...] = ()
     stack_impact: StackImpactTable | None = None
-    curves: tuple[tuple[str, MissRatioCurve], ...] = ()
+    curves: dict[str, MissRatioCurve] = field(default_factory=dict)
     notes: tuple[str, ...] = ()
 
 
@@ -243,19 +244,10 @@ def emit(bundle: ReportBundle, open_output: Callable[[str], TextIO]) -> None:
             for row in bundle.stack_impact.rows for stack in sorted(row.values)
         ))
 
-    for workload, curve in bundle.curves:
-        write_curve_csv(curve, open_output(f"curves/{workload}_{curve.kind.value}.csv"))
+    for name, curve in bundle.curves.items():
+        write_curve_csv(curve, open_output(f"curves/{name}.csv"))
 
-    bundle_dict: dict[str, Any] = {
-        "summaries": [s.to_dict() for s in bundle.summaries],
-        "stack_impact": bundle.stack_impact.to_dict() if bundle.stack_impact else None,
-        "curves": {
-            f"{workload}_{curve.kind.value}": curve.to_dict()
-            for workload, curve in bundle.curves
-        },
-        "notes": list(bundle.notes),
-    }
-    write_json(open_output("bundle.json"), _round_floats(bundle_dict))
+    write_json(open_output("bundle.json"), _round_floats(bundle.to_dict()))
 
 
 def _round_floats(obj: Any) -> Any:
@@ -263,6 +255,6 @@ def _round_floats(obj: Any) -> Any:
         return round(obj, 4) if math.isfinite(obj) else repr(obj)
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         return [_round_floats(v) for v in obj]
     return obj

@@ -129,6 +129,18 @@ class TestIngest:
     def test_missing_file_exit_3(self, workdir):
         assert run("ingest", workdir / "nope.csv", "--out", workdir / "o") == 3
 
+    def test_series_pegged_at_full_cpu_ingests(self, workdir):
+        # its time-weighted mean once rounded to 1.0000000000000002 and exited 2
+        telemetry = workdir / "pegged.csv"
+        telemetry.write_text(TELEMETRY_HEADER + "".join(
+            f"w1,{t},1.0,0.0,0,0,0\n"
+            for t in (7.4, 23.166, 23.25, 59.124, 70.95, 79.158, 93.4)))
+        out = workdir / "ingest"
+        assert run("ingest", workdir / "counters.csv", "--telemetry", telemetry,
+                   "--warmup", "0", "--out", out) == 0
+        metrics = json.loads((out / "system_metrics.json").read_text())["system_metrics"]
+        assert metrics["w1"]["cpu_util"] == 1.0
+
     @pytest.mark.parametrize("telemetry", [
         "workload,t_s\nw1,0\n",
         # each bandwidth is finite; their mean is not, and JSON has no Infinity
@@ -256,6 +268,24 @@ class TestReduce:
         assert "k_min" not in err
         assert not out.exists()
 
+    # sha256 of reduction.json for six workloads with equal counters: every metric
+    # column is dropped, so PCA keeps 0 components and k-means runs on 0 columns
+    CONSTANT_DIGESTS = {
+        ("--k", "3"):
+            "aaf9d9c2ec315d9ae6ab4d94dc17af1da0dd353fb98828c6f6ef17ade639fe8e",
+        ("--k", "auto"):
+            "e915f57ce9cb0b3f3a4be48ea34e8c6a7fa4cf75576a3182e722568949d7a9d2",
+    }
+
+    @pytest.mark.parametrize("flags", list(CONSTANT_DIGESTS))
+    def test_all_constant_reduction_bytes_are_pinned(self, workdir, flags):
+        (workdir / "same.csv").write_text(
+            counters_csv({f"w{i}": FIXTURE_COUNTERS for i in range(6)}))
+        assert run("ingest", workdir / "same.csv", "--out", workdir / "ingest") == 0
+        out = workdir / "o"
+        assert run("reduce", workdir / "ingest" / "profiles.json", *flags, "--out", out) == 0
+        digest = hashlib.sha256((out / "reduction.json").read_bytes()).hexdigest()
+        assert digest == self.CONSTANT_DIGESTS[flags]
 
     def test_k_range_without_a_comma_exit_2(self, workdir, capsys):
         assert run("ingest", workdir / "counters.csv", "--out", workdir / "ingest") == 0
@@ -491,6 +521,14 @@ class TestReport:
         }
         assert digests == self.CSV_DIGESTS
 
+    # sha256 of the JSON index `full_report` writes: summaries, stack impact and curve
+    BUNDLE_DIGEST = "17c0afd9eae9326c62da8ffcf688ea8470b3e58bc5c4f2d42b886b033c52b72c"
+
+    def test_bundle_json_bytes_are_pinned(self, workdir):
+        assert full_report(workdir) == 0
+        bundle = (workdir / "report" / "bundle.json").read_bytes()
+        assert hashlib.sha256(bundle).hexdigest() == self.BUNDLE_DIGEST
+
     def test_non_numeric_stack_value_exit_2(self, workdir, capsys):
         stack_csv = workdir / "stack.csv"
         stack_csv.write_text(
@@ -578,6 +616,17 @@ class TestReport:
         assert run("report", "--curves", sim, "--out", out) == 0
         curves = json.loads((out / "bundle.json").read_text())["curves"]
         assert list(curves) == ["curve_instruction"]
+
+    def test_two_files_of_one_curve_name_exit_2_names_both(self, workdir, capsys):
+        # the later file once replaced the earlier in the report without a word
+        sim = workdir / "sim"
+        assert run("simulate", workdir / "trace.txt", "--sizes", "16K,32K", "--out", sim) == 0
+        (sim / "curve_unified.csv").write_text("capacity_bytes,miss_ratio\n16384,0.5\n")
+        out = workdir / "r"
+        assert run("report", "--curves", sim, "--out", out) == 2
+        assert (f"{sim / 'curve.csv'} and {sim / 'curve_unified.csv'} both name the curve "
+                "'curve_unified'") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_repeated_stack_row_exit_2_names_line(self, workdir, capsys):
         # the last of two rows once replaced the first without a word

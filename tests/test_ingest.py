@@ -249,6 +249,17 @@ class TestAggregateTelemetry:
         assert m.disk_bw_Bps == 1e6
         assert m.net_bw_Bps == 2e6
 
+    @pytest.mark.parametrize("times, value", [
+        # the weighted mean once rounded to 1.0000000000000002, outside [0, 1]
+        ([7.4, 23.166, 23.25, 59.124, 70.95, 79.158, 93.4], 1.0),
+        # once 0.4512999999999999
+        ([0, 7.5, 31.25, 44.1, 90.3], 0.4513),
+    ])
+    def test_constant_series_at_uneven_times_returns_the_constant(self, times, value):
+        m = aggregate_telemetry(_telemetry(times, cpu=value, iow=value), 100.0)
+        assert m.cpu_util == value
+        assert m.io_wait == value
+
     def test_weighted_io_ratio_from_counter_delta(self):
         telemetry = _telemetry([0, 50, 100], wio=[0.0, 6e5, 1.2e6])
         m = aggregate_telemetry(telemetry, 100.0)

@@ -154,6 +154,12 @@ class TestPca:
         with pytest.raises(DataError):
             fit_pca(np.zeros((3, 2)), variance_target=0.0)
 
+    # a 1 x 0 matrix once returned an empty model
+    @pytest.mark.parametrize("shape", [(1, 3), (1, 0)])
+    def test_fewer_than_two_rows_rejected(self, shape):
+        with pytest.raises(DataError, match="need at least 2 rows to fit, got 1"):
+            fit_pca(np.zeros(shape), variance_target=0.85)
+
 
 class TestProject:
     def test_identity_components(self):
@@ -175,11 +181,14 @@ class TestProject:
         model = fit_pca(rng.normal(size=(10, 3)), variance_target=1.0)
         assert np.array_equal(project(np.zeros((1, 3)), model), np.zeros((1, 3)))
 
-    def test_dimension_mismatch_rejected(self):
+    # a 0-component model once projected a matrix of any width to no columns
+    @pytest.mark.parametrize("fitted, width", [(3, 4), (0, 2)])
+    def test_dimension_mismatch_rejected(self, fitted, width):
         rng = np.random.default_rng(8)
-        model = fit_pca(rng.normal(size=(10, 3)), variance_target=1.0)
-        with pytest.raises(DataError, match="columns"):
-            project(np.zeros((1, 4)), model)
+        model = fit_pca(rng.normal(size=(10, fitted)), variance_target=1.0)
+        with pytest.raises(DataError, match=f"matrix has {width} columns but the model "
+                                            f"expects {fitted}"):
+            project(np.zeros((1, width)), model)
 
 
 class TestKmeans:
@@ -239,6 +248,15 @@ class TestKmeans:
         c = kmeans(points, 3, seed=0)
         assert set(c.labels) == {0, 1, 2}
         assert c.inertia == 0.0
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_points_without_columns_stop_after_one_iteration(self, k):
+        c = kmeans(np.zeros((5, 0)), k, seed=0)
+        assert c.inertia == 0.0
+        assert c.iterations == 1
+        assert c.inertia_history == (0.0,)
+        assert c.centroids.shape == (k, 0)
+        assert sorted(set(c.labels)) == list(range(k))
 
     def test_small_instance_optimality(self):
         for seed in range(4):
@@ -553,6 +571,23 @@ class TestPipeline:
         assert result.clustering.k == 1
         assert result.representatives == ("a",)
         assert result.normalized.data.shape == (2, 0)
+
+    @pytest.mark.parametrize("config, k", [
+        (ReductionConfig(k=2), 2),
+        (ReductionConfig(k=6), 6),
+        (ReductionConfig(), 1),
+        (ReductionConfig(k_min=2, k_max=4), 2),
+    ])
+    def test_all_constant_vectors_reduce_on_no_columns(self, config, k):
+        # every column is dropped, so every k has inertia 0 and the BIC ties at +inf
+        schema = make_plain_schema(["x", "y"])
+        result = reduce_vectors(_vectors([[1, 2]] * 6, schema), schema, config)
+        assert result.pca.retained == 0
+        assert result.projected.shape == (6, 0)
+        assert result.clustering.k == k
+        for cluster, workload in enumerate(result.representatives):
+            members = [w for w, c in result.clustering.assignments.items() if c == cluster]
+            assert workload == min(members)
 
     def test_k_equal_n_makes_everyone_representative(self):
         schema = make_plain_schema(["x", "y"])

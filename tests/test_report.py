@@ -183,7 +183,7 @@ class TestEmit:
             points=(CurvePoint(16384, 0.5), CurvePoint(32768, 0.25)),
             kind=CurveKind.INSTRUCTION,
         )
-        return ReportBundle(summaries=summaries, curves=(("wc", curve),))
+        return ReportBundle(summaries=summaries, curves={"wc_instruction": curve})
 
     def test_two_groupings_two_csvs_one_bundle(self):
         assert sorted(_emit(self._bundle())) == [
