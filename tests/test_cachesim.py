@@ -82,6 +82,17 @@ class TestCacheConfig:
         with pytest.raises(DataError, match="divisible"):
             CacheConfig(capacity_bytes=64 * 12, line_bytes=64, associativity=8)
 
+    @pytest.mark.parametrize("capacity, associativity, values", [
+        (1000, 8, ("capacity_bytes 1000", "line_bytes 64", "associativity 8")),
+        (100, None, ("capacity_bytes 100", "line_bytes 64", "associativity full")),
+        (64 * 12, 8, ("capacity_bytes 768", "line_bytes 64", "associativity 8")),
+    ])
+    def test_divisibility_errors_name_the_geometry(self, capacity, associativity, values):
+        with pytest.raises(DataError, match="divisible") as raised:
+            CacheConfig(capacity_bytes=capacity, line_bytes=64, associativity=associativity)
+        for value in values:
+            assert value in str(raised.value)
+
 
 class TestSimulate:
     def test_single_line_all_hits_after_cold_miss(self):
@@ -110,8 +121,10 @@ class TestSimulate:
     def test_no_matching_kinds_rejected(self):
         seg = segment([1, 2], kinds=np.array([1, 1], dtype=np.uint8))
         config = CacheConfig(capacity_bytes=16 * KIB)
-        with pytest.raises(DataError, match="no accesses"):
+        with pytest.raises(DataError, match=r"no accesses of the requested kinds \(ifetch\)"):
             simulate_segment(seg, config, kinds=frozenset({AccessKind.IFETCH}))
+        with pytest.raises(DataError, match=r"requested kinds \(ifetch, store\)"):
+            simulate_segment(seg, config, kinds=frozenset({AccessKind.STORE, AccessKind.IFETCH}))
 
     def test_miss_count_exact_cold_when_working_set_fits(self):
         rng = np.random.default_rng(0)
@@ -122,7 +135,8 @@ class TestSimulate:
 
 
 class TestOracleEquivalence:
-    @pytest.mark.parametrize("associativity", [None, 8])
+    # 16 ways keeps each set as a list, 32 ways and full as an OrderedDict
+    @pytest.mark.parametrize("associativity", [None, 8, 16, 32])
     @pytest.mark.parametrize("capacity_kib", [16, 64, 256])
     def test_simulate_matches_oracle_on_random_traces(self, associativity, capacity_kib):
         rng = np.random.default_rng(17)
@@ -178,6 +192,24 @@ class TestOracleEquivalence:
         fits = 2 * rng.integers(0, ways, size=n)
         seg = segment(np.column_stack([fits, over]).ravel())
         self.assert_sweep_and_simulate_match_oracle(seg, [512], ways)
+
+    @pytest.mark.parametrize("ways", [2, 32])
+    def test_few_evicting_sets_among_many(self, ways):
+        # 2**16 sets: three of them draw from ways + 3 lines each and evict,
+        # the rest each get at most one line, so nearly every set of the
+        # list layout is a None placeholder
+        set_count = 1 << 16
+        rng = np.random.default_rng(47)
+        hot = np.array([5, 777, 60000])
+        over = hot[rng.integers(0, 3, size=6000)] + set_count * rng.integers(
+            0, ways + 3, size=6000)
+        spread = rng.choice(np.setdiff1d(np.arange(set_count), hot), size=3000, replace=False)
+        lines = np.concatenate([over, spread])[rng.permutation(9000)]
+        seg = segment(lines)
+        config = CacheConfig(capacity_bytes=set_count * ways * 64, associativity=ways)
+        expected = stack_distance_oracle(seg, config.capacity_lines, set_count)
+        assert expected > 3 * (ways + 3) + 3000  # the hot sets miss after their first touches
+        assert simulate_segment(seg, config).misses == expected
 
     def test_all_distinct_lines_all_miss(self):
         seg = segment(range(500))

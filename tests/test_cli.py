@@ -440,6 +440,11 @@ class TestSimulateFootprint:
         assert "sizes" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_indivisible_size_exit_2_names_it(self, workdir, capsys):
+        assert run("simulate", workdir / "trace.txt", "--sizes", "16K,1000",
+                   "--out", workdir / "o") == 2
+        assert "capacity_bytes 1000 is not divisible by line_bytes 64" in capsys.readouterr().err
+
     def test_non_integer_assoc_exit_2(self, workdir, capsys):
         assert run("simulate", workdir / "trace.txt", "--assoc", "abc",
                    "--out", workdir / "o") == 2
