@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import io
 import logging
@@ -243,8 +244,9 @@ def _load_vectors(path: Path, config: RunConfig, inputs: list[Path]
         if stale:
             raise DataError(f"vector schema_version {min(stale)!r} does not match "
                             f"schema {schema.version!r}")
-        return schema, [MetricVector.from_values(v.workload_id, v.values, schema)
-                        for v in stored.vectors]
+        for vector in stored.vectors:
+            schema.check_values(vector.workload_id, vector.values)
+        return schema, list(stored.vectors)
     if isinstance(payload, dict) and "profiles" in payload:
         schema = _load_schema(config, inputs)
         profiles = ProfilesFile.from_dict(payload).profiles
@@ -541,6 +543,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # one parser per process: parse_args keeps no state between calls
 def _build_parser() -> _Parser:
     parser = _Parser(prog="wcr", description="Workload characterization and reduction toolkit")
     sub = parser.add_subparsers(dest="command", metavar="command", parser_class=_Parser)

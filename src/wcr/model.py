@@ -28,6 +28,7 @@ import dataclasses
 import enum
 import functools
 import io
+import itertools
 import json
 import math
 import types
@@ -184,14 +185,66 @@ def write_json(out: TextIO, payload: Any) -> None:
     """Write `payload` to `out` as byte-stable JSON: sorted keys, two-space indent,
     final newline.
 
+    The text is byte for byte that of `json.dumps(payload, indent=2,
+    sort_keys=True, allow_nan=False)` plus the newline, for dict keys that are
+    strings. It is built here because `json` ignores its C encoder whenever
+    `indent` is set and falls back to a generator per container, which made
+    the encoder the largest cost of a CLI command outside its own stages.
+
     NaN and infinities have no JSON form; a payload holding one is a
     `DataError` naming the stream, and nothing is written.
     """
     try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        text = _json_text(payload, "\n")
     except ValueError as exc:
         raise DataError(f"{getattr(out, 'name', 'JSON output')}: {exc}")
     out.write(text + "\n")
+
+
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value: Any, newline: str) -> str:
+    # `value` as json.dumps writes it, `newline` being the line break and indent
+    # of its own level; types are tested in json's order, so an IntEnum prints
+    # as its int and a str-Enum as its string
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise _non_finite(value)
+        return float.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:  # a flat list of floats in one join
+            text = ("," + inner).join(map(float.__repr__, value))
+        except TypeError:
+            text = ("," + inner).join([_json_text(v, inner) for v in value])
+        else:
+            if "n" in text:  # "nan" or "inf": a finite float's repr has no "n"
+                raise _non_finite(next(v for v in value if not math.isfinite(v)))
+        return "[" + inner + text + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            [_json_string(key) + ": " + _json_text(value[key], inner) for key in sorted(value)]
+        ) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _non_finite(value: float) -> ValueError:
+    return ValueError(f"Out of range float values are not JSON compliant: {value!r}")
 
 
 def read_csv(stream: TextIO | str, columns: Sequence[str], *, extra: bool = False
@@ -357,6 +410,28 @@ class MetricSchema(Codec):
     def names(self) -> tuple[str, ...]:
         return tuple(m.name for m in self.metrics)
 
+    @functools.cached_property
+    def _is_ratio(self) -> tuple[bool, ...]:
+        return tuple(m.unit is MetricUnit.RATIO for m in self.metrics)
+
+    def check_values(self, workload_id: str, values: Sequence[float]) -> None:
+        """The one check of a vector against this schema: one finite value per
+        metric, and each ratio in [0, 1]; any other is a `DataError`."""
+        if len(values) != len(self.metrics):
+            raise DataError(
+                f"workload '{workload_id}': {len(values)} values for a "
+                f"{len(self.metrics)}-metric schema"
+            )
+        if all(map(math.isfinite, values)):
+            ratios = list(itertools.compress(values, self._is_ratio))
+            if not ratios or 0.0 <= min(ratios) and max(ratios) <= 1.0:
+                return
+        for desc, v in zip(self.metrics, values):  # name the first bad value
+            if not math.isfinite(v):
+                raise DataError(f"metric '{desc.name}': non-finite value {v!r}")
+            if desc.unit is MetricUnit.RATIO and not 0.0 <= v <= 1.0:
+                raise DataError(f"metric '{desc.name}': ratio value {v} outside [0, 1]")
+
 
 @dataclass(frozen=True)
 class RawProfile(Codec):
@@ -382,27 +457,18 @@ class MetricVector(Codec):
     schema_version: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        for v in self.values:
-            if not math.isfinite(v):
-                raise DataError(f"workload '{self.workload_id}': non-finite metric value {v!r}")
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
+        if not all(map(math.isfinite, self.values)):
+            v = next(v for v in self.values if not math.isfinite(v))
+            raise DataError(f"workload '{self.workload_id}': non-finite metric value {v!r}")
 
     @classmethod
     def from_values(
         cls, workload_id: str, values: Sequence[float], schema: MetricSchema
     ) -> "MetricVector":
         """Build a vector checked against `schema`: length, finiteness, ratio bounds."""
-        values = tuple(float(v) for v in values)
-        if len(values) != len(schema):
-            raise DataError(
-                f"workload '{workload_id}': {len(values)} values for a "
-                f"{len(schema)}-metric schema"
-            )
-        for desc, v in zip(schema.metrics, values):
-            if not math.isfinite(v):
-                raise DataError(f"metric '{desc.name}': non-finite value {v!r}")
-            if desc.unit is MetricUnit.RATIO and not 0.0 <= v <= 1.0:
-                raise DataError(f"metric '{desc.name}': ratio value {v} outside [0, 1]")
+        values = tuple(map(float, values))
+        schema.check_values(workload_id, values)
         return cls(workload_id=workload_id, values=values, schema_version=schema.version)
 
 

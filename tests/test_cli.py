@@ -314,6 +314,27 @@ class TestReduce:
         assert run("reduce", stale, "--k", "2", "--out", workdir / "o") == 2
         assert "vector schema_version 'old-1' does not match" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["reduce", "report"])
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda values: values.pop(), "workload 'w2': 44 values for a 45-metric schema"),
+        (lambda values: values.__setitem__(0, 1.5),
+         "metric 'branch_ratio': ratio value 1.5 outside [0, 1]"),
+    ], ids=["wrong-length", "ratio-above-one"])
+    def test_stored_vector_outside_its_schema_exit_2(self, workdir, capsys, command, mutate,
+                                                     message):
+        assert run("ingest", workdir / "counters.csv", "--out", workdir / "ingest") == 0
+        assert run("classify", workdir / "behavior.csv", "--out", workdir / "classify") == 0
+        payload = json.loads((workdir / "ingest" / "vectors.json").read_text())
+        mutate(payload["vectors"][1]["values"])
+        bad = workdir / "bad.json"
+        bad.write_text(json.dumps(payload))
+        argv = {"reduce": [bad, "--k", "1"],
+                "report": ["--vectors", bad, "--labels", workdir / "classify" / "labels.csv"]}
+        out = workdir / "o"
+        assert run(command, *argv[command], "--out", out) == 2
+        assert f"wcr: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_json_without_vectors_or_profiles_exit_2(self, workdir, capsys):
         other = workdir / "other.json"
         other.write_text('{"rows": []}')
@@ -991,6 +1012,17 @@ class TestSettingsFlags:
     def test_defaults_reach_the_manifest(self, inputs):
         for argv in self.COMMANDS.values():
             assert self.config_of(inputs, *argv) == self.DEFAULTS
+
+    @pytest.mark.parametrize("first, code, then", [
+        (["reduce", "{dir}/ingest/vectors.json", "--k", "2"], 0, "reduce"),
+        (["--config", "{dir}/config.json", "ingest", "{dir}/counters.csv"], 0, "ingest"),
+        (["ingest", "{dir}/counters.csv", "--warmup", "10", "--bogus"], 1, "ingest"),
+    ], ids=["fixed-k", "config-file", "usage-error"])
+    def test_no_setting_carries_over_to_the_next_run(self, inputs, first, code, then):
+        # one parser serves every `main` call of a process
+        out = inputs / "first"
+        assert run(*[a.format(dir=inputs) for a in first], "--out", out) == code
+        assert self.config_of(inputs, *self.COMMANDS[then]) == self.DEFAULTS
 
 
 def _tree(root: Path) -> dict[str, bytes]:

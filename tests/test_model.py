@@ -2,11 +2,14 @@
 
 import io
 import json
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from helpers import FIXTURE_COUNTERS, make_profile
+from wcr.cachesim import AccessKind, CurveKind
 from wcr.errors import DataError
 from wcr.ingest import FORMULAS
 from wcr.model import (
@@ -156,18 +159,56 @@ class TestTelemetry:
         assert SystemTelemetry.from_dict(telemetry.to_dict()) == telemetry
 
 
+_FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_JSON_LEAVES = st.one_of(
+    st.text(),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f\n\t", "é€", "\U0001F600 \ud800", "</\u2028>"]),
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-10 ** 40, max_value=10 ** 40),
+    _FINITE_FLOATS,
+    st.sampled_from([-0.0, 5e-324, 1e-7, 1e16, sys.float_info.max, -sys.float_info.max]),
+    _FINITE_FLOATS.map(np.float64),
+    st.sampled_from([*AccessKind, *CurveKind]),
+)
+# nested dicts (string keys), lists and tuples, empty ones and flat float lists among them
+_JSON_PAYLOADS = st.recursive(
+    _JSON_LEAVES | st.lists(_FINITE_FLOATS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=6).map(tuple),
+        st.dictionaries(st.text(max_size=8), children, max_size=6),
+    ),
+    max_leaves=40,
+)
+
+
 class TestOtherTypes:
     def test_profile_roundtrip(self):
         profile = make_profile(stack="hadoop")
         assert RawProfile.from_dict(profile.to_dict()) == profile
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_write_json_rejects_non_finite(self, value):
+    @pytest.mark.parametrize("place", [
+        lambda v: v,
+        lambda v: {"a": [1.0, v, 2.0]},
+        lambda v: [1, "b", v],
+        lambda v: {"a": {"b": v}},
+    ], ids=["top-level", "flat-float-list", "mixed-list", "dict-value"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_write_json_rejects_non_finite(self, value, place):
         out = io.StringIO()
         out.name = "out.json"
-        with pytest.raises(DataError, match="out.json"):
-            write_json(out, {"a": [1.0, value]})
+        with pytest.raises(DataError, match="out.json: Out of range float values"):
+            write_json(out, place(value))
         assert out.getvalue() == ""
+
+    @given(_JSON_PAYLOADS)
+    def test_write_json_writes_the_text_of_json_dumps(self, payload):
+        out = io.StringIO()
+        write_json(out, payload)
+        assert out.getvalue() == json.dumps(payload, indent=2, sort_keys=True,
+                                            allow_nan=False) + "\n"
 
     def test_volumes_negative_rejected(self):
         with pytest.raises(DataError):
