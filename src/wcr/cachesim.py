@@ -4,32 +4,54 @@ A trace is a weighted list of access segments; sweeping one cache
 configuration across a capacity grid yields a miss-ratio-versus-capacity
 curve whose knee estimates the workload's instruction or data footprint.
 Every access allocates its line on a miss, stores included.
-`sweep_capacities` maps each segment's accesses to lines once and runs
-`simulate`, the LRU pass, over them at each capacity.
+`sweep_capacities` maps each segment's accesses to lines and finds each
+access's previous access to its line once, then runs `simulate`, the LRU
+pass, over them at each capacity.
 
 A set that receives at most `ways` distinct lines never evicts, so each of
 its lines misses exactly once, on its first touch. The simulation counts
-those sets' misses from the distinct lines alone and runs the LRU loop only
-over accesses to the other sets. This is exact: LRU sets are independent of
-one another, and since every access allocates, a set's contents depend only
-on the accesses mapped to it. When no set evicts, the miss count is the
-number of distinct lines and no access is looked at.
+those sets' misses from the distinct lines alone and looks only at the
+accesses to the other sets. This is exact: LRU sets are independent of one
+another, and since every access allocates, a set's contents depend only on
+the accesses mapped to it. Only the sets that some line maps to are
+counted, so memory follows the trace, not the capacity. When no set
+evicts, the miss count is the number of distinct lines and no access is
+looked at.
 
-The loop also skips each access whose line is that of the access just
-before it in the trace. The earlier access left that line most recently
-used in its set, and nothing has touched the set since, so the repeat is a
-hit that changes nothing (the stack property of Mattson et al., 1970). The
-miss count stays exact; the skipped accesses still count as accesses.
+An access whose line is that of the access just before it in its set hits
+and changes nothing: that access left the line most recently used, and
+nothing has touched the set since. The window count below drops every such
+repeat, the `OrderedDict` loop those that directly follow their line in
+the trace; they still count as accesses.
 
-An evicting set keeps its LRU order in one of two ways. Up to `_LIST_WAYS`
-(16) ways it is a plain list with the most recent line first: a hit moves
-its line to the front, a miss inserts there and drops the last line once
-the list holds more than `ways`. Above 16 ways, fully associative caches
-included, it is an `OrderedDict` in least-recent-first order. A list scans
-its lines on every access, an `OrderedDict` hashes: on segments of the
-`sweep1m` benchmark trace the list took 0.36-0.62 of the `OrderedDict`'s
-time at 4 ways, 0.44-0.74 at 8, 0.60-1.04 at 16, 0.91-1.38 at 32 and
-1.43-2.02 at 64, so the cut sits at 16.
+The evicting sets are counted by reuse windows up to `_WINDOW_WAYS` (64)
+ways. An LRU access misses when it touches its line for the first time, or
+when `ways` or more distinct lines of its set were touched since the
+previous access to its line: its reuse distance (Mattson et al., 1970).
+Take one set's accesses in trace order, and an access at position p whose
+line was last touched at q. Each distinct line touched strictly between q
+and p has exactly one position in that window whose next access to its
+line lies beyond p: its last use before p. So the reuse distance is the
+number of window positions whose next use lies beyond p, and the rule is:
+
+- a first touch misses;
+- a window of fewer than `ways` positions hits, as it cannot hold `ways`
+  lines;
+- any other access counts its window from p backwards, `ways` positions
+  first and then in wider blocks, and stops when the count reaches `ways`
+  (a miss) or the window ends (a hit).
+
+This is exact, not an estimate: it gives the misses of replaying each
+set's LRU order. numpy counts all accesses of a chunk of whole sets at
+once, and each access stops as soon as its outcome is known, so most
+accesses never count at all. Above 64 ways, fully associative caches
+included, the count would read ever wider blocks, so each evicting set is
+replayed as an `OrderedDict` in least-recent-first order instead. On the
+three segments of the `sweep1m` benchmark trace (seed 0, every grid
+capacity that the way count divides; two runs, best of three each), the
+window count took 0.22-0.29 of the `OrderedDict` loop's time at 4 and 8
+ways, 0.34-0.35 at 16, 0.47-0.52 at 32, 0.65-0.72 at 64 and 1.12-1.17 at
+128, so the cut sits at 64.
 """
 
 from __future__ import annotations
@@ -41,6 +63,7 @@ from pathlib import Path
 from typing import Sequence, TextIO
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, ParseError
 from .model import Codec, finite_number, read_csv, read_json, write_csv
@@ -51,12 +74,15 @@ DEFAULT_SIZE_GRID: tuple[int, ...] = tuple(kb * KIB for kb in (
     16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192))
 
 _WEIGHT_SUM_TOL = 1e-9
-# the LRU loop converts this many lines at a time to Python ints, so its
-# list stays small beside the numpy lines it reads
+# numpy temporaries over a whole segment, and the OrderedDict loop's Python
+# ints, are made this many accesses at a time, so they stay small beside
+# the segment's own arrays
 _CHUNK = 1 << 16
-# up to this many ways a set keeps its lines in a most-recent-first list,
-# above it in an OrderedDict (see the module docstring)
-_LIST_WAYS = 16
+# up to this many ways the evicting sets are counted by reuse windows,
+# above it by an OrderedDict loop (see the module docstring)
+_WINDOW_WAYS = 64
+# the window count takes this many accesses at a time, rounded up to whole sets
+_SET_CHUNK = 1 << 14
 # the text reader converts this many characters at a time
 _TEXT_BLOCK = 1 << 18
 
@@ -116,6 +142,10 @@ class CacheConfig:
             raise DataError(
                 f"capacity_bytes {self.capacity_bytes} is not divisible by line_bytes "
                 f"{self.line_bytes} * associativity {assoc}")
+        if self.set_count >> 64:
+            raise DataError(
+                f"capacity_bytes {self.capacity_bytes} gives {self.set_count} sets, more than "
+                f"a 64-bit set number holds (line_bytes {self.line_bytes}, associativity {assoc})")
 
     @property
     def capacity_lines(self) -> int:
@@ -229,53 +259,103 @@ def _segment_lines(
     return addresses // np.uint64(line_bytes)
 
 
-def simulate(lines: np.ndarray, distinct: np.ndarray, config: CacheConfig) -> SimResult:
+def previous_accesses(lines: np.ndarray) -> np.ndarray:
+    """For each access, the index of the last earlier access to the same
+    line, or -1 for a first touch.
+
+    The accesses are sorted by line, trace order kept. When the lines span
+    few enough values, each (line - lowest line, index) pair is packed in
+    one uint64 and the packed values are sorted: 3.5 ms against 40 ms for
+    the stable argsort used otherwise, on 400,000 accesses to 3,000 lines.
+    The indices are int32 when they fit, int64 otherwise.
+    """
+    n = lines.size
+    index = np.int32 if n < 1 << 31 else np.int64
+    shift = _index_bits(n)
+    low = lines.min()
+    if int(lines.max() - low) >> (64 - shift):
+        order = np.argsort(lines, kind="stable").astype(index)
+        ordered = lines[order]
+    else:
+        ordered = _sorted_packed(n, shift, lambda start, stop: lines[start:stop] - low)
+        order = _take_indices(ordered, shift, out=np.empty(n, dtype=index))
+        ordered >>= np.uint64(shift)
+    repeat = ordered[1:] == ordered[:-1]
+    del ordered
+    previous = np.empty(n, dtype=index)
+    previous[order[0]] = -1
+    previous[order[1:]] = np.where(repeat, order[:-1], -1)
+    return previous
+
+
+def _index_bits(n: int) -> int:
+    """Bits that hold every index of `n` accesses."""
+    return max(n - 1, 1).bit_length()
+
+
+def _sorted_packed(n: int, shift: int, high) -> np.ndarray:
+    """Each index i < n packed below its high part, `high << shift | i`,
+    sorted. `high(start, stop)` returns the uint64 high parts of indices
+    start to stop - 1; they are asked for `_CHUNK` at a time, so that no
+    temporary spans the segment."""
+    packed = np.empty(n, dtype=np.uint64)
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        block = high(start, stop) << np.uint64(shift)
+        block |= np.arange(start, stop, dtype=np.uint64)
+        packed[start:stop] = block
+    packed.sort()
+    return packed
+
+
+def _take_indices(packed: np.ndarray, shift: int, out: np.ndarray) -> np.ndarray:
+    """The low `shift` bits of each packed value, as `out`'s dtype."""
+    mask = np.uint64((1 << shift) - 1)
+    for start in range(0, packed.size, _CHUNK):
+        out[start:start + _CHUNK] = packed[start:start + _CHUNK] & mask
+    return out
+
+
+def simulate(lines: np.ndarray, previous: np.ndarray, config: CacheConfig) -> SimResult:
     """Run one segment's lines through a cold cache and count misses.
 
     `lines` holds the line (`address // config.line_bytes`) of each access
-    that reaches the cache, in trace order, and `distinct` each of those
-    lines once. Line `x` maps to set `x % set_count`, with LRU replacement
-    inside each set. The sets that never evict are counted from `distinct`
-    alone (see the module docstring), and when no set evicts the result
-    comes from that count with no pass over `lines`. Otherwise only the
-    accesses to the evicting sets run through the LRU loop, less each one
-    whose line is that of the access just before it: such an access hits
-    and leaves its set as it was. `accesses` counts every access.
+    that reaches the cache, in trace order, and `previous` the index of the
+    last earlier access to each one's line, or -1 (`previous_accesses`).
+    Line `x` maps to set `x % set_count`, with LRU replacement inside each
+    set. Only the sets that some line maps to are counted, so memory
+    follows the trace and not the capacity. The sets that never evict are
+    counted from their distinct lines alone (see the module docstring), and
+    when no set evicts no access is looked at. `accesses` counts every
+    access.
 
-    At most `_LIST_WAYS` ways, each evicting set is a most-recent-first
-    list, indexed by set number; a set that never evicts holds None there.
-    Above that, each set is an `OrderedDict`, made on first touch. Both
-    give the same misses (see the module docstring for the cut).
+    At most `_WINDOW_WAYS` ways the evicting sets are counted by
+    `_window_misses`: an access misses when it is a first touch, or when at
+    least `ways` of the positions in its set since the previous access to
+    its line hold a line's last use before it. That count is the access's
+    reuse distance, so the rule is LRU's, exactly. Above `_WINDOW_WAYS`
+    ways, each evicting set is an `OrderedDict`, made on first touch, run
+    over its accesses in trace order less each one whose line is that of
+    the access just before it. Both give the same misses (see the module
+    docstring for the rule and the cut).
     """
     set_count = config.set_count
     ways = config.ways
     total = int(lines.size)
-    per_set = np.bincount(distinct % set_count, minlength=set_count)
+    occupied, per_set = np.unique(lines[previous < 0] % np.uint64(set_count), return_counts=True)
     overflow = per_set > ways
     misses = int(per_set[~overflow].sum())
     if not overflow.any():
         return SimResult(accesses=total, misses=misses, miss_ratio=misses / total)
-    keep = overflow[lines % set_count]
+
+    if ways <= _WINDOW_WAYS:
+        misses += _window_misses(lines, previous, occupied, overflow, set_count, ways)
+        return SimResult(accesses=total, misses=misses, miss_ratio=misses / total)
+
+    keep = np.isin(lines % np.uint64(set_count), occupied[overflow])
     keep[1:] &= lines[1:] != lines[:-1]
     evicting = lines[keep]
     del keep
-
-    if ways <= _LIST_WAYS:
-        stacks = [[] if evicts else None for evicts in overflow.tolist()]
-        for start in range(0, evicting.size, _CHUNK):
-            for line in evicting[start:start + _CHUNK].tolist():
-                stack = stacks[line % set_count]
-                if line in stack:
-                    if stack[0] != line:
-                        stack.remove(line)
-                        stack.insert(0, line)
-                else:
-                    misses += 1
-                    stack.insert(0, line)
-                    if len(stack) > ways:
-                        stack.pop()
-        return SimResult(accesses=total, misses=misses, miss_ratio=misses / total)
-
     sets: dict[int, OrderedDict] = {}
     for start in range(0, evicting.size, _CHUNK):
         for line in evicting[start:start + _CHUNK].tolist():
@@ -294,6 +374,109 @@ def simulate(lines: np.ndarray, distinct: np.ndarray, config: CacheConfig) -> Si
     return SimResult(accesses=total, misses=misses, miss_ratio=misses / total)
 
 
+def _window_misses(
+    lines: np.ndarray, previous: np.ndarray, occupied: np.ndarray, overflow: np.ndarray,
+    set_count: int, ways: int,
+) -> int:
+    """LRU misses of the accesses to the sets `occupied[overflow]`.
+
+    Every access is packed with its index into one uint64, set number
+    above, and the packed values are sorted: each set's accesses then lie
+    together, in trace order, and sets in the order of `occupied`. (When a
+    set number does not fit beside an index, the set's place in `occupied`
+    stands in for it.) The evicting sets are counted by `_chunk_misses`
+    about `_SET_CHUNK` accesses at a time, whole sets per chunk, so that
+    only `previous`, the packed values (then the evicting sets' indices,
+    `order`) and the trace-to-position map `rank` span the segment.
+    """
+    n = lines.size
+    shift = _index_bits(n)
+    numbered = set_count >> (64 - shift) != 0
+    keys = np.arange(occupied.size, dtype=np.uint64) if numbered else occupied
+
+    def key(start: int, stop: int) -> np.ndarray:
+        sets = lines[start:stop] % np.uint64(set_count)
+        return np.searchsorted(occupied, sets).astype(np.uint64) if numbered else sets
+
+    packed = _sorted_packed(n, shift, key)
+    # occupied set i's accesses are packed[bounds[i]:bounds[i + 1]]
+    bounds = np.append(np.searchsorted(packed, keys << np.uint64(shift)), n)
+    sizes = np.diff(bounds)
+    # chunk i takes the evicting sets among occupied[cuts[i]:cuts[i + 1]],
+    # about `_SET_CHUNK` accesses; `order` gets those accesses' indices,
+    # chunk by chunk, and `ends` where each chunk ends in it
+    evicting = np.cumsum(np.where(overflow, sizes, 0))
+    cuts = [0, *(np.searchsorted(evicting, np.arange(_SET_CHUNK, evicting[-1], _SET_CHUNK))
+                 + 1).tolist(), occupied.size]
+    order = np.empty(int(evicting[-1]), dtype=previous.dtype)
+    ends = evicting[np.subtract(cuts[1:], 1)].tolist()
+    for first, last, end in zip(cuts, cuts[1:], ends):
+        mine = np.repeat(overflow[first:last], sizes[first:last])
+        chunk = packed[bounds[first]:bounds[last]][mine]
+        _take_indices(chunk, shift, out=order[end - chunk.size:end])
+    del packed, bounds, sizes, evicting
+    rank = np.empty(n + 1, dtype=previous.dtype)
+    return sum(_chunk_misses(previous, rank, order[begin:end], ways)
+               for begin, end in zip([0, *ends], ends) if end > begin)
+
+
+def _chunk_misses(
+    previous: np.ndarray, rank: np.ndarray, taken: np.ndarray, ways: int
+) -> int:
+    """LRU misses of `taken`, the trace indices of the accesses to whole
+    sets, set by set and each set in trace order; `rank` is a work array
+    one longer than the segment."""
+    index = taken.dtype.type
+    before = previous[taken]
+    new = np.empty(taken.size, dtype=bool)
+    new[0] = True
+    np.not_equal(before[1:], taken[:-1], out=new[1:])
+    # a repeat of the line just before it in its set hits and changes
+    # nothing; it takes the position of the access it repeats
+    positions = np.cumsum(new, dtype=index)
+    positions -= 1
+    count = int(positions[-1]) + 1
+    rank[taken] = positions
+    rank[-1] = count  # previous -1: a first touch "reuses" position `count`
+    prev = rank[before[new]]
+    del before, new, positions
+    misses = int(np.count_nonzero(prev == count))
+    position = np.arange(count, dtype=index)
+    # the position of the next access to each position's line, or `count`;
+    # `count` more entries let every block below read `width` entries
+    next_use = np.full(2 * count + 1, count, dtype=index)
+    next_use[prev] = position
+    # fewer than `ways` accesses between `prev` and the access: a hit
+    p = np.flatnonzero(position - prev > ways).astype(index)
+    if p.size == 0:
+        return misses
+    # each access of `p` misses when at least `ways` positions strictly
+    # between its `prev` and itself hold a line's last use before it (an
+    # access whose next use lies beyond it). The positions are counted a
+    # block at a time, from the access backwards: first `ways` of them,
+    # then blocks that widen as accesses are settled, so that each step
+    # reads at most `_SET_CHUNK * ways` entries or as many as the first
+    budget = max(p.size, _SET_CHUNK) * ways
+    low = prev[p] + 1
+    top = p - ways
+    seen = np.count_nonzero(sliding_window_view(next_use, ways)[top] > p[:, None], axis=1)
+    while True:
+        missed = seen >= ways
+        misses += int(np.count_nonzero(missed))
+        going = ~missed & (top > low)
+        if not going.any():
+            return misses
+        p, low, top, seen = p[going], low[going], top[going], seen[going]
+        width = min(max(ways, budget // p.size), count)
+        start = np.maximum(top - width, low)
+        # the block is positions start to top - 1, the first top - start
+        # columns of the row read from `start`
+        block = sliding_window_view(next_use, width)[start] > p[:, None]
+        block &= np.arange(width, dtype=index) < (top - start)[:, None]
+        seen += np.count_nonzero(block, axis=1)
+        top = start
+
+
 def sweep_capacities(
     trace: AccessTrace,
     sizes: Sequence[int],
@@ -303,7 +486,7 @@ def sweep_capacities(
     """Simulate every segment at every capacity; combine per-segment miss
     ratios as the weighted mean given by the segment weights.
 
-    Each segment's lines and distinct lines are computed once, and
+    Each segment's lines and their previous accesses are computed once, and
     `simulate` runs them through a cold cache of each capacity: one call per
     (segment, capacity), looked up as a module global, so a wrapper set on
     `cachesim.simulate` sees every pass. Segments are done one at a time,
@@ -318,10 +501,10 @@ def sweep_capacities(
     ratios = [0] * len(configs)  # weight * miss ratio, added up in segment order
     for seg in trace.segments:
         lines = _segment_lines(seg, kinds, template.line_bytes)
-        distinct = np.unique(lines)
+        previous = previous_accesses(lines)
         for i, config in enumerate(configs):
-            ratios[i] += seg.weight * simulate(lines, distinct, config).miss_ratio
-        del lines, distinct  # before the next segment's lines are built
+            ratios[i] += seg.weight * simulate(lines, previous, config).miss_ratio
+        del lines, previous  # before the next segment's lines are built
     points = tuple(
         CurvePoint(capacity_bytes=size, miss_ratio=ratio) for size, ratio in zip(ordered, ratios)
     )

@@ -21,6 +21,7 @@ from wcr.cachesim import (
     SimResult,
     TraceSegment,
     _segment_lines,
+    previous_accesses,
     simulate,
 )
 from wcr.errors import DataError, ParseError
@@ -371,7 +372,7 @@ def simulate_segment(
 ) -> SimResult:
     """`cachesim.simulate` on one segment, mapped to lines as `sweep_capacities` maps it."""
     lines = _segment_lines(segment, kinds, config.line_bytes)
-    return simulate(lines, np.unique(lines), config)
+    return simulate(lines, previous_accesses(lines), config)
 
 
 _KIND_LETTER = {AccessKind.IFETCH: "I", AccessKind.LOAD: "L", AccessKind.STORE: "S"}

@@ -21,6 +21,7 @@ from helpers import (
 from wcr import cachesim
 from wcr.cachesim import (
     _CHUNK,
+    _WINDOW_WAYS,
     _block_accesses,
     ALL_KINDS,
     DEFAULT_SIZE_GRID,
@@ -33,6 +34,7 @@ from wcr.cachesim import (
     SimResult,
     TraceSegment,
     estimate_footprint,
+    previous_accesses,
     read_binary_trace,
     read_curve_csv,
     read_text_trace,
@@ -81,6 +83,15 @@ class TestCacheConfig:
             CacheConfig(capacity_bytes=100, line_bytes=64, associativity=None)
         with pytest.raises(DataError, match="divisible"):
             CacheConfig(capacity_bytes=64 * 12, line_bytes=64, associativity=8)
+
+    def test_set_count_past_64_bits_rejected(self):
+        with pytest.raises(DataError, match=r"capacity_bytes 10{30} gives \d+ sets, more than "
+                                            r"a 64-bit set number holds"):
+            CacheConfig(capacity_bytes=10**30)
+        with pytest.raises(DataError, match="18446744073709551616 sets"):
+            CacheConfig(capacity_bytes=(1 << 64) * 64 * 8)
+        assert CacheConfig(capacity_bytes=((1 << 64) - 1) * 64 * 8).set_count == (1 << 64) - 1
+        assert CacheConfig(capacity_bytes=10**30, associativity=None).set_count == 1
 
     @pytest.mark.parametrize("capacity, associativity, values", [
         (1000, 8, ("capacity_bytes 1000", "line_bytes 64", "associativity 8")),
@@ -135,8 +146,9 @@ class TestSimulate:
 
 
 class TestOracleEquivalence:
-    # 16 ways keeps each set as a list, 32 ways and full as an OrderedDict
-    @pytest.mark.parametrize("associativity", [None, 8, 16, 32])
+    # up to 64 ways the window pass counts the evicting sets, 128 ways and
+    # full run the OrderedDict loop
+    @pytest.mark.parametrize("associativity", [None, 8, 16, 32, 128])
     @pytest.mark.parametrize("capacity_kib", [16, 64, 256])
     def test_simulate_matches_oracle_on_random_traces(self, associativity, capacity_kib):
         rng = np.random.default_rng(17)
@@ -193,11 +205,11 @@ class TestOracleEquivalence:
         seg = segment(np.column_stack([fits, over]).ravel())
         self.assert_sweep_and_simulate_match_oracle(seg, [512], ways)
 
-    @pytest.mark.parametrize("ways", [2, 32])
+    @pytest.mark.parametrize("ways", [2, 32, 128])
     def test_few_evicting_sets_among_many(self, ways):
         # 2**16 sets: three of them draw from ways + 3 lines each and evict,
-        # the rest each get at most one line, so nearly every set of the
-        # list layout is a None placeholder
+        # the rest each get at most one line and are counted from their
+        # first touches alone
         set_count = 1 << 16
         rng = np.random.default_rng(47)
         hot = np.array([5, 777, 60000])
@@ -257,8 +269,121 @@ class TestOracleEquivalence:
         lines = rng.integers(0, 256, size=5000).astype(np.uint64)
         distinct = np.unique(lines)
         assert distinct.size == 256 and np.bincount(distinct % 64).max() == 4
-        result = simulate(lines, distinct, CacheConfig(capacity_bytes=256 * 64, associativity=4))
+        result = simulate(lines, previous_accesses(lines),
+                          CacheConfig(capacity_bytes=256 * 64, associativity=4))
         assert result == SimResult(accesses=5000, misses=256, miss_ratio=256 / 5000)
+
+
+def reference_previous(lines) -> list[int]:
+    """`previous_accesses` from a dict of each line's last index."""
+    last: dict[int, int] = {}
+    previous = []
+    for i, line in enumerate(np.asarray(lines).tolist()):
+        previous.append(last.get(line, -1))
+        last[line] = i
+    return previous
+
+
+class TestWindowPass:
+    """The reuse-window count that `simulate` runs up to `_WINDOW_WAYS` ways,
+    against the reuse-distance oracle."""
+
+    @staticmethod
+    def assert_matches_oracle(lines, set_count, ways, line_bytes=64):
+        seg = segment(lines, line_bytes=line_bytes)
+        config = CacheConfig(capacity_bytes=set_count * ways * line_bytes,
+                             line_bytes=line_bytes, associativity=ways)
+        expected = stack_distance_oracle(seg, set_count * ways, set_count, line_bytes)
+        result = simulate_segment(seg, config)
+        assert result.misses == expected
+        assert result.accesses == len(seg)
+        return expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(),
+           ways=st.one_of(st.integers(1, 16), st.sampled_from([31, 32, _WINDOW_WAYS])),
+           set_count=st.sampled_from([1, 2, 3, 4, 7, 8, 12, 64]),
+           chunk=st.sampled_from([1, 7, 1 << 14]))
+    def test_matches_oracle(self, data, ways, set_count, chunk):
+        # runs of one line, any set count, and chunks of one set up to all of them
+        space = data.draw(st.integers(1, 3 * set_count * (ways + 1)))
+        lines = data.draw(st.lists(st.integers(0, space), min_size=1, max_size=300))
+        runs = data.draw(st.lists(st.integers(1, 3), min_size=len(lines), max_size=len(lines)))
+        with mock.patch.object(cachesim, "_SET_CHUNK", chunk):
+            self.assert_matches_oracle(np.repeat(lines, runs), set_count, ways)
+
+    @pytest.mark.parametrize("ways", [1, 2, 3, 4, 8, 15, 16, 32, _WINDOW_WAYS])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_reuse_across_ways_minus_one_ways_and_ways_plus_one_lines(self, ways, extra):
+        # line 0, then `ways + extra` other lines of set 0, then line 0 again,
+        # which misses only when `ways` or more lines came between; line 1
+        # of set 1 interleaves, so set 0's order is not the trace order
+        between = ways + extra  # no line between for 1 way and extra -1
+        own = [0, *(2 * (i + 1) for i in range(between)), 0]
+        lines = [line for pair in zip(own, [1] * len(own)) for line in pair]
+        misses = self.assert_matches_oracle(lines, 2, ways)
+        assert misses == (between + 1) + (between >= ways) + 1
+        # each line between touched twice in a row, then the lines between
+        # cycled a second time: the window is longer than its distinct lines
+        own = [0, *(2 * (i + 1) for i in range(between) for _ in (0, 1)),
+               *(2 * (i + 1) for i in range(between)), 0]
+        self.assert_matches_oracle(own, 2, ways)
+
+    @pytest.mark.parametrize("set_count", [1, 4, 6, 64])
+    @pytest.mark.parametrize("evicting", [True, False])
+    def test_every_set_or_no_set_evicts(self, set_count, evicting):
+        ways = 4
+        rng = np.random.default_rng(53 + set_count)
+        per_set = ways + 3 if evicting else ways
+        lines = rng.integers(0, set_count * per_set, size=4000)
+        counts = np.bincount(np.unique(lines) % set_count, minlength=set_count)
+        assert (counts > ways).all() if evicting else (counts <= ways).all()
+        with mock.patch.object(cachesim, "_SET_CHUNK", 300):
+            misses = self.assert_matches_oracle(lines, set_count, ways)
+        assert (misses > counts.sum()) == evicting
+
+    def test_long_window_of_few_lines(self):
+        # one set cycles 3 lines for 60000 accesses; 8 other lines come back
+        # after long gaps with fewer than `ways` lines between, and hit
+        rng = np.random.default_rng(59)
+        lines = np.tile([0, 4, 8], 20000)
+        rare = 4 * np.arange(3, 11)
+        lines[rng.choice(lines.size, 40, replace=False)] = rare[np.arange(40) % 8]
+        self.assert_matches_oracle(lines, 4, 16)
+        self.assert_matches_oracle(lines, 4, 8)
+
+    def test_set_numbers_too_wide_to_pack(self):
+        # 2**60 sets: a set number does not fit beside a 12-bit access
+        # index in one uint64, so the pass numbers the occupied sets instead
+        set_count = 1 << 60
+        rng = np.random.default_rng(61)
+        hot = np.array([5, 1 << 40, (1 << 59) + 3], dtype=np.uint64)
+        lines = hot[rng.integers(0, 3, size=3000)] + np.uint64(set_count) * rng.integers(
+            0, 6, size=3000).astype(np.uint64)
+        lines = np.concatenate([lines, rng.integers(0, 1 << 62, size=1000).astype(np.uint64)])
+        misses = self.assert_matches_oracle(lines[rng.permutation(lines.size)], set_count, 4,
+                                            line_bytes=1)
+        assert misses > 3 * 6 + 1000
+
+    @pytest.mark.parametrize("scale", [1, 1 << 40, 1 << 54])
+    def test_previous_accesses_match_a_dict(self, scale):
+        # scales 1 and 2**40 pack (line, index) pairs, 2**54 spans too many
+        # lines for that and sorts with a stable argsort
+        rng = np.random.default_rng(67)
+        lines = rng.integers(0, 500, size=5000).astype(np.uint64) * np.uint64(scale)
+        previous = previous_accesses(lines)
+        assert previous.dtype == np.int32
+        assert previous.tolist() == reference_previous(lines)
+        extremes = np.array([2**64 - 1, 0, 2**64 - 1, 7, 0], dtype=np.uint64)
+        assert previous_accesses(extremes).tolist() == [-1, -1, 0, -1, 1]
+        assert previous_accesses(np.array([9], dtype=np.uint64)).tolist() == [-1]
+
+    def test_capacity_past_the_trace_counts_distinct_lines(self):
+        # 2**53 sets: memory follows the accesses, not the sets
+        rng = np.random.default_rng(71)
+        seg = random_segment(rng, n=500, line_space=300)
+        result = simulate_segment(seg, CacheConfig(capacity_bytes=1 << 62))
+        assert result.misses == np.unique(seg.addresses // np.uint64(64)).size
 
 
 class TestTraceTypes:
@@ -325,9 +450,9 @@ class TestSweep:
         kinds = frozenset({AccessKind.LOAD, AccessKind.STORE})
         calls = []
 
-        def counting(lines, distinct, config):
+        def counting(lines, previous, config):
             calls.append((lines.size, config.capacity_bytes))
-            return simulate(lines, distinct, config)
+            return simulate(lines, previous, config)
 
         with mock.patch.object(cachesim, "simulate", counting):
             sweep_capacities(trace, sizes, CacheConfig(capacity_bytes=4 * KIB), kinds)

@@ -466,6 +466,22 @@ class TestSimulateFootprint:
                    "--out", workdir / "o") == 2
         assert "capacity_bytes 1000 is not divisible by line_bytes 64" in capsys.readouterr().err
 
+    def test_capacity_past_the_trace_exit_0(self, workdir):
+        # 2**62 bytes is 2**53 sets of 8 ways: each of the trace's 4 lines
+        # misses once, and memory follows the trace, not the sets
+        out = workdir / "o"
+        assert run("simulate", workdir / "trace.txt", "--sizes", "16K,4611686018427387904",
+                   "--out", out) == 0
+        assert (out / "curve.csv").read_text().splitlines()[1:] == [
+            "16384,0.062500", "4611686018427387904,0.062500"]
+
+    def test_set_count_past_64_bits_exit_2_names_it(self, workdir, capsys):
+        out = workdir / "o"
+        assert run("simulate", workdir / "trace.txt", "--sizes", f"16K,{10**30}",
+                   "--out", out) == 2
+        assert f"capacity_bytes {10**30} gives" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_integer_assoc_exit_2(self, workdir, capsys):
         assert run("simulate", workdir / "trace.txt", "--assoc", "abc",
                    "--out", workdir / "o") == 2
