@@ -6,7 +6,7 @@ curve whose knee estimates the workload's instruction or data footprint.
 Every access allocates its line on a miss, stores included.
 `sweep_capacities` maps each segment's accesses to lines and finds each
 access's previous access to its line once, then runs `simulate`, the LRU
-pass, over them at each capacity.
+pass, over them at each capacity, from the largest down.
 
 A set that receives at most `ways` distinct lines never evicts, so each of
 its lines misses exactly once, on its first touch. The simulation counts
@@ -35,23 +35,47 @@ line lies beyond p: its last use before p. So the reuse distance is the
 number of window positions whose next use lies beyond p, and the rule is:
 
 - a first touch misses;
+- an access known to miss (below) misses;
 - a window of fewer than `ways` positions hits, as it cannot hold `ways`
   lines;
-- any other access counts its window from p backwards, `ways` positions
-  first and then in wider blocks, and stops when the count reaches `ways`
-  (a miss) or the window ends (a hit).
+- any other access counts its window from p backwards, a block at a time,
+  and stops when the count reaches `ways` (a miss) or the window ends (a
+  hit). The first block is `ways` positions wide and each next one twice
+  as wide, but no wider than the longest window still being counted, and
+  no wider than `_SET_CHUNK * ways` entries spread over the accesses still
+  counting (though never under `ways`). So a miss stops after a few narrow
+  blocks, and the numpy temporaries stay small.
 
 This is exact, not an estimate: it gives the misses of replaying each
 set's LRU order. numpy counts all accesses of a chunk of whole sets at
 once, and each access stops as soon as its outcome is known, so most
-accesses never count at all. Above 64 ways, fully associative caches
-included, the count would read ever wider blocks, so each evicting set is
-replayed as an `OrderedDict` in least-recent-first order instead. On the
-three segments of the `sweep1m` benchmark trace (seed 0, every grid
-capacity that the way count divides; two runs, best of three each), the
-window count took 0.22-0.29 of the `OrderedDict` loop's time at 4 and 8
-ways, 0.34-0.35 at 16, 0.47-0.52 at 32, 0.65-0.72 at 64 and 1.12-1.17 at
-128, so the cut sits at 64.
+accesses never count at all.
+
+Misses carry down the sweep. Take a cache C with S sets and W ways, and a
+cache C' whose S' sets are a multiple of S, with W' >= W ways. Line x's
+set in C', x % S', lies inside its set in C, x % S, so the reuse window of
+an access in C' holds a subset of the distinct lines of its window in C.
+An access that misses in C' (W' or more lines in its window) therefore
+misses in C as well: LRU inclusion across set counts under bit selection
+(Hill and Smith, 1989). Running the capacities from the largest down, each
+pass of the window count marks the misses it finds, other than first
+touches, in one bool per access of the segment, and the next pass takes
+the marked accesses as misses without counting their windows. The marks
+are cleared before a pass whose cache the pass just before does not
+relate to in this way: a set count that is not a multiple of this one's,
+or fewer ways. A pass that the window count does not run (no set evicts,
+or more than 64 ways) neither reads nor writes the marks. They stay exact:
+every mark is a miss of some earlier pass in an unbroken line of such
+caches, so by inclusion it is a miss of every later one.
+
+Above 64 ways, fully associative caches included, the count would read
+ever wider blocks, so each evicting set is replayed as an `OrderedDict`
+in least-recent-first order instead. On the three segments of the
+`sweep1m` benchmark trace (seed 0, every grid capacity that the way count
+divides; two runs, best of three each), the window count took 0.22-0.29
+of the `OrderedDict` loop's time at 4 and 8 ways, 0.34-0.35 at 16,
+0.47-0.52 at 32, 0.65-0.72 at 64 and 1.12-1.17 at 128, so the cut sits
+at 64. (Measured before the carry and the doubling blocks.)
 """
 
 from __future__ import annotations
@@ -81,8 +105,11 @@ _CHUNK = 1 << 16
 # up to this many ways the evicting sets are counted by reuse windows,
 # above it by an OrderedDict loop (see the module docstring)
 _WINDOW_WAYS = 64
-# the window count takes this many accesses at a time, rounded up to whole sets
-_SET_CHUNK = 1 << 14
+# the window count takes this many accesses at a time, rounded up to whole
+# sets, and each of its blocks reads at most this many times `ways` entries
+# (or `ways` per counting access, when more accesses count). 1 << 16 ran
+# about 5% faster on `sweep1m` but raised its peak RSS by up to 3 MB
+_SET_CHUNK = 1 << 15
 # the text reader converts this many characters at a time
 _TEXT_BLOCK = 1 << 18
 
@@ -316,7 +343,10 @@ def _take_indices(packed: np.ndarray, shift: int, out: np.ndarray) -> np.ndarray
     return out
 
 
-def simulate(lines: np.ndarray, previous: np.ndarray, config: CacheConfig) -> SimResult:
+def simulate(
+    lines: np.ndarray, previous: np.ndarray, config: CacheConfig,
+    missed: np.ndarray | None = None,
+) -> SimResult:
     """Run one segment's lines through a cold cache and count misses.
 
     `lines` holds the line (`address // config.line_bytes`) of each access
@@ -330,29 +360,48 @@ def simulate(lines: np.ndarray, previous: np.ndarray, config: CacheConfig) -> Si
     access.
 
     At most `_WINDOW_WAYS` ways the evicting sets are counted by
-    `_window_misses`: an access misses when it is a first touch, or when at
-    least `ways` of the positions in its set since the previous access to
-    its line hold a line's last use before it. That count is the access's
-    reuse distance, so the rule is LRU's, exactly. Above `_WINDOW_WAYS`
-    ways, each evicting set is an `OrderedDict`, made on first touch, run
-    over its accesses in trace order less each one whose line is that of
-    the access just before it. Both give the same misses (see the module
-    docstring for the rule and the cut).
+    `_window_misses`: an access misses when it is a first touch, when
+    `missed` marks it, or when at least `ways` of the positions in its set
+    since the previous access to its line hold a line's last use before
+    it. That count is the access's reuse distance, so the rule is LRU's,
+    exactly. It is taken from the access backwards, `ways` positions
+    first, then in blocks twice as wide each step, capped by the longest
+    window still counting and by `_SET_CHUNK * ways` entries a step. Above
+    `_WINDOW_WAYS` ways, each evicting set is an `OrderedDict`, made on
+    first touch, run over its accesses in trace order less each one whose
+    line is that of the access just before it. Both give the same misses
+    (see the module docstring for the rules and the cut).
+
+    `missed`, one bool per access, marks accesses known to miss in this
+    cache that are not first touches. `sweep_capacities` runs a segment's
+    capacities from the largest down and hands each pass the marks of the
+    passes before it, cleared where the line of inclusion breaks: a miss
+    in a cache whose sets split these sets, with at least as many ways, is
+    a miss here, as each of its reuse windows holds a subset of the lines
+    of the same window here (see the module docstring). The window count
+    takes each marked access as a miss without counting its window, and
+    marks every miss it finds, so that afterwards `missed` holds this
+    cache's misses less its first touches. When no set evicts, or above
+    `_WINDOW_WAYS` ways, `missed` is neither read nor written. Without it,
+    nothing is known to miss.
     """
     set_count = config.set_count
     ways = config.ways
     total = int(lines.size)
-    occupied, per_set = np.unique(lines[previous < 0] % np.uint64(set_count), return_counts=True)
+    occupied, per_set = np.unique(_set_numbers(lines[previous < 0], set_count),
+                                  return_counts=True)
     overflow = per_set > ways
     misses = int(per_set[~overflow].sum())
     if not overflow.any():
         return SimResult(accesses=total, misses=misses, miss_ratio=misses / total)
 
     if ways <= _WINDOW_WAYS:
-        misses += _window_misses(lines, previous, occupied, overflow, set_count, ways)
+        if missed is None:
+            missed = np.zeros(total, dtype=bool)
+        misses += _window_misses(lines, previous, missed, occupied, overflow, set_count, ways)
         return SimResult(accesses=total, misses=misses, miss_ratio=misses / total)
 
-    keep = np.isin(lines % np.uint64(set_count), occupied[overflow])
+    keep = np.isin(_set_numbers(lines, set_count), occupied[overflow])
     keep[1:] &= lines[1:] != lines[:-1]
     evicting = lines[keep]
     del keep
@@ -374,11 +423,22 @@ def simulate(lines: np.ndarray, previous: np.ndarray, config: CacheConfig) -> Si
     return SimResult(accesses=total, misses=misses, miss_ratio=misses / total)
 
 
+def _set_numbers(lines: np.ndarray, set_count: int) -> np.ndarray:
+    """Each line's set, `lines % set_count`; a bit mask when `set_count`
+    is a power of two, which numpy does about five times as fast (0.38 ms
+    against 1.95 ms on 400,000 lines)."""
+    if set_count & (set_count - 1):
+        return lines % np.uint64(set_count)
+    return lines & np.uint64(set_count - 1)
+
+
 def _window_misses(
-    lines: np.ndarray, previous: np.ndarray, occupied: np.ndarray, overflow: np.ndarray,
-    set_count: int, ways: int,
+    lines: np.ndarray, previous: np.ndarray, missed: np.ndarray, occupied: np.ndarray,
+    overflow: np.ndarray, set_count: int, ways: int,
 ) -> int:
-    """LRU misses of the accesses to the sets `occupied[overflow]`.
+    """LRU misses of the accesses to the sets `occupied[overflow]`; the
+    accesses that `missed` marks are misses, and the misses found are
+    marked in it.
 
     Every access is packed with its index into one uint64, set number
     above, and the packed values are sorted: each set's accesses then lie
@@ -386,8 +446,9 @@ def _window_misses(
     set number does not fit beside an index, the set's place in `occupied`
     stands in for it.) The evicting sets are counted by `_chunk_misses`
     about `_SET_CHUNK` accesses at a time, whole sets per chunk, so that
-    only `previous`, the packed values (then the evicting sets' indices,
-    `order`) and the trace-to-position map `rank` span the segment.
+    only `previous`, `missed`, the packed values (then the evicting sets'
+    indices, `order`) and the trace-to-position map `rank` span the
+    segment.
     """
     n = lines.size
     shift = _index_bits(n)
@@ -395,7 +456,7 @@ def _window_misses(
     keys = np.arange(occupied.size, dtype=np.uint64) if numbered else occupied
 
     def key(start: int, stop: int) -> np.ndarray:
-        sets = lines[start:stop] % np.uint64(set_count)
+        sets = _set_numbers(lines[start:stop], set_count)
         return np.searchsorted(occupied, sets).astype(np.uint64) if numbered else sets
 
     packed = _sorted_packed(n, shift, key)
@@ -416,18 +477,21 @@ def _window_misses(
         _take_indices(chunk, shift, out=order[end - chunk.size:end])
     del packed, bounds, sizes, evicting
     rank = np.empty(n + 1, dtype=previous.dtype)
-    return sum(_chunk_misses(previous, rank, order[begin:end], ways)
+    return sum(_chunk_misses(previous, missed, rank, order[begin:end], ways)
                for begin, end in zip([0, *ends], ends) if end > begin)
 
 
 def _chunk_misses(
-    previous: np.ndarray, rank: np.ndarray, taken: np.ndarray, ways: int
+    previous: np.ndarray, missed: np.ndarray, rank: np.ndarray, taken: np.ndarray, ways: int
 ) -> int:
     """LRU misses of `taken`, the trace indices of the accesses to whole
-    sets, set by set and each set in trace order; `rank` is a work array
-    one longer than the segment."""
+    sets, set by set and each set in trace order. An access that `missed`
+    marks is a miss whose window is not counted; every miss found by
+    counting is marked in `missed`. `rank` is a work array one longer than
+    the segment."""
     index = taken.dtype.type
-    before = previous[taken]
+    taken = taken.astype(np.intp)  # numpy gathers and scatters faster by intp
+    before = previous.take(taken)
     new = np.empty(taken.size, dtype=bool)
     new[0] = True
     np.not_equal(before[1:], taken[:-1], out=new[1:])
@@ -438,36 +502,43 @@ def _chunk_misses(
     count = int(positions[-1]) + 1
     rank[taken] = positions
     rank[-1] = count  # previous -1: a first touch "reuses" position `count`
-    prev = rank[before[new]]
+    prev = rank.take(before[new])
+    at = taken[new]  # the trace index of each position
     del before, new, positions
-    misses = int(np.count_nonzero(prev == count))
+    known = missed.take(at)
+    misses = int(np.count_nonzero(prev == count)) + int(np.count_nonzero(known))
     position = np.arange(count, dtype=index)
     # the position of the next access to each position's line, or `count`;
     # `count` more entries let every block below read `width` entries
     next_use = np.full(2 * count + 1, count, dtype=index)
     next_use[prev] = position
     # fewer than `ways` accesses between `prev` and the access: a hit
-    p = np.flatnonzero(position - prev > ways).astype(index)
+    window = position - prev > ways
+    window &= ~known
+    p = np.flatnonzero(window).astype(index)
+    del window, known
     if p.size == 0:
         return misses
     # each access of `p` misses when at least `ways` positions strictly
     # between its `prev` and itself hold a line's last use before it (an
     # access whose next use lies beyond it). The positions are counted a
     # block at a time, from the access backwards: first `ways` of them,
-    # then blocks that widen as accesses are settled, so that each step
-    # reads at most `_SET_CHUNK * ways` entries or as many as the first
-    budget = max(p.size, _SET_CHUNK) * ways
+    # then blocks twice as wide each step, but no wider than the longest
+    # window left or than `_SET_CHUNK * ways` entries over the accesses
+    # still counting (and at least `ways`)
     low = prev[p] + 1
     top = p - ways
     seen = np.count_nonzero(sliding_window_view(next_use, ways)[top] > p[:, None], axis=1)
+    width = ways
     while True:
-        missed = seen >= ways
-        misses += int(np.count_nonzero(missed))
-        going = ~missed & (top > low)
+        found = seen >= ways
+        missed[at[p[found]]] = True
+        misses += int(np.count_nonzero(found))
+        going = ~found & (top > low)
         if not going.any():
             return misses
         p, low, top, seen = p[going], low[going], top[going], seen[going]
-        width = min(max(ways, budget // p.size), count)
+        width = min(2 * width, int((top - low).max()), max(ways, _SET_CHUNK * ways // p.size))
         start = np.maximum(top - width, low)
         # the block is positions start to top - 1, the first top - start
         # columns of the row read from `start`
@@ -487,10 +558,13 @@ def sweep_capacities(
     ratios as the weighted mean given by the segment weights.
 
     Each segment's lines and their previous accesses are computed once, and
-    `simulate` runs them through a cold cache of each capacity: one call per
-    (segment, capacity), looked up as a module global, so a wrapper set on
-    `cachesim.simulate` sees every pass. Segments are done one at a time,
-    so only one segment's lines are held in memory.
+    `simulate` runs them through a cold cache of each capacity, from the
+    largest down: one call per (segment, capacity), looked up as a module
+    global, so a wrapper set on `cachesim.simulate` sees every pass. Each
+    segment has one `missed` mask that the passes hand down (see the
+    module docstring); it is cleared before a pass whose sets the pass
+    just before it does not split, with at least as many ways. Segments
+    are done one at a time, so only one segment's lines are held in memory.
     """
     if not sizes:
         raise DataError("sizes must be non-empty")
@@ -502,9 +576,16 @@ def sweep_capacities(
     for seg in trace.segments:
         lines = _segment_lines(seg, kinds, template.line_bytes)
         previous = previous_accesses(lines)
-        for i, config in enumerate(configs):
-            ratios[i] += seg.weight * simulate(lines, previous, config).miss_ratio
-        del lines, previous  # before the next segment's lines are built
+        missed = np.zeros(lines.size, dtype=bool)
+        above = None  # the cache of the pass just before
+        for i in reversed(range(len(configs))):
+            config = configs[i]
+            if above is not None and (above.set_count % config.set_count
+                                      or above.ways < config.ways):
+                missed[:] = False
+            ratios[i] += seg.weight * simulate(lines, previous, config, missed).miss_ratio
+            above = config
+        del lines, previous, missed  # before the next segment's lines are built
     points = tuple(
         CurvePoint(capacity_bytes=size, miss_ratio=ratio) for size, ratio in zip(ordered, ratios)
     )
@@ -565,7 +646,8 @@ def read_text_trace(path: str | Path) -> AccessTrace:
     `s`/`store`/`write`, in any case. The address is 0 to 2**64 - 1 with or
     without a `0x` prefix. A `#` starts a comment that runs to the end of
     the line, and blank lines are skipped. Newlines are `\n`, `\r\n` or
-    `\r`. A bad line raises a `ParseError` that names its line number.
+    `\r`. A bad line raises a `ParseError` that names the file and the
+    line number.
 
     The file is read `_TEXT_BLOCK` characters at a time, each block cut
     after its last newline. The lines of a block that are a kind letter,
@@ -583,21 +665,24 @@ def read_text_trace(path: str | Path) -> AccessTrace:
                 cut = text.rfind("\n") + 1
                 block, tail = text[:cut], text[cut:]
                 if block:
-                    blocks.append(_block_accesses(block, lineno))
+                    blocks.append(_block_accesses(block, lineno, path))
                     lineno += block.count("\n")
         except UnicodeDecodeError:
             raise ParseError("not valid UTF-8 text", source=path)
     if tail:
-        blocks.append(_block_accesses(tail + "\n", lineno))  # a last line without a newline
+        blocks.append(_block_accesses(tail + "\n", lineno, path))  # a last line without a newline
     if not any(addresses.size for addresses, _ in blocks):
         raise ParseError(f"trace {path} has no accesses")
     addresses, kinds = map(np.concatenate, zip(*blocks))
     return AccessTrace.single(addresses, kinds)
 
 
-def _block_accesses(block: str, first_lineno: int) -> tuple[np.ndarray, np.ndarray]:
-    """(addresses, kinds) of `block`, newline-ended lines the first of which
-    is numbered `first_lineno`, in line order; raises on a bad line.
+def _block_accesses(
+    block: str, first_lineno: int, source: str | Path
+) -> tuple[np.ndarray, np.ndarray]:
+    """(addresses, kinds) of `block`, newline-ended lines of the file
+    `source` the first of which is numbered `first_lineno`, in line order;
+    raises on a bad line.
 
     Lines of the form `K 0xH` (see `read_text_trace`) are converted with
     numpy. Each is one the line-by-line reader accepts with the same
@@ -645,31 +730,31 @@ def _block_accesses(block: str, first_lineno: int) -> tuple[np.ndarray, np.ndarr
     all_kinds[form] = kinds
     for i in np.flatnonzero(~form).tolist():
         raw = data[starts[i]:ends[i]].tobytes().decode("utf-8")
-        access = _line_access(raw, first_lineno + i)
+        access = _line_access(raw, first_lineno + i, source)
         if access is not None:
             all_addresses[i], all_kinds[i] = access
             found[i] = True
     return all_addresses[found], all_kinds[found]
 
 
-def _line_access(raw: str, lineno: int) -> tuple[int, int] | None:
-    """(address, kind code) of one trace line, numbered `lineno`, or None
-    for a blank or comment line; raises on a bad line."""
+def _line_access(raw: str, lineno: int, source: str | Path) -> tuple[int, int] | None:
+    """(address, kind code) of one trace line of the file `source`, numbered
+    `lineno`, or None for a blank or comment line; raises on a bad line."""
     line = raw.split("#", 1)[0].strip()
     if not line:
         return None
     parts = line.split()
     if len(parts) != 2:
-        raise ParseError(f"expected 'kind address', got {raw.strip()!r}", line=lineno)
+        raise ParseError(f"expected 'kind address', got {raw.strip()!r}", lineno, source)
     kind = _KIND_TOKENS.get(parts[0].lower())
     if kind is None:
-        raise ParseError(f"unknown access kind {parts[0]!r}", line=lineno)
+        raise ParseError(f"unknown access kind {parts[0]!r}", lineno, source)
     try:
         address = int(parts[1], 16)
     except ValueError:
-        raise ParseError(f"address {parts[1]!r} is not hexadecimal", line=lineno)
+        raise ParseError(f"address {parts[1]!r} is not hexadecimal", lineno, source)
     if not 0 <= address < 1 << 64:
-        raise ParseError(f"address {parts[1]!r} is not a 64-bit address", line=lineno)
+        raise ParseError(f"address {parts[1]!r} is not a 64-bit address", lineno, source)
     return address, kind.value
 
 

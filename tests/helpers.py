@@ -401,16 +401,18 @@ def reference_read_text_trace(path: str | Path) -> AccessTrace:
                     continue
                 parts = line.split()
                 if len(parts) != 2:
-                    raise ParseError(f"expected 'kind address', got {raw.strip()!r}", line=lineno)
+                    raise ParseError(f"expected 'kind address', got {raw.strip()!r}",
+                                     lineno, path)
                 kind = _KIND_TOKENS.get(parts[0].lower())
                 if kind is None:
-                    raise ParseError(f"unknown access kind {parts[0]!r}", line=lineno)
+                    raise ParseError(f"unknown access kind {parts[0]!r}", lineno, path)
                 try:
                     address = int(parts[1], 16)
                 except ValueError:
-                    raise ParseError(f"address {parts[1]!r} is not hexadecimal", line=lineno)
+                    raise ParseError(f"address {parts[1]!r} is not hexadecimal", lineno, path)
                 if not 0 <= address < 1 << 64:
-                    raise ParseError(f"address {parts[1]!r} is not a 64-bit address", line=lineno)
+                    raise ParseError(f"address {parts[1]!r} is not a 64-bit address",
+                                     lineno, path)
                 addresses.append(address)
                 kinds.append(kind.value)
         except UnicodeDecodeError:

@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+from collections import OrderedDict
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -9,6 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from helpers import (
     reference_read_text_trace,
@@ -145,6 +147,20 @@ class TestSimulate:
         assert result.misses == len(np.unique(lines))
 
 
+def assert_sweep_matches_oracle(segments, sizes, template):
+    """Each sweep point is the weighted sum of the oracle's per-segment miss
+    ratios, and one-capacity `simulate` gives the oracle's misses."""
+    trace = AccessTrace(segments=tuple(segments))
+    curve = sweep_capacities(trace, sizes, template)
+    for point, size in zip(curve.points, sorted(sizes)):
+        config = replace(template, capacity_bytes=size)
+        oracle = [stack_distance_oracle(seg, config.capacity_lines, config.set_count)
+                  for seg in trace.segments]
+        assert [simulate_segment(seg, config).misses for seg in trace.segments] == oracle
+        assert point.miss_ratio == sum(
+            seg.weight * (misses / len(seg)) for seg, misses in zip(trace.segments, oracle))
+
+
 class TestOracleEquivalence:
     # up to 64 ways the window pass counts the evicting sets, 128 ways and
     # full run the OrderedDict loop
@@ -163,12 +179,7 @@ class TestOracleEquivalence:
     @staticmethod
     def assert_sweep_and_simulate_match_oracle(seg, sizes, associativity):
         template = CacheConfig(capacity_bytes=sizes[0], associativity=associativity)
-        curve = sweep_capacities(AccessTrace(segments=(seg,)), sizes, template)
-        for point, size in zip(curve.points, sorted(sizes)):
-            config = replace(template, capacity_bytes=size)
-            expected = stack_distance_oracle(seg, config.capacity_lines, config.set_count)
-            assert simulate_segment(seg, config).misses == expected
-            assert point.miss_ratio == expected / len(seg)
+        assert_sweep_matches_oracle([seg], sizes, template)
 
     def test_set_at_way_count_beside_set_over_it(self):
         # 2 sets of 4 ways: set 0 cycles exactly 4 lines and never evicts,
@@ -450,14 +461,17 @@ class TestSweep:
         kinds = frozenset({AccessKind.LOAD, AccessKind.STORE})
         calls = []
 
-        def counting(lines, previous, config):
-            calls.append((lines.size, config.capacity_bytes))
-            return simulate(lines, previous, config)
+        def counting(lines, previous, config, missed):
+            calls.append((lines.size, config.capacity_bytes, missed.size))
+            return simulate(lines, previous, config, missed)
 
         with mock.patch.object(cachesim, "simulate", counting):
             sweep_capacities(trace, sizes, CacheConfig(capacity_bytes=4 * KIB), kinds)
-        # segment 0 keeps its 150 loads and stores, segment 1 all 300 loads
-        assert calls == [(n, size) for n in (150, 300) for size in sorted(sizes)]
+        # segment 0 keeps its 150 loads and stores, segment 1 all 300 loads;
+        # each segment's capacities run from the largest down, with one mask
+        # per access of the segment
+        assert calls == [(n, size, n) for n in (150, 300)
+                         for size in sorted(sizes, reverse=True)]
 
     def test_weighted_mean_of_segments(self):
         # segment A: 1 miss / 10 accesses = 0.1; segment B: 3 misses / 10 = 0.3
@@ -508,6 +522,134 @@ class TestSweep:
         assert curves[0].points[0].miss_ratio == pytest.approx(
             curves[1].points[0].miss_ratio, abs=1e-12
         )
+
+
+def lru_miss_flags(lines, set_count: int, ways: int) -> np.ndarray:
+    """Whether each access misses, in trace order, from one OrderedDict per set."""
+    sets: dict[int, OrderedDict] = {}
+    flags = []
+    for line in np.asarray(lines).tolist():
+        lru = sets.setdefault(line % set_count, OrderedDict())
+        flags.append(line not in lru)
+        lru[line] = None
+        lru.move_to_end(line)
+        if len(lru) > ways:
+            lru.popitem(last=False)
+    return np.array(flags)
+
+
+def segment_lines(seg: TraceSegment) -> np.ndarray:
+    return seg.addresses // np.uint64(64)
+
+
+class TestSweepCarry:
+    """`sweep_capacities` runs each segment's capacities from the largest
+    down and hands the misses of one pass to the next; every point must
+    still be the one-capacity `simulate` result and the oracle's."""
+
+    def test_simulate_marks_its_misses_other_than_first_touches(self):
+        rng = np.random.default_rng(97)
+        lines = segment_lines(random_segment(rng, n=3000, line_space=700))
+        previous = previous_accesses(lines)
+        missed = np.zeros(lines.size, dtype=bool)
+        result = simulate(lines, previous, CacheConfig(capacity_bytes=16 * KIB), missed)
+        flags = lru_miss_flags(lines, 32, 8)
+        assert result.misses == int(flags.sum())
+        assert np.array_equal(missed, flags & (previous >= 0))
+
+    def test_set_counts_that_break_the_chain(self):
+        # 16K, 48K and 64K at 8 ways: 32, 96 and 128 sets. 128 is no multiple
+        # of 96, so the 48K pass must not take the 64K pass's misses (some of
+        # them hit at 48K); 96 is a multiple of 32, so the 16K pass may
+        rng = np.random.default_rng(73)
+        seg = random_segment(rng, n=6000, line_space=2000)
+        lines = segment_lines(seg)
+        first = previous_accesses(lines) < 0
+        at_128, at_96 = lru_miss_flags(lines, 128, 8), lru_miss_flags(lines, 96, 8)
+        assert (at_128 & ~at_96 & ~first).any()
+        assert not (at_96 & ~lru_miss_flags(lines, 32, 8)).any()
+        assert_sweep_matches_oracle([seg], [16 * KIB, 48 * KIB, 64 * KIB],
+                                    CacheConfig(capacity_bytes=16 * KIB))
+
+    @pytest.mark.parametrize("lines_per_size, space", [
+        ((16, 32, 64), 150),  # every pass on the window count
+        ((32, 64, 128, 256), 400),  # the OrderedDict loop above 64 lines, then windows
+    ])
+    def test_fully_associative(self, lines_per_size, space):
+        rng = np.random.default_rng(79)
+        seg = random_segment(rng, n=4000, line_space=space)
+        sizes = [64 * lines for lines in lines_per_size]
+        assert_sweep_matches_oracle([seg], sizes,
+                                    CacheConfig(capacity_bytes=sizes[0], associativity=None))
+
+    def test_a_segment_starts_with_no_known_misses(self):
+        # segment 0 misses often, segment 1 (as long) mostly hits a few hot
+        # lines; segment 0's last mask, the misses at 16K, marks accesses that
+        # hit in segment 1's first pass, at 32K, which evicts
+        rng = np.random.default_rng(83)
+        n = 3000
+        seg0 = replace(random_segment(rng, n=n, line_space=1200), weight=0.4)
+        hot = rng.integers(0, 40, size=n)
+        cold = rng.integers(40, 1200, size=n)
+        seg1 = segment(np.where(rng.random(n) < 0.8, hot, cold), weight=0.6)
+        lines0, lines1 = segment_lines(seg0), segment_lines(seg1)
+        assert np.bincount(np.unique(lines1) % 64).max() > 8  # 32K evicts
+        stale = lru_miss_flags(lines0, 32, 8) & (previous_accesses(lines0) >= 0)
+        assert (stale & ~lru_miss_flags(lines1, 64, 8)).any()
+        assert_sweep_matches_oracle([seg0, seg1], [16 * KIB, 32 * KIB],
+                                    CacheConfig(capacity_bytes=16 * KIB))
+
+    def test_reuse_windows_much_longer_than_a_chunk(self):
+        # one set cycles lines 1, 2 and 3; each rare line comes back after
+        # 50 to 2,000 accesses, with no other line between (a hit at 4 ways)
+        # or with one other rare line (a miss at 4 ways, a hit at 8). The
+        # blocks double as the counting accesses settle, up to the cap
+        rng = np.random.default_rng(89)
+        lines = []
+        for k, gap in enumerate(rng.integers(50, 2000, size=24).tolist()):
+            rare = [100 + 2 * k] if k % 2 else [100 + 2 * k, 101 + 2 * k]
+            lines += rare + [1 + i % 3 for i in range(gap)] + rare[:1]
+        seg = segment(lines)
+        widths = []
+
+        def recording(array, window_shape):
+            widths.append(window_shape)
+            return sliding_window_view(array, window_shape)
+
+        template = CacheConfig(capacity_bytes=256, associativity=None)
+        with mock.patch.object(cachesim, "_SET_CHUNK", 64):
+            with mock.patch.object(cachesim, "sliding_window_view", recording):
+                sweep_capacities(AccessTrace(segments=(seg,)), [256, 512], template)
+            assert_sweep_matches_oracle([seg], [256, 512], template)
+        assert any(b == 2 * a for a, b in zip(widths, widths[1:]))
+        # without the cap, doubling from 4 ways, each of the two passes would
+        # cover any window here (about 2,000 positions at most) in 11 blocks
+        assert len(widths) > 2 * 11
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(),
+           ways=st.one_of(st.integers(1, 8), st.none()),
+           chunk=st.sampled_from([1, 16, 1 << 16]))
+    def test_random_grids_match_oracle(self, data, ways, chunk):
+        # grids whose set counts do or do not divide one another; fully
+        # associative grids crossing the 64-line cut
+        if ways is None:
+            counts = data.draw(st.lists(st.sampled_from([1, 3, 8, 20, 63, 64, 65, 70, 100]),
+                                        min_size=1, max_size=5, unique=True))
+            template = CacheConfig(capacity_bytes=64, associativity=None)
+            sizes = [64 * lines for lines in counts]
+        else:
+            counts = data.draw(st.lists(st.sampled_from([1, 2, 3, 4, 6, 8, 12, 16]),
+                                        min_size=1, max_size=5, unique=True))
+            template = CacheConfig(capacity_bytes=64 * ways, associativity=ways)
+            sizes = [64 * ways * sets for sets in counts]
+        space = data.draw(st.integers(1, 200))
+        segments = []
+        for weight in data.draw(st.sampled_from([(1.0,), (0.5, 0.5), (0.25, 0.25, 0.5)])):
+            lines = data.draw(st.lists(st.integers(0, space), min_size=1, max_size=200))
+            segments.append(segment(lines, weight=weight))
+        with mock.patch.object(cachesim, "_SET_CHUNK", chunk):
+            assert_sweep_matches_oracle(segments, sizes, template)
 
 
 class TestFootprint:
@@ -565,8 +707,9 @@ class TestTraceIo:
     def test_text_bad_line_is_named(self, tmp_path):
         path = tmp_path / "trace.txt"
         path.write_text("load 0x40\nbogus\n")
-        with pytest.raises(ParseError, match="line 2"):
+        with pytest.raises(ParseError, match="line 2") as raised:
             read_text_trace(path)
+        assert str(raised.value) == f"{path}: line 2: expected 'kind address', got 'bogus'"
 
     def test_text_address_beyond_64_bits_is_named(self, tmp_path):
         path = tmp_path / "trace.txt"
@@ -598,7 +741,7 @@ class TestTraceIo:
         path = tmp_path / "trace.txt"
         write_text_trace(trace, path)
         with mock.patch.object(cachesim, "_line_access", side_effect=AssertionError):
-            block = _block_accesses(path.read_text(), 1)
+            block = _block_accesses(path.read_text(), 1, path)
         assert block[0].tolist() == addresses
         assert block[1].tolist() == [0, 1, 2, 0, 1, 2]
 
@@ -626,7 +769,7 @@ class TestTraceIo:
             assert len(result[0]) == 3000
             assert parsed.call_count == len(others) == 11
         else:
-            assert result.startswith("line 2001: ")
+            assert result.startswith(f"{path}: line 2001: ")
             assert parsed.call_count <= len(others)
 
     def test_binary_roundtrip_with_sidecar(self, tmp_path):

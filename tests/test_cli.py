@@ -837,6 +837,12 @@ class TestCliContract:
         assert run(*argv, "--out", workdir / "o") == 2
         assert f"{bad}: not valid UTF-8" in capsys.readouterr().err
 
+    def test_bad_text_trace_line_exit_2_names_file(self, workdir, capsys):
+        bad = workdir / "bad.txt"
+        bad.write_text("I 0x0\nL zz\n")
+        assert run("simulate", bad, "--out", workdir / "o") == 2
+        assert f"wcr: {bad}: line 2: address 'zz' is not hexadecimal" in capsys.readouterr().err
+
     # per command: the arguments that read the malformed input, and its text
     MALFORMED = {
         "ingest": (["{bad}"], COUNTER_HEADER + "w1,n1,cycles,abc,1\n"),
