@@ -81,16 +81,18 @@ at 64. (Measured before the carry and the doubling blocks.)
 from __future__ import annotations
 
 import enum
+import os
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import BinaryIO, Sequence, TextIO
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, ParseError
-from .model import Codec, finite_number, read_csv, read_json, write_csv
+from .model import (Codec, finite_number, open_binary, open_text, read_csv, read_json,
+                    write_csv)
 
 KIB = 1024
 # default sweep: 16 KB doubling up to 8192 KB
@@ -638,8 +640,9 @@ _DIGIT_OF_BYTE[np.frombuffer(b"0123456789abcdefABCDEF", dtype=np.uint8)] = [
     *range(16), *range(10, 16)]
 
 
-def read_text_trace(path: str | Path) -> AccessTrace:
-    """Read a `kind address` text trace as a single full-weight segment.
+def read_text_trace(source: str | Path | BinaryIO) -> AccessTrace:
+    """Read a `kind address` text trace, given as a path or an open binary
+    file, as a single full-weight segment.
 
     Each line holds a kind and a hexadecimal address separated by
     whitespace. The kind is `i`/`ifetch`/`instr`, `l`/`load`/`read` or
@@ -658,7 +661,8 @@ def read_text_trace(path: str | Path) -> AccessTrace:
     blocks: list[tuple[np.ndarray, np.ndarray]] = []  # (addresses, kinds) of each block
     lineno = 1  # the number of the next block's first line
     tail = ""  # the text after the last newline read so far
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(source) as fh:
+        path = fh.name
         try:
             while chunk := fh.read(_TEXT_BLOCK):
                 text = tail + chunk
@@ -672,7 +676,9 @@ def read_text_trace(path: str | Path) -> AccessTrace:
     if tail:
         blocks.append(_block_accesses(tail + "\n", lineno, path))  # a last line without a newline
     if not any(addresses.size for addresses, _ in blocks):
-        raise ParseError(f"trace {path} has no accesses")
+        error = ParseError(f"trace {path} has no accesses")
+        error.source = path  # the message names the file
+        raise error
     addresses, kinds = map(np.concatenate, zip(*blocks))
     return AccessTrace.single(addresses, kinds)
 
@@ -758,17 +764,28 @@ def _line_access(raw: str, lineno: int, source: str | Path) -> tuple[int, int] |
     return address, kind.value
 
 
-def read_binary_trace(path: str | Path, sidecar: str | Path | None = None) -> AccessTrace:
+def read_binary_trace(trace: str | Path | BinaryIO,
+                      sidecar: str | Path | BinaryIO | None = None) -> AccessTrace:
     """Read packed (u64 address, u8 kind) records.
 
     The optional JSON sidecar assigns record ranges to weighted segments:
     `{"segments": [{"begin": 0, "end": N, "weight": 1.0}, ...]}`. Without a
-    sidecar the whole file is one segment of weight 1.
+    sidecar the whole file is one segment of weight 1. Each file is given as
+    a path or an open binary file. The records are read straight into their
+    array, sized from the file's length, so they are held once.
     """
-    size = Path(path).stat().st_size
-    if size % _RECORD_DTYPE.itemsize:
-        raise DataError(f"trace {path}: {size} bytes is not a whole number of records")
-    records = np.fromfile(path, dtype=_RECORD_DTYPE)
+    with open_binary(trace) as fh:
+        path = fh.name
+        size = os.fstat(fh.fileno()).st_size
+        if size % _RECORD_DTYPE.itemsize:
+            raise DataError(f"trace {path}: {size} bytes is not a whole number of records")
+        records = np.empty(size // _RECORD_DTYPE.itemsize, dtype=_RECORD_DTYPE)
+        buffer = memoryview(records.view(np.uint8))
+        filled = 0
+        while filled < size and (count := fh.readinto(buffer[filled:])):
+            filled += count
+    if filled < size:
+        raise DataError(f"trace {path}: ended after {filled} of {size} bytes")
     if records.size == 0:
         raise DataError(f"trace {path} has no records")
     if sidecar is None:
@@ -835,9 +852,12 @@ def write_curve_csv(curve: MissRatioCurve, out: TextIO) -> None:
               ((p.capacity_bytes, format(p.miss_ratio, ".6f")) for p in curve.points))
 
 
-def read_curve_csv(path: str | Path, kind: CurveKind = CurveKind.UNIFIED) -> MissRatioCurve:
+def read_curve_csv(source: str | Path | BinaryIO,
+                   kind: CurveKind = CurveKind.UNIFIED) -> MissRatioCurve:
+    """Read a curve CSV, given as a path or an open binary file."""
     points = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(source, newline="") as fh:
+        path = fh.name
         _, rows = read_csv(fh, CURVE_CSV_HEADER)
         for lineno, (capacity_s, ratio_s) in rows:
             try:

@@ -11,7 +11,9 @@ seed, and digests of all inputs and outputs, so identical inputs reproduce
 identical output trees, and a failed run leaves `--out` as it was. The
 inputs are the files a command reads, a `--schema` (or config `schema_path`)
 file among them whenever it is read; a `vectors.json` carries its own
-schema, so a command given one reads no schema file.
+schema, so a command given one reads no schema file. A command opens each
+input once, through `_Inputs.open`, and an input's digest is that of the
+bytes its parser read, taken as they were read.
 
 A run's settings are `RunConfig`'s built-in defaults, then the values of a
 `--config` JSON file, then the flags given, each overriding the one before.
@@ -22,6 +24,7 @@ Exit codes: 1 usage error, 2 data validation error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -33,7 +36,7 @@ import shutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TextIO
 
 from . import __version__
 from .errors import DataError, ParseError
@@ -127,12 +130,62 @@ class _UsageError(Exception):
     pass
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(chunk)
-    return "sha256:" + digest.hexdigest()
+class _InputStream(io.RawIOBase):
+    """An input file opened once, in binary mode, that hashes every byte read
+    through it. Closing it reads the bytes left unread and records the file's
+    name and sha256 digest in `entries`, unless a read through it failed.
+
+    As a context manager it names the file in a `ParseError` raised inside
+    that names none.
+    """
+
+    def __init__(self, file: io.FileIO, entries: list[tuple[str, str]]):
+        self._file = file
+        self.name = file.name
+        self._digest = hashlib.sha256()
+        self._entries: list[tuple[str, str]] | None = entries
+
+    def readable(self) -> bool:
+        return True
+
+    def fileno(self) -> int:
+        return self._file.fileno()
+
+    def readinto(self, buffer) -> int:
+        count = self._file.readinto(buffer)
+        self._digest.update(memoryview(buffer).cast("B")[:count])
+        return count
+
+    def close(self) -> None:
+        if self.closed:
+            return
+        try:
+            if self._entries is not None:
+                while self.read(1 << 16):
+                    pass
+                self._entries.append((Path(self.name).name, "sha256:" + self._digest.hexdigest()))
+        finally:
+            self._file.close()
+            super().close()
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if exc is not None:
+            self._entries = None  # a failed read records nothing and reads no further
+        self.close()
+        if isinstance(exc, ParseError) and exc.source is None:
+            raise ParseError(str(exc), source=self.name) from exc
+
+
+class _Inputs(list):
+    """A run's input files, as (name, digest) entries recorded as each is read."""
+
+    def open(self, path: str | Path) -> _InputStream:
+        return _InputStream(open(path, "rb", buffering=0), self)
+
+
+def _csv_text(stream: _InputStream) -> io.TextIOWrapper:
+    # a CSV reader's text, decoded as `open(path, encoding="utf-8", newline="")` does
+    return io.TextIOWrapper(stream, encoding="utf-8", newline="")
 
 
 class _Outputs(dict):
@@ -144,9 +197,12 @@ class _Outputs(dict):
         return stream
 
 
-def _publish(out_dir: Path, command: str, config: RunConfig, inputs: Sequence[Path],
+def _publish(out_dir: Path, command: str, config: RunConfig, inputs: Sequence[tuple[str, str]],
              outputs: _Outputs) -> None:
     """Write a succeeded run's outputs and its manifest into `out_dir`, all or nothing.
+
+    `inputs` are the (file name, digest) entries `_Inputs` recorded, each
+    digest that of the bytes the command parsed.
 
     Every file is first written under a temporary name beside its target;
     only when all are written are they renamed into place, the manifest
@@ -164,10 +220,7 @@ def _publish(out_dir: Path, command: str, config: RunConfig, inputs: Sequence[Pa
         "command": command,
         "config": config.to_dict(),
         "seed": config.seed,
-        "inputs": sorted(
-            ({"file": p.name, "sha256": _sha256(p)} for p in inputs),
-            key=lambda entry: (entry["file"], entry["sha256"]),
-        ),
+        "inputs": [{"file": name, "sha256": digest} for name, digest in sorted(inputs)],
         "outputs": {name: "sha256:" + hashlib.sha256(data).hexdigest()
                     for name, data in files.items()},
     }
@@ -196,32 +249,27 @@ def _publish(out_dir: Path, command: str, config: RunConfig, inputs: Sequence[Pa
         raise
 
 
-# what a command hands back: the inputs it read, and the lines to print after `_publish`
-_Result = tuple[list[Path], list[str]]
-
-
-def _load_schema(config: RunConfig, inputs: list[Path]) -> MetricSchema:
-    """The configured schema; a schema file it reads is added to `inputs`."""
+def _load_schema(config: RunConfig, inputs: _Inputs) -> MetricSchema:
+    """The configured schema, read from its file when one is configured."""
     if config.schema_path is None:
         return default_schema()
-    inputs.append(Path(config.schema_path))
-    return MetricSchema.from_dict(read_json(config.schema_path))
+    with inputs.open(config.schema_path) as fh:
+        return MetricSchema.from_dict(read_json(fh))
 
 
-# --- subcommands -----------------------------------------------------------
+# --- subcommands: each reads its inputs through `inputs`, fills `outputs`, and
+# returns the lines to print after `_publish`
 
 
-def _cmd_ingest(args: argparse.Namespace, config: RunConfig, outputs: _Outputs) -> _Result:
-    inputs = [Path(args.counters)]
+def _cmd_ingest(args: argparse.Namespace, config: RunConfig, inputs: _Inputs,
+                outputs: _Outputs) -> list[str]:
     schema = _load_schema(config, inputs)
-
-    with open(args.counters, "r", encoding="utf-8", newline="") as fh:
-        profiles = ingest.parse_counter_csv(fh)
+    with inputs.open(args.counters) as fh:
+        profiles = ingest.parse_counter_csv(_csv_text(fh))
     vectors = [ingest.derive_microarch_metrics(p, schema) for p in profiles]
     if args.telemetry:
-        inputs.append(Path(args.telemetry))
-        with open(args.telemetry, "r", encoding="utf-8", newline="") as fh:
-            telemetry = ingest.parse_telemetry_csv(fh)
+        with inputs.open(args.telemetry) as fh:
+            telemetry = ingest.parse_telemetry_csv(_csv_text(fh))
         wall_times = {p.workload_id: p.wall_time_s for p in profiles}
         system_metrics = {}
         for workload in sorted(telemetry):
@@ -231,12 +279,13 @@ def _cmd_ingest(args: argparse.Namespace, config: RunConfig, outputs: _Outputs) 
         write_json(outputs.open("system_metrics.json"), {"system_metrics": system_metrics})
     write_json(outputs.open("profiles.json"), ProfilesFile(tuple(profiles)).to_dict())
     write_json(outputs.open("vectors.json"), VectorsFile(schema, tuple(vectors)).to_dict())
-    return inputs, [f"ingested {len(profiles)} workloads -> {Path(args.out)}"]
+    return [f"ingested {len(profiles)} workloads -> {Path(args.out)}"]
 
 
-def _load_vectors(path: Path, config: RunConfig, inputs: list[Path]
+def _load_vectors(path: Path, config: RunConfig, inputs: _Inputs
                   ) -> tuple[MetricSchema, list[MetricVector]]:
-    payload = read_json(path)
+    with inputs.open(path) as fh:
+        payload = read_json(fh)
     if isinstance(payload, dict) and "vectors" in payload:
         stored = VectorsFile.from_dict(payload)
         schema = stored.schema
@@ -254,10 +303,9 @@ def _load_vectors(path: Path, config: RunConfig, inputs: list[Path]
     raise DataError(f"{path} holds neither 'vectors' nor 'profiles'")
 
 
-def _cmd_reduce(args: argparse.Namespace, config: RunConfig, outputs: _Outputs) -> _Result:
-    input_path = Path(args.input)
-    inputs = [input_path]
-    schema, vectors = _load_vectors(input_path, config, inputs)
+def _cmd_reduce(args: argparse.Namespace, config: RunConfig, inputs: _Inputs,
+                outputs: _Outputs) -> list[str]:
+    schema, vectors = _load_vectors(Path(args.input), config, inputs)
 
     reduction_config = reduction.ReductionConfig(
         k=None if config.k == "auto" else _parse_int("k", config.k),
@@ -267,18 +315,18 @@ def _cmd_reduce(args: argparse.Namespace, config: RunConfig, outputs: _Outputs) 
 
     write_json(outputs.open("reduction.json"), result.to_dict())
     result.normalized.write_csv(outputs.open("normalized.csv"))
-    return inputs, [
+    return [
         f"reduced {len(vectors)} workloads to {result.clustering.k} representatives "
         f"-> {Path(args.out)}",
         *(f"  {workload}" for workload in result.representatives),
     ]
 
 
-def _cmd_classify(args: argparse.Namespace, config: RunConfig, outputs: _Outputs) -> _Result:
-    input_path = Path(args.input)
-    with open(input_path, "r", encoding="utf-8", newline="") as src:
-        rows = classification.label_csv(src, outputs.open("labels.csv"))
-    return [input_path], [f"labeled {rows} workloads -> {Path(args.out) / 'labels.csv'}"]
+def _cmd_classify(args: argparse.Namespace, config: RunConfig, inputs: _Inputs,
+                  outputs: _Outputs) -> list[str]:
+    with inputs.open(Path(args.input)) as fh:
+        rows = classification.label_csv(_csv_text(fh), outputs.open("labels.csv"))
+    return [f"labeled {rows} workloads -> {Path(args.out) / 'labels.csv'}"]
 
 
 _KIND_CHOICES = {
@@ -308,30 +356,32 @@ def _parse_kinds(token: str) -> frozenset:
     return kinds
 
 
-def _load_trace(args: argparse.Namespace) -> tuple[cachesim.AccessTrace, list[Path]]:
+def _load_trace(args: argparse.Namespace, inputs: _Inputs) -> cachesim.AccessTrace:
     trace_path = Path(args.trace)
-    inputs = [trace_path]
     if trace_path.suffix == ".bin":
+        # the sidecar is opened after the trace, and only when given
         sidecar = Path(args.segments) if args.segments else None
-        if sidecar is not None:
-            inputs.append(sidecar)
-        trace = cachesim.read_binary_trace(trace_path, sidecar)
+        with inputs.open(trace_path) as fh, (
+                contextlib.nullcontext() if sidecar is None else inputs.open(sidecar)) as segments:
+            trace = cachesim.read_binary_trace(fh, segments)
     elif args.segments:
         # a text trace is a single segment, which a sidecar cannot split
         raise _UsageError(f"--segments applies only to a .bin trace, not {trace_path.name}")
     else:
-        trace = cachesim.read_text_trace(trace_path)
+        with inputs.open(trace_path) as fh:
+            trace = cachesim.read_text_trace(fh)
     if args.skip:
         trace = cachesim.skip_accesses(trace, args.skip)
-    return trace, inputs
+    return trace
 
 
-def _cmd_simulate(args: argparse.Namespace, config: RunConfig, outputs: _Outputs) -> _Result:
+def _cmd_simulate(args: argparse.Namespace, config: RunConfig, inputs: _Inputs,
+                  outputs: _Outputs) -> list[str]:
     if args.workload in ("", ".", "..") or set("/\\") & set(args.workload or ""):
         raise DataError(f"--workload {args.workload!r} is not a plain file name")
     if not config.sizes:
         raise DataError("sizes is empty; give at least one cache capacity")
-    trace, inputs = _load_trace(args)
+    trace = _load_trace(args, inputs)
     kinds = _parse_kinds(args.kinds)
     template = cachesim.CacheConfig(
         capacity_bytes=config.sizes[0],
@@ -346,57 +396,58 @@ def _cmd_simulate(args: argparse.Namespace, config: RunConfig, outputs: _Outputs
     else:
         name = f"{args.workload or 'curve'}_{curve.kind.value}.csv"
     cachesim.write_curve_csv(curve, outputs.open(name))
-    return inputs, [f"swept {len(curve.points)} capacities -> {Path(args.out) / name}"]
+    return [f"swept {len(curve.points)} capacities -> {Path(args.out) / name}"]
 
 
-def _cmd_footprint(args: argparse.Namespace, config: RunConfig, outputs: _Outputs) -> _Result:
+def _cmd_footprint(args: argparse.Namespace, config: RunConfig, inputs: _Inputs,
+                   outputs: _Outputs) -> list[str]:
     curve_path = Path(args.curve)
-    curve = cachesim.read_curve_csv(curve_path)
+    with inputs.open(curve_path) as fh:
+        curve = cachesim.read_curve_csv(fh)
     capacity = cachesim.estimate_footprint(curve, config.knee_ratio)
 
     write_json(
         outputs.open("footprint.json"),
         {"capacity_bytes": capacity, "knee_ratio": config.knee_ratio, "curve": curve_path.name},
     )
-    return [curve_path], ["not_reached" if capacity is None else str(capacity)]
+    return ["not_reached" if capacity is None else str(capacity)]
 
 
-def _read_labels_csv(path: Path) -> dict[str, tuple[BehaviorLabels, str | None, str | None]]:
+def _read_labels_csv(stream: TextIO) -> dict[str, tuple[BehaviorLabels, str | None, str | None]]:
     """workload -> (labels, suite, stack), the trailing fields of its `WorkloadRecord`;
     suite and stack are optional columns."""
     labels = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header, rows = read_csv(
-            fh, ("workload", "category", "system", "data_out", "data_intermediate"), extra=True)
-        for lineno, row in rows:
-            cells = dict(zip(header, row))
-            if cells["workload"] in labels:
-                raise ParseError(f"duplicate row for workload {cells['workload']!r}", lineno, path)
-            fields = {k: cells[k] for k in ("system", "data_out", "data_intermediate")}
-            try:
-                fields["category"] = classification.parse_category(cells["category"])
-                labels[cells["workload"]] = (BehaviorLabels.from_dict(fields),
-                                             cells.get("suite") or None, cells.get("stack") or None)
-            except DataError as exc:
-                raise ParseError(str(exc), lineno, path)
+    header, rows = read_csv(
+        stream, ("workload", "category", "system", "data_out", "data_intermediate"), extra=True)
+    for lineno, row in rows:
+        cells = dict(zip(header, row))
+        if cells["workload"] in labels:
+            raise ParseError(f"duplicate row for workload {cells['workload']!r}", lineno)
+        fields = {k: cells[k] for k in ("system", "data_out", "data_intermediate")}
+        try:
+            fields["category"] = classification.parse_category(cells["category"])
+            labels[cells["workload"]] = (BehaviorLabels.from_dict(fields),
+                                         cells.get("suite") or None, cells.get("stack") or None)
+        except DataError as exc:
+            raise ParseError(str(exc), lineno)
     return labels
 
 
-def _cmd_report(args: argparse.Namespace, config: RunConfig, outputs: _Outputs) -> _Result:
+def _cmd_report(args: argparse.Namespace, config: RunConfig, inputs: _Inputs,
+                outputs: _Outputs) -> list[str]:
     if bool(args.vectors) != bool(args.labels):
         raise _UsageError("give --vectors and --labels together, or neither")
     if args.metrics is not None and not args.vectors:
         raise _UsageError("--metrics names metrics to summarize; give --vectors and --labels too")
     metric_names = None if args.metrics is None else _split_items("--metrics", args.metrics)
-    inputs: list[Path] = []
     notes: list[str] = []
 
     summaries: list[report.GroupSummary] = []
     if args.vectors and args.labels:
-        vectors_path, labels_path = Path(args.vectors), Path(args.labels)
-        inputs += [vectors_path, labels_path]
-        schema, vectors = _load_vectors(vectors_path, config, inputs)
-        label_rows = _read_labels_csv(labels_path)
+        labels_path = Path(args.labels)
+        schema, vectors = _load_vectors(Path(args.vectors), config, inputs)
+        with inputs.open(labels_path) as fh:
+            label_rows = _read_labels_csv(_csv_text(fh))
         records = []
         for vector in vectors:
             if vector.workload_id not in label_rows:
@@ -417,9 +468,8 @@ def _cmd_report(args: argparse.Namespace, config: RunConfig, outputs: _Outputs) 
 
     stack_table = None
     if args.stack_table:
-        stack_path = Path(args.stack_table)
-        inputs.append(stack_path)
-        stack_table = report.stack_impact_table(_read_stack_table(stack_path))
+        with inputs.open(Path(args.stack_table)) as fh:
+            stack_table = report.stack_impact_table(_read_stack_table(_csv_text(fh)))
 
     curves: dict[str, cachesim.MissRatioCurve] = {}
     if args.curves:
@@ -428,11 +478,11 @@ def _cmd_report(args: argparse.Namespace, config: RunConfig, outputs: _Outputs) 
             raise DataError(f"--curves {args.curves!r} is not a directory")
         read_from: dict[str, Path] = {}
         for path in sorted(curves_dir.glob("*.csv")):
-            inputs.append(path)
             workload, _, kind = path.stem.rpartition("_")
             if not workload or kind not in {k.value for k in cachesim.CurveKind}:
                 workload, kind = path.stem, cachesim.CurveKind.UNIFIED
-            curve = cachesim.read_curve_csv(path, cachesim.CurveKind(kind))
+            with inputs.open(path) as fh:
+                curve = cachesim.read_curve_csv(fh, cachesim.CurveKind(kind))
             name = f"{workload}_{curve.kind.value}"
             if name in read_from:
                 raise DataError(f"{read_from[name]} and {path} both name the curve '{name}'")
@@ -449,21 +499,20 @@ def _cmd_report(args: argparse.Namespace, config: RunConfig, outputs: _Outputs) 
         notes=tuple(notes),
     )
     report.emit(bundle, outputs.open)
-    return inputs, [f"wrote {len(outputs)} report files -> {Path(args.out)}"]
+    return [f"wrote {len(outputs)} report files -> {Path(args.out)}"]
 
 
-def _read_stack_table(path: Path) -> list[report.StackMetricRecord]:
+def _read_stack_table(stream: TextIO) -> list[report.StackMetricRecord]:
     # long format: algorithm,stack,metric,value
     grouped: dict[tuple[str, str], dict[str, float]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header, rows = read_csv(fh, ("algorithm", "stack", "metric", "value"), extra=True)
-        for lineno, row in rows:
-            cells = dict(zip(header, row))
-            metrics = grouped.setdefault((cells["algorithm"], cells["stack"]), {})
-            if cells["metric"] in metrics:
-                raise ParseError(f"duplicate row for algorithm {cells['algorithm']!r}, stack "
-                                 f"{cells['stack']!r}, metric {cells['metric']!r}", lineno, path)
-            metrics[cells["metric"]] = finite_number("value", cells["value"], lineno, path)
+    header, rows = read_csv(stream, ("algorithm", "stack", "metric", "value"), extra=True)
+    for lineno, row in rows:
+        cells = dict(zip(header, row))
+        metrics = grouped.setdefault((cells["algorithm"], cells["stack"]), {})
+        if cells["metric"] in metrics:
+            raise ParseError(f"duplicate row for algorithm {cells['algorithm']!r}, stack "
+                             f"{cells['stack']!r}, metric {cells['metric']!r}", lineno)
+        metrics[cells["metric"]] = finite_number("value", cells["value"], lineno)
     return [
         report.StackMetricRecord(algorithm=a, stack=s, metrics=m)
         for (a, s), m in sorted(grouped.items())
@@ -618,8 +667,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             return EXIT_USAGE
         config = RunConfig() if args.config is None else RunConfig.load(args.config)
         config = _apply_overrides(args, config)
-        outputs = _Outputs()
-        inputs, lines = _COMMANDS[args.command][0](args, config, outputs)
+        inputs, outputs = _Inputs(), _Outputs()
+        lines = _COMMANDS[args.command][0](args, config, inputs, outputs)
         _publish(Path(args.out), args.command, config, inputs, outputs)
         for line in lines:
             print(line)

@@ -18,11 +18,14 @@ that is written to or read from a JSON file inherits its `to_dict` and
 serializer; likewise `read_csv` and `write_csv` are the only CSV reader and
 writer, and `finite_number` parses every real-valued CSV field. The writers
 fill a text stream: they never open a file, so `cli` alone decides when a
-run's outputs reach disk.
+run's outputs reach disk. A reader of a file takes a path or an open binary
+file (`open_binary`, `open_text`), so `cli` can hand it the stream that
+records what was read.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import enum
@@ -34,8 +37,8 @@ import math
 import types
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (Annotated, Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO,
-                    Union, get_args, get_origin, get_type_hints)
+from typing import (Annotated, Any, BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence,
+                    TextIO, Union, get_args, get_origin, get_type_hints)
 
 import numpy as np
 
@@ -157,17 +160,42 @@ def _decode(tp: Any, value: Any, where: str) -> Any:
     raise DataError(f"{where}: expected {name}, got {value!r}")
 
 
-def read_json(path: str | Path) -> Any:
-    """Parse a JSON file; malformed text is a `DataError`, not a crash.
+@contextlib.contextmanager
+def open_binary(source: str | Path | BinaryIO) -> Iterator[BinaryIO]:
+    """`source` as an open binary file: a path is opened here and closed on
+    exit, an open file is passed through and left open for its owner."""
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as fh:
+            yield fh
+    else:
+        yield source
+
+
+@contextlib.contextmanager
+def open_text(source: str | Path | BinaryIO, newline: str | None = None) -> Iterator[TextIO]:
+    """`source`, a path or an open binary file, as the UTF-8 text stream that
+    `open(path, encoding="utf-8", newline=newline)` gives; an open file given
+    is left open."""
+    with open_binary(source) as fh:
+        text = io.TextIOWrapper(fh, encoding="utf-8", newline=newline)
+        try:
+            yield text
+        finally:
+            text.detach()
+
+
+def read_json(source: str | Path | BinaryIO) -> Any:
+    """Parse a JSON file, given as a path or an open binary file; malformed
+    text is a `DataError` naming the file, not a crash.
 
     `NaN`, `Infinity` and `-Infinity` are not JSON and are rejected too, as
     is a number such as `1e400` that only a float infinity could hold.
     """
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"),
-                          parse_constant=_no_constant, parse_float=_finite_float)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise DataError(f"{path}: not valid JSON ({exc})")
+    with open_text(source) as fh:
+        try:
+            return json.loads(fh.read(), parse_constant=_no_constant, parse_float=_finite_float)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise DataError(f"{fh.name}: not valid JSON ({exc})")
 
 
 def _no_constant(token: str) -> Any:

@@ -1,0 +1,198 @@
+"""The manifest records each input as it is read: once, by the bytes parsed."""
+
+import builtins
+import collections
+import hashlib
+import io
+import json
+import shutil
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from helpers import FIXTURE_COUNTERS, write_binary_trace, write_text_trace
+from wcr import cachesim, cli
+from wcr.cachesim import AccessTrace, TraceSegment
+from wcr.model import default_schema, read_json
+
+COUNTER_HEADER = "workload,node,event,count,wall_time_s\n"
+TELEMETRY_HEADER = "workload,t_s,cpu_util,io_wait,weighted_io_time_ms,disk_bw,net_bw\n"
+BEHAVIOR_HEADER = ("workload,cpu_util,io_wait,weighted_io_ratio,"
+                   "input_bytes,output_bytes,intermediate_bytes,category\n")
+SIZES = ["--sizes", "1K,2K,4K", "--assoc", "2"]
+
+# per case: the command's arguments, `{d}` the inputs' directory, and the files it reads
+COMMANDS = {
+    "ingest": (["--schema", "{d}/schema.json", "ingest", "{d}/counters.csv",
+                "--telemetry", "{d}/telemetry.csv"],
+               ["counters.csv", "schema.json", "telemetry.csv"]),
+    "reduce": (["reduce", "{d}/vectors.json", "--k", "2"], ["vectors.json"]),
+    "classify": (["classify", "{d}/behavior.csv"], ["behavior.csv"]),
+    "simulate-text": (["simulate", "{d}/trace.txt", *SIZES], ["trace.txt"]),
+    "simulate-bin": (["simulate", "{d}/trace.bin", "--segments", "{d}/segments.json", *SIZES],
+                     ["segments.json", "trace.bin"]),
+    "footprint": (["footprint", "{d}/curve.csv"], ["curve.csv"]),
+    "report": (["--schema", "{d}/schema.json", "report", "--vectors", "{d}/profiles.json",
+                "--labels", "{d}/labels.csv", "--stack-table", "{d}/stack.csv",
+                "--curves", "{d}/curves"],
+               ["curves/a_instruction.csv", "curves/b.csv", "labels.csv", "profiles.json",
+                "schema.json", "stack.csv"]),
+}
+
+
+def run(*argv) -> int:
+    return cli.main([str(a) for a in argv])
+
+
+def sha256(data: bytes) -> str:
+    return "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+def small_trace(seed: int, lengths=(300, 200)) -> AccessTrace:
+    rng = np.random.default_rng(seed)
+    return AccessTrace(segments=tuple(
+        TraceSegment(weight, rng.integers(0, 96, n).astype(np.uint64) * 64,
+                     rng.integers(0, 3, n).astype(np.uint8))
+        for weight, n in zip((0.25, 0.75), lengths)))
+
+
+@pytest.fixture
+def inputs(tmp_path) -> Path:
+    """One valid input of every kind, in a directory of its own."""
+    d = tmp_path / "in"
+    d.mkdir()
+    (d / "counters.csv").write_text(COUNTER_HEADER + "".join(
+        f"{w},n1,{event},{count * scale:g},100\n"
+        for w, scale in (("w1", 1.0), ("w2", 1.5)) for event, count in FIXTURE_COUNTERS.items()))
+    (d / "telemetry.csv").write_text(TELEMETRY_HEADER + "".join(
+        f"{w},{t},0.5,0.1,{t * 10},1e6,1e6\n" for w in ("w1", "w2") for t in range(0, 60, 10)))
+    (d / "behavior.csv").write_text(BEHAVIOR_HEADER + "w1,0.9,0.02,1,1000000,500,100,service\n")
+    (d / "schema.json").write_text(json.dumps(default_schema().to_dict()))
+    (d / "labels.csv").write_text("workload,category,system,data_out,data_intermediate\n"
+                                  "w1,service,hybrid,equal,none\nw2,service,hybrid,less,none\n")
+    (d / "stack.csv").write_text("algorithm,stack,metric,value\nwc,mpi,ipc,2\nwc,spark,ipc,3\n")
+    (d / "curve.csv").write_text("capacity_bytes,miss_ratio\n1024,0.5\n2048,0.001\n")
+    (d / "curves").mkdir()
+    (d / "curves" / "a_instruction.csv").write_text("capacity_bytes,miss_ratio\n1024,0.25\n")
+    (d / "curves" / "b.csv").write_text("capacity_bytes,miss_ratio\n1024,0.75\n")
+    write_text_trace(small_trace(1), d / "trace.txt")
+    write_binary_trace(small_trace(2), d / "trace.bin", d / "segments.json")
+    assert run("ingest", d / "counters.csv", "--out", tmp_path / "ingest") == 0
+    for name in ("vectors.json", "profiles.json"):
+        shutil.copy(tmp_path / "ingest" / name, d / name)
+    return d
+
+
+def argv_and_paths(inputs: Path, case: str) -> tuple[list[str], list[Path]]:
+    argv, files = COMMANDS[case]
+    return [a.format(d=inputs) for a in argv], [inputs / f for f in files]
+
+
+def manifest_inputs(out: Path) -> list[dict]:
+    return json.loads((out / "manifest.json").read_text())["inputs"]
+
+
+@pytest.mark.parametrize("case", sorted(COMMANDS))
+def test_manifest_digest_is_of_the_bytes_parsed(inputs, tmp_path, monkeypatch, case):
+    argv, paths = argv_and_paths(inputs, case)
+    parsed = [{"file": p.name, "sha256": sha256(p.read_bytes())} for p in paths]
+    publish = cli._publish
+
+    def rewrite_inputs_then_publish(*args):
+        for path in paths:
+            path.write_bytes(b"rewritten after the command read it\n")
+        return publish(*args)
+
+    monkeypatch.setattr(cli, "_publish", rewrite_inputs_then_publish)
+    out = tmp_path / "out"
+    assert run(*argv, "--out", out) == 0
+    assert manifest_inputs(out) == sorted(parsed, key=lambda e: (e["file"], e["sha256"]))
+
+
+@pytest.mark.parametrize("case", sorted(COMMANDS))
+def test_each_input_is_opened_once(inputs, tmp_path, monkeypatch, case):
+    argv, paths = argv_and_paths(inputs, case)
+    opened, real_open = collections.Counter(), builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, Path)):
+            opened[Path(file).resolve()] += 1
+        return real_open(file, *args, **kwargs)
+
+    # `io.open` is what `pathlib` calls
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)
+    assert run(*argv, "--out", tmp_path / "out") == 0
+    assert {p.name: opened[p.resolve()] for p in paths} == {p.name: 1 for p in paths}
+
+
+def test_binary_trace_through_the_cli(inputs, tmp_path):
+    """`simulate` on a .bin trace with --segments writes the curve of
+    `read_binary_trace`, whether the reader is given paths or the recorder's
+    streams, and its manifest lists both files by digest."""
+    trace, sidecar = inputs / "trace.bin", inputs / "segments.json"
+    out = tmp_path / "out"
+    assert run("simulate", trace, "--segments", sidecar, *SIZES, "--out", out) == 0
+
+    recorded = cli._Inputs()
+    with recorded.open(trace) as trace_stream, recorded.open(sidecar) as sidecar_stream:
+        from_streams = cachesim.read_binary_trace(trace_stream, sidecar_stream)
+    template = cachesim.CacheConfig(capacity_bytes=1024, associativity=2)
+    for read in (cachesim.read_binary_trace(trace, sidecar), from_streams):
+        text = io.StringIO()
+        cachesim.write_curve_csv(
+            cachesim.sweep_capacities(read, (1024, 2048, 4096), template), text)
+        assert (out / "curve.csv").read_text() == text.getvalue()
+
+    listed = [{"file": p.name, "sha256": sha256(p.read_bytes())} for p in (sidecar, trace)]
+    assert manifest_inputs(out) == listed
+    assert sorted(recorded) == [(e["file"], e["sha256"]) for e in listed]
+
+
+@pytest.mark.parametrize("read, name", [
+    (read_json, "schema.json"),
+    (cachesim.read_curve_csv, "curve.csv"),
+    (cachesim.read_text_trace, "trace.txt"),
+    (cachesim.read_binary_trace, "trace.bin"),
+])
+def test_reader_takes_a_path_or_an_open_binary_file(inputs, read, name):
+    def plain(value):
+        if isinstance(value, AccessTrace):
+            return [(s.weight, s.addresses.tolist(), s.kinds.tolist()) for s in value.segments]
+        return value
+
+    by_path = read(inputs / name)
+    with open(inputs / name, "rb") as fh:
+        by_stream = read(fh)
+        assert not fh.closed  # the caller's file is left to the caller
+    assert plain(by_stream) == plain(by_path)
+
+
+@pytest.mark.parametrize("file, row, message", [
+    ("counters.csv", "w1,n1,instructions_retired,abc,1", "count 'abc' is not a number"),
+    ("telemetry.csv", "w1,0,abc,0,0,0,0", "cpu_util 'abc' is not a number"),
+    ("behavior.csv", "w1,2.0,0,0,1,1,1,service", "cpu_util 2.0 outside [0, 1]"),
+])
+def test_bad_row_names_its_file(inputs, tmp_path, capsys, file, row, message):
+    bad = inputs / file
+    bad.write_text(bad.read_text().splitlines()[0] + "\n" + row + "\n")
+    argv = {"counters.csv": ["ingest", bad],
+            "telemetry.csv": ["ingest", inputs / "counters.csv", "--telemetry", bad],
+            "behavior.csv": ["classify", bad]}[file]
+    out = tmp_path / "out"
+    assert run(*argv, "--out", out) == 2
+    assert capsys.readouterr().err == f"wcr: {bad}: line 2: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    # messages that already name the file keep their text
+    ("# no accesses\n", "trace {bad} has no accesses"),
+    ("I 0x0\nQ 0x40\n", "{bad}: line 2: unknown access kind 'Q'"),
+])
+def test_message_naming_its_file_is_kept(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    assert run("simulate", bad, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"wcr: {message.format(bad=bad)}\n"
