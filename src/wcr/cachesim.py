@@ -649,8 +649,9 @@ def read_text_trace(source: str | Path | BinaryIO) -> AccessTrace:
     `s`/`store`/`write`, in any case. The address is 0 to 2**64 - 1 with or
     without a `0x` prefix. A `#` starts a comment that runs to the end of
     the line, and blank lines are skipped. Newlines are `\n`, `\r\n` or
-    `\r`. A bad line raises a `ParseError` that names the file and the
-    line number.
+    `\r`. A bad line raises a `ParseError` that names the line number, and
+    the file when it is given as a path (`open_binary`); a trace with no
+    accesses raises one that names no line.
 
     The file is read `_TEXT_BLOCK` characters at a time, each block cut
     after its last newline. The lines of a block that are a kind letter,
@@ -662,33 +663,27 @@ def read_text_trace(source: str | Path | BinaryIO) -> AccessTrace:
     lineno = 1  # the number of the next block's first line
     tail = ""  # the text after the last newline read so far
     with open_text(source) as fh:
-        path = fh.name
         try:
             while chunk := fh.read(_TEXT_BLOCK):
                 text = tail + chunk
                 cut = text.rfind("\n") + 1
                 block, tail = text[:cut], text[cut:]
                 if block:
-                    blocks.append(_block_accesses(block, lineno, path))
+                    blocks.append(_block_accesses(block, lineno))
                     lineno += block.count("\n")
         except UnicodeDecodeError:
-            raise ParseError("not valid UTF-8 text", source=path)
-    if tail:
-        blocks.append(_block_accesses(tail + "\n", lineno, path))  # a last line without a newline
-    if not any(addresses.size for addresses, _ in blocks):
-        error = ParseError(f"trace {path} has no accesses")
-        error.source = path  # the message names the file
-        raise error
+            raise ParseError("not valid UTF-8 text")
+        if tail:
+            blocks.append(_block_accesses(tail + "\n", lineno))  # a last line without a newline
+        if not any(addresses.size for addresses, _ in blocks):
+            raise ParseError("trace has no accesses")
     addresses, kinds = map(np.concatenate, zip(*blocks))
     return AccessTrace.single(addresses, kinds)
 
 
-def _block_accesses(
-    block: str, first_lineno: int, source: str | Path
-) -> tuple[np.ndarray, np.ndarray]:
-    """(addresses, kinds) of `block`, newline-ended lines of the file
-    `source` the first of which is numbered `first_lineno`, in line order;
-    raises on a bad line.
+def _block_accesses(block: str, first_lineno: int) -> tuple[np.ndarray, np.ndarray]:
+    """(addresses, kinds) of `block`, newline-ended trace lines the first of
+    which is numbered `first_lineno`, in line order; raises on a bad line.
 
     Lines of the form `K 0xH` (see `read_text_trace`) are converted with
     numpy. Each is one the line-by-line reader accepts with the same
@@ -736,31 +731,31 @@ def _block_accesses(
     all_kinds[form] = kinds
     for i in np.flatnonzero(~form).tolist():
         raw = data[starts[i]:ends[i]].tobytes().decode("utf-8")
-        access = _line_access(raw, first_lineno + i, source)
+        access = _line_access(raw, first_lineno + i)
         if access is not None:
             all_addresses[i], all_kinds[i] = access
             found[i] = True
     return all_addresses[found], all_kinds[found]
 
 
-def _line_access(raw: str, lineno: int, source: str | Path) -> tuple[int, int] | None:
-    """(address, kind code) of one trace line of the file `source`, numbered
-    `lineno`, or None for a blank or comment line; raises on a bad line."""
+def _line_access(raw: str, lineno: int) -> tuple[int, int] | None:
+    """(address, kind code) of one trace line, numbered `lineno`, or None for
+    a blank or comment line; raises on a bad line."""
     line = raw.split("#", 1)[0].strip()
     if not line:
         return None
     parts = line.split()
     if len(parts) != 2:
-        raise ParseError(f"expected 'kind address', got {raw.strip()!r}", lineno, source)
+        raise ParseError(f"expected 'kind address', got {raw.strip()!r}", lineno)
     kind = _KIND_TOKENS.get(parts[0].lower())
     if kind is None:
-        raise ParseError(f"unknown access kind {parts[0]!r}", lineno, source)
+        raise ParseError(f"unknown access kind {parts[0]!r}", lineno)
     try:
         address = int(parts[1], 16)
     except ValueError:
-        raise ParseError(f"address {parts[1]!r} is not hexadecimal", lineno, source)
+        raise ParseError(f"address {parts[1]!r} is not hexadecimal", lineno)
     if not 0 <= address < 1 << 64:
-        raise ParseError(f"address {parts[1]!r} is not a 64-bit address", lineno, source)
+        raise ParseError(f"address {parts[1]!r} is not a 64-bit address", lineno)
     return address, kind.value
 
 
@@ -773,6 +768,11 @@ def read_binary_trace(trace: str | Path | BinaryIO,
     sidecar the whole file is one segment of weight 1. Each file is given as
     a path or an open binary file. The records are read straight into their
     array, sized from the file's length, so they are held once.
+
+    Unlike the other readers, this one names its trace in its errors: it
+    reads two files, and when a caller opens both around the call, as `cli`
+    does, an error naming no file would be named by the inner opener, the
+    sidecar's, whichever file failed.
     """
     with open_binary(trace) as fh:
         path = fh.name
@@ -857,12 +857,11 @@ def read_curve_csv(source: str | Path | BinaryIO,
     """Read a curve CSV, given as a path or an open binary file."""
     points = []
     with open_text(source, newline="") as fh:
-        path = fh.name
         _, rows = read_csv(fh, CURVE_CSV_HEADER)
         for lineno, (capacity_s, ratio_s) in rows:
             try:
                 capacity = int(capacity_s)
             except ValueError:
-                raise ParseError(f"capacity_bytes {capacity_s!r} is not an integer", lineno, path)
-            points.append(CurvePoint(capacity, finite_number("miss_ratio", ratio_s, lineno, path)))
+                raise ParseError(f"capacity_bytes {capacity_s!r} is not an integer", lineno)
+            points.append(CurvePoint(capacity, finite_number("miss_ratio", ratio_s, lineno)))
     return MissRatioCurve(points=tuple(points), kind=kind)

@@ -36,6 +36,8 @@ BEHAVIOR_CSV_HEADER = (
     "workload", "cpu_util", "io_wait", "weighted_io_ratio",
     "input_bytes", "output_bytes", "intermediate_bytes", "category",
 )
+# the label columns that `label_csv` appends and `read_labels_csv` reads back
+LABEL_COLUMNS = ("system", "data_out", "data_intermediate")
 
 
 def classify_system_behavior(m: SystemBehaviorMetrics) -> SystemBehavior:
@@ -122,8 +124,25 @@ def label_csv(stream: TextIO | str, out: TextIO) -> int:
             labels = label_workload(metrics, volumes, parse_category(row[index["category"]]))
         except (DataError, ValueError, OverflowError) as exc:  # Overflow: a huge byte ratio
             raise ParseError(str(exc), line=lineno)
-        labeled.append(
-            row + [labels.system.value, labels.data_out.value, labels.data_intermediate.value]
-        )
-    write_csv(out, header + ["system", "data_out", "data_intermediate"], labeled)
+        labeled.append(row + [getattr(labels, column).value for column in LABEL_COLUMNS])
+    write_csv(out, header + list(LABEL_COLUMNS), labeled)
     return len(labeled)
+
+
+def read_labels_csv(stream: TextIO) -> dict[str, tuple[BehaviorLabels, str | None, str | None]]:
+    """workload -> (labels, suite, stack) of a labels CSV, as `label_csv` writes
+    it; suite and stack are optional columns."""
+    labels = {}
+    header, rows = read_csv(stream, ("workload", "category", *LABEL_COLUMNS), extra=True)
+    for lineno, row in rows:
+        cells = dict(zip(header, row))
+        if cells["workload"] in labels:
+            raise ParseError(f"duplicate row for workload {cells['workload']!r}", lineno)
+        fields = {column: cells[column] for column in LABEL_COLUMNS}
+        try:
+            fields["category"] = parse_category(cells["category"])
+            labels[cells["workload"]] = (BehaviorLabels.from_dict(fields),
+                                         cells.get("suite") or None, cells.get("stack") or None)
+        except DataError as exc:
+            raise ParseError(str(exc), lineno)
+    return labels

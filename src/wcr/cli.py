@@ -12,8 +12,11 @@ identical output trees, and a failed run leaves `--out` as it was. The
 inputs are the files a command reads, a `--schema` (or config `schema_path`)
 file among them whenever it is read; a `vectors.json` carries its own
 schema, so a command given one reads no schema file. A command opens each
-input once, through `_Inputs.open`, and an input's digest is that of the
-bytes its parser read, taken as they were read.
+input once, through `_Inputs.open`, by the path as the user typed it: an
+input's digest is that of the bytes its parser read, taken as they were
+read, and the stream names that path in a reader's `ParseError`, which
+names only the line and the field. This module only opens inputs,
+dispatches to the stages, and publishes.
 
 A run's settings are `RunConfig`'s built-in defaults, then the values of a
 `--config` JSON file, then the flags given, each overriding the one before.
@@ -36,19 +39,16 @@ import shutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence, TextIO
+from typing import Callable, Sequence
 
 from . import __version__
 from .errors import DataError, ParseError
 from .model import (
-    BehaviorLabels,
     Codec,
     MetricSchema,
     MetricVector,
     RawProfile,
     default_schema,
-    finite_number,
-    read_csv,
     read_json,
     write_json,
 )
@@ -173,7 +173,7 @@ class _InputStream(io.RawIOBase):
             self._entries = None  # a failed read records nothing and reads no further
         self.close()
         if isinstance(exc, ParseError) and exc.source is None:
-            raise ParseError(str(exc), source=self.name) from exc
+            raise ParseError(exc.reason, exc.line, self.name) from exc
 
 
 class _Inputs(list):
@@ -282,7 +282,7 @@ def _cmd_ingest(args: argparse.Namespace, config: RunConfig, inputs: _Inputs,
     return [f"ingested {len(profiles)} workloads -> {Path(args.out)}"]
 
 
-def _load_vectors(path: Path, config: RunConfig, inputs: _Inputs
+def _load_vectors(path: str, config: RunConfig, inputs: _Inputs
                   ) -> tuple[MetricSchema, list[MetricVector]]:
     with inputs.open(path) as fh:
         payload = read_json(fh)
@@ -305,7 +305,7 @@ def _load_vectors(path: Path, config: RunConfig, inputs: _Inputs
 
 def _cmd_reduce(args: argparse.Namespace, config: RunConfig, inputs: _Inputs,
                 outputs: _Outputs) -> list[str]:
-    schema, vectors = _load_vectors(Path(args.input), config, inputs)
+    schema, vectors = _load_vectors(args.input, config, inputs)
 
     reduction_config = reduction.ReductionConfig(
         k=None if config.k == "auto" else _parse_int("k", config.k),
@@ -324,7 +324,7 @@ def _cmd_reduce(args: argparse.Namespace, config: RunConfig, inputs: _Inputs,
 
 def _cmd_classify(args: argparse.Namespace, config: RunConfig, inputs: _Inputs,
                   outputs: _Outputs) -> list[str]:
-    with inputs.open(Path(args.input)) as fh:
+    with inputs.open(args.input) as fh:
         rows = classification.label_csv(_csv_text(fh), outputs.open("labels.csv"))
     return [f"labeled {rows} workloads -> {Path(args.out) / 'labels.csv'}"]
 
@@ -357,18 +357,17 @@ def _parse_kinds(token: str) -> frozenset:
 
 
 def _load_trace(args: argparse.Namespace, inputs: _Inputs) -> cachesim.AccessTrace:
-    trace_path = Path(args.trace)
-    if trace_path.suffix == ".bin":
+    if Path(args.trace).suffix == ".bin":
         # the sidecar is opened after the trace, and only when given
-        sidecar = Path(args.segments) if args.segments else None
-        with inputs.open(trace_path) as fh, (
-                contextlib.nullcontext() if sidecar is None else inputs.open(sidecar)) as segments:
+        with inputs.open(args.trace) as fh, (
+                inputs.open(args.segments) if args.segments else contextlib.nullcontext()
+        ) as segments:
             trace = cachesim.read_binary_trace(fh, segments)
     elif args.segments:
         # a text trace is a single segment, which a sidecar cannot split
-        raise _UsageError(f"--segments applies only to a .bin trace, not {trace_path.name}")
+        raise _UsageError(f"--segments applies only to a .bin trace, not {Path(args.trace).name}")
     else:
-        with inputs.open(trace_path) as fh:
+        with inputs.open(args.trace) as fh:
             trace = cachesim.read_text_trace(fh)
     if args.skip:
         trace = cachesim.skip_accesses(trace, args.skip)
@@ -401,36 +400,16 @@ def _cmd_simulate(args: argparse.Namespace, config: RunConfig, inputs: _Inputs,
 
 def _cmd_footprint(args: argparse.Namespace, config: RunConfig, inputs: _Inputs,
                    outputs: _Outputs) -> list[str]:
-    curve_path = Path(args.curve)
-    with inputs.open(curve_path) as fh:
+    with inputs.open(args.curve) as fh:
         curve = cachesim.read_curve_csv(fh)
     capacity = cachesim.estimate_footprint(curve, config.knee_ratio)
 
     write_json(
         outputs.open("footprint.json"),
-        {"capacity_bytes": capacity, "knee_ratio": config.knee_ratio, "curve": curve_path.name},
+        {"capacity_bytes": capacity, "knee_ratio": config.knee_ratio,
+         "curve": Path(args.curve).name},
     )
     return ["not_reached" if capacity is None else str(capacity)]
-
-
-def _read_labels_csv(stream: TextIO) -> dict[str, tuple[BehaviorLabels, str | None, str | None]]:
-    """workload -> (labels, suite, stack), the trailing fields of its `WorkloadRecord`;
-    suite and stack are optional columns."""
-    labels = {}
-    header, rows = read_csv(
-        stream, ("workload", "category", "system", "data_out", "data_intermediate"), extra=True)
-    for lineno, row in rows:
-        cells = dict(zip(header, row))
-        if cells["workload"] in labels:
-            raise ParseError(f"duplicate row for workload {cells['workload']!r}", lineno)
-        fields = {k: cells[k] for k in ("system", "data_out", "data_intermediate")}
-        try:
-            fields["category"] = classification.parse_category(cells["category"])
-            labels[cells["workload"]] = (BehaviorLabels.from_dict(fields),
-                                         cells.get("suite") or None, cells.get("stack") or None)
-        except DataError as exc:
-            raise ParseError(str(exc), lineno)
-    return labels
 
 
 def _cmd_report(args: argparse.Namespace, config: RunConfig, inputs: _Inputs,
@@ -444,14 +423,13 @@ def _cmd_report(args: argparse.Namespace, config: RunConfig, inputs: _Inputs,
 
     summaries: list[report.GroupSummary] = []
     if args.vectors and args.labels:
-        labels_path = Path(args.labels)
-        schema, vectors = _load_vectors(Path(args.vectors), config, inputs)
-        with inputs.open(labels_path) as fh:
-            label_rows = _read_labels_csv(_csv_text(fh))
+        schema, vectors = _load_vectors(args.vectors, config, inputs)
+        with inputs.open(args.labels) as fh:
+            label_rows = classification.read_labels_csv(_csv_text(fh))
         records = []
         for vector in vectors:
             if vector.workload_id not in label_rows:
-                raise DataError(f"workload '{vector.workload_id}' missing from {labels_path}")
+                raise DataError(f"workload '{vector.workload_id}' missing from {args.labels}")
             records.append(report.WorkloadRecord(
                 vector.workload_id, dict(zip(schema.names, vector.values)),
                 *label_rows[vector.workload_id],
@@ -468,19 +446,20 @@ def _cmd_report(args: argparse.Namespace, config: RunConfig, inputs: _Inputs,
 
     stack_table = None
     if args.stack_table:
-        with inputs.open(Path(args.stack_table)) as fh:
-            stack_table = report.stack_impact_table(_read_stack_table(_csv_text(fh)))
+        with inputs.open(args.stack_table) as fh:
+            stack_table = report.stack_impact_table(report.read_stack_table(_csv_text(fh)))
 
     curves: dict[str, cachesim.MissRatioCurve] = {}
     if args.curves:
         curves_dir = Path(args.curves)
         if not curves_dir.is_dir():
             raise DataError(f"--curves {args.curves!r} is not a directory")
-        read_from: dict[str, Path] = {}
-        for path in sorted(curves_dir.glob("*.csv")):
-            workload, _, kind = path.stem.rpartition("_")
+        read_from: dict[str, str] = {}
+        for found in sorted(curves_dir.glob("*.csv")):
+            workload, _, kind = found.stem.rpartition("_")
             if not workload or kind not in {k.value for k in cachesim.CurveKind}:
-                workload, kind = path.stem, cachesim.CurveKind.UNIFIED
+                workload, kind = found.stem, cachesim.CurveKind.UNIFIED
+            path = os.path.join(args.curves, found.name)
             with inputs.open(path) as fh:
                 curve = cachesim.read_curve_csv(fh, cachesim.CurveKind(kind))
             name = f"{workload}_{curve.kind.value}"
@@ -500,23 +479,6 @@ def _cmd_report(args: argparse.Namespace, config: RunConfig, inputs: _Inputs,
     )
     report.emit(bundle, outputs.open)
     return [f"wrote {len(outputs)} report files -> {Path(args.out)}"]
-
-
-def _read_stack_table(stream: TextIO) -> list[report.StackMetricRecord]:
-    # long format: algorithm,stack,metric,value
-    grouped: dict[tuple[str, str], dict[str, float]] = {}
-    header, rows = read_csv(stream, ("algorithm", "stack", "metric", "value"), extra=True)
-    for lineno, row in rows:
-        cells = dict(zip(header, row))
-        metrics = grouped.setdefault((cells["algorithm"], cells["stack"]), {})
-        if cells["metric"] in metrics:
-            raise ParseError(f"duplicate row for algorithm {cells['algorithm']!r}, stack "
-                             f"{cells['stack']!r}, metric {cells['metric']!r}", lineno)
-        metrics[cells["metric"]] = finite_number("value", cells["value"], lineno)
-    return [
-        report.StackMetricRecord(algorithm=a, stack=s, metrics=m)
-        for (a, s), m in sorted(grouped.items())
-    ]
 
 
 # --- argument parsing ---------------------------------------------------------

@@ -16,14 +16,15 @@ class DataError(WcrError):
 class ParseError(DataError):
     """A text input could not be parsed.
 
-    Carries the 1-based line number when the failure is tied to a line;
-    the message starts with the file name when it is known. `source` is
-    the file the message names, or None when it names none.
+    Carries the 1-based line number when the failure is tied to a line. A
+    reader names only the line and the field; `source`, the file the message
+    starts with, is set by the code that opened the file (`model.open_binary`
+    for a path, `cli._InputStream` for a command's input), else it is None.
+    `reason` is the message without them, so an opener can name the file.
     """
 
     def __init__(self, message: str, line: int | None = None, source: str | Path | None = None):
-        self.line = line
-        self.source = source
+        self.reason, self.line, self.source = message, line, source
         if line is not None:
             message = f"line {line}: {message}"
         if source is not None:

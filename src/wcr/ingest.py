@@ -170,8 +170,8 @@ def parse_telemetry_csv(stream: TextIO | str) -> dict[str, SystemTelemetry]:
         samples.sort(key=lambda s: s.t_s)
         try:
             result[workload] = SystemTelemetry(workload_id=workload, samples=tuple(samples))
-        except DataError as exc:
-            raise ParseError(f"workload {workload!r}: {exc}")
+        except DataError as exc:  # its message names the workload
+            raise ParseError(str(exc))
     return result
 
 

@@ -20,7 +20,9 @@ writer, and `finite_number` parses every real-valued CSV field. The writers
 fill a text stream: they never open a file, so `cli` alone decides when a
 run's outputs reach disk. A reader of a file takes a path or an open binary
 file (`open_binary`, `open_text`), so `cli` can hand it the stream that
-records what was read.
+records what was read. A reader's `ParseError` names only the line and
+the field; the code that opened the file names the file: `open_binary` for
+a path it is given, the opener of a stream for a stream.
 """
 
 from __future__ import annotations
@@ -37,16 +39,12 @@ import math
 import types
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (Annotated, Any, BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence,
-                    TextIO, Union, get_args, get_origin, get_type_hints)
+from typing import (Any, BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, TextIO, Union,
+                    get_args, get_origin, get_type_hints)
 
 import numpy as np
 
 from .errors import DataError, ParseError
-
-# Float array fields of a fixed dimension; an empty Matrix decodes to shape (0, 0).
-Vector = Annotated[np.ndarray, 1]
-Matrix = Annotated[np.ndarray, 2]
 
 _SCALARS = frozenset({int, float, str, bool, type(None)})
 # the value types a scalar annotation accepts; ints widen to float, bools are rejected
@@ -60,7 +58,8 @@ class Codec:
     and nested dataclasses and dicts into dicts. Decoding follows the field
     annotations: ints are accepted where floats belong, defaults fill absent
     keys, and a missing key, an unknown key or a value of the wrong type
-    raises `DataError` naming `Class.field`.
+    raises `DataError` naming `Class.field`. An array field is written but
+    not read back: no JSON file a command reads holds one.
     """
 
     def to_dict(self) -> dict[str, Any]:
@@ -95,7 +94,7 @@ def _encode(value: Any) -> Any:
 @functools.cache
 def _field_specs(cls: type) -> tuple[tuple[str, Any, bool], ...]:
     """(name, annotation, required) for each field of a dataclass."""
-    hints = get_type_hints(cls, include_extras=True)
+    hints = get_type_hints(cls)
     return tuple(
         (f.name, hints[f.name],
          f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
@@ -141,16 +140,6 @@ def _decode(tp: Any, value: Any, where: str) -> Any:
                 return _decode(member, value, where)
             except DataError:
                 pass
-    elif origin is Annotated:  # Vector or Matrix
-        try:
-            array = np.asarray(value)
-        except ValueError:  # ragged nesting
-            array = np.array(None)
-        if array.size == 0 and array.ndim < args[1]:
-            array = array.reshape((0,) * args[1])
-        if array.dtype.kind not in "fiu" or array.ndim != args[1]:
-            raise DataError(f"{where}: expected a {args[1]}-D array of numbers")
-        return array.astype(float)
     elif issubclass(tp, enum.Enum):
         try:
             return tp(value)
@@ -163,10 +152,18 @@ def _decode(tp: Any, value: Any, where: str) -> Any:
 @contextlib.contextmanager
 def open_binary(source: str | Path | BinaryIO) -> Iterator[BinaryIO]:
     """`source` as an open binary file: a path is opened here and closed on
-    exit, an open file is passed through and left open for its owner."""
+    exit, an open file is passed through and left open for its owner.
+
+    A `ParseError` that names no file, raised while a path opened here is
+    open, is raised again naming it as the path was given."""
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
-            yield fh
+            try:
+                yield fh
+            except ParseError as exc:
+                if exc.source is not None:
+                    raise
+                raise ParseError(exc.reason, exc.line, fh.name) from exc
     else:
         yield source
 
@@ -186,7 +183,7 @@ def open_text(source: str | Path | BinaryIO, newline: str | None = None) -> Iter
 
 def read_json(source: str | Path | BinaryIO) -> Any:
     """Parse a JSON file, given as a path or an open binary file; malformed
-    text is a `DataError` naming the file, not a crash.
+    text is a `ParseError`, not a crash.
 
     `NaN`, `Infinity` and `-Infinity` are not JSON and are rejected too, as
     is a number such as `1e400` that only a float infinity could hold.
@@ -195,7 +192,7 @@ def read_json(source: str | Path | BinaryIO) -> Any:
         try:
             return json.loads(fh.read(), parse_constant=_no_constant, parse_float=_finite_float)
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-            raise DataError(f"{fh.name}: not valid JSON ({exc})")
+            raise ParseError(f"not valid JSON ({exc})")
 
 
 def _no_constant(token: str) -> Any:
@@ -282,16 +279,15 @@ def read_csv(stream: TextIO | str, columns: Sequence[str], *, extra: bool = Fals
     The header must be exactly `columns`, or with `extra` hold at least
     them, other columns being passed through; its cells are stripped, row
     fields are not. Blank lines are skipped and every row must have as many
-    fields as the header. Malformed text is a `ParseError` naming the line
-    and, when `stream` is a file, the file.
+    fields as the header. Malformed text is a `ParseError` naming the line.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
-    rows = _csv_rows(stream, list(columns), extra, getattr(stream, "name", None))
+    rows = _csv_rows(stream, list(columns), extra)
     return next(rows), rows
 
 
-def _csv_rows(stream: TextIO, columns: list[str], extra: bool, source: str | None) -> Iterator:
+def _csv_rows(stream: TextIO, columns: list[str], extra: bool) -> Iterator:
     # yields the checked header, then (line number, row) for each non-blank row
     reader = csv.reader(stream)
     header = None
@@ -304,31 +300,31 @@ def _csv_rows(stream: TextIO, columns: list[str], extra: bool, source: str | Non
                 header = [h.strip() for h in row]
                 missing = [c for c in columns if c not in header]
                 if extra and missing:
-                    raise ParseError(f"missing columns: {', '.join(missing)}", line, source)
+                    raise ParseError(f"missing columns: {', '.join(missing)}", line)
                 if not extra and header != columns:
                     raise ParseError(f"expected header {','.join(columns)!r}, "
-                                     f"got {','.join(header)!r}", line, source)
+                                     f"got {','.join(header)!r}", line)
                 yield header
             elif len(row) != len(header):
-                raise ParseError(f"expected {len(header)} fields, got {len(row)}", line, source)
+                raise ParseError(f"expected {len(header)} fields, got {len(row)}", line)
             else:
                 yield line, row
     except UnicodeDecodeError:
-        raise ParseError("not valid UTF-8 text", source=source)
+        raise ParseError("not valid UTF-8 text")
     except csv.Error as exc:  # e.g. a field over the size limit
-        raise ParseError(str(exc), reader.line_num, source)
+        raise ParseError(str(exc), reader.line_num)
     if header is None:
-        raise ParseError("missing header row", source=source)
+        raise ParseError("missing header row")
 
 
-def finite_number(name: str, token: str, line: int, source: str | Path | None = None) -> float:
+def finite_number(name: str, token: str, line: int) -> float:
     """A CSV field as a float; NaN, infinities and non-numbers are a `ParseError`."""
     try:
         value = float(token)
     except ValueError:
-        raise ParseError(f"{name} {token!r} is not a number", line, source)
+        raise ParseError(f"{name} {token!r} is not a number", line)
     if not math.isfinite(value):
-        raise ParseError(f"{name} {token!r} is not finite", line, source)
+        raise ParseError(f"{name} {token!r} is not finite", line)
     return value
 
 

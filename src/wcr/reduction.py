@@ -18,7 +18,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .errors import DataError
-from .model import Codec, Matrix, MetricSchema, MetricVector, Vector, write_csv
+from .model import Codec, MetricSchema, MetricVector, write_csv
 
 log = logging.getLogger("wcr.reduction")
 
@@ -39,9 +39,9 @@ class NormalizedMatrix(Codec):
 
     ids: tuple[str, ...]
     cols: tuple[str, ...]
-    data: Matrix
-    col_means: Vector
-    col_stds: Vector
+    data: np.ndarray
+    col_means: np.ndarray
+    col_stds: np.ndarray
     dropped_cols: tuple[str, ...]
 
     def write_csv(self, out: TextIO) -> None:
@@ -58,7 +58,7 @@ class PcaModel(Codec):
     dimension in non-increasing order.
     """
 
-    components: Matrix
+    components: np.ndarray
     eigenvalues: tuple[float, ...]
     explained_variance_ratio: tuple[float, ...]
     retained: int
@@ -70,7 +70,7 @@ class Clustering(Codec):
 
     k: int
     assignments: dict[str, int]
-    centroids: Matrix
+    centroids: np.ndarray
     inertia: float
     iterations: int
     seed: int
@@ -87,7 +87,7 @@ class ReductionResult(Codec):
     pca: PcaModel
     cluster_sizes: tuple[int, ...]
     normalized: NormalizedMatrix
-    projected: Matrix
+    projected: np.ndarray
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence, TextIO
 
 from .cachesim import MissRatioCurve, write_curve_csv
-from .errors import DataError
-from .model import BehaviorLabels, Category, Codec, SystemBehavior, write_csv, write_json
+from .errors import DataError, ParseError
+from .model import (BehaviorLabels, Category, Codec, SystemBehavior, finite_number, read_csv,
+                    write_csv, write_json)
 
 log = logging.getLogger("wcr.report")
 
@@ -129,6 +130,24 @@ class StackMetricRecord:
     algorithm: str
     stack: str
     metrics: dict[str, float]
+
+
+def read_stack_table(stream: TextIO) -> list[StackMetricRecord]:
+    """The records of a stack-table CSV in long format, `algorithm,stack,metric,value`
+    (other columns are ignored), one per (algorithm, stack), in sorted order."""
+    grouped: dict[tuple[str, str], dict[str, float]] = {}
+    header, rows = read_csv(stream, ("algorithm", "stack", "metric", "value"), extra=True)
+    for lineno, row in rows:
+        cells = dict(zip(header, row))
+        metrics = grouped.setdefault((cells["algorithm"], cells["stack"]), {})
+        if cells["metric"] in metrics:
+            raise ParseError(f"duplicate row for algorithm {cells['algorithm']!r}, stack "
+                             f"{cells['stack']!r}, metric {cells['metric']!r}", lineno)
+        metrics[cells["metric"]] = finite_number("value", cells["value"], lineno)
+    return [
+        StackMetricRecord(algorithm=a, stack=s, metrics=m)
+        for (a, s), m in sorted(grouped.items())
+    ]
 
 
 @dataclass(frozen=True)

@@ -418,7 +418,7 @@ def reference_read_text_trace(path: str | Path) -> AccessTrace:
         except UnicodeDecodeError:
             raise ParseError("not valid UTF-8 text", source=path)
     if not addresses:
-        raise ParseError(f"trace {path} has no accesses")
+        raise ParseError("trace has no accesses", source=path)
     return AccessTrace.single(addresses, kinds)
 
 

@@ -710,6 +710,7 @@ class TestTraceIo:
         with pytest.raises(ParseError, match="line 2") as raised:
             read_text_trace(path)
         assert str(raised.value) == f"{path}: line 2: expected 'kind address', got 'bogus'"
+        assert (raised.value.line, raised.value.source) == (2, str(path))  # kept by the opener
 
     def test_text_address_beyond_64_bits_is_named(self, tmp_path):
         path = tmp_path / "trace.txt"
@@ -741,7 +742,7 @@ class TestTraceIo:
         path = tmp_path / "trace.txt"
         write_text_trace(trace, path)
         with mock.patch.object(cachesim, "_line_access", side_effect=AssertionError):
-            block = _block_accesses(path.read_text(), 1, path)
+            block = _block_accesses(path.read_text(), 1)
         assert block[0].tolist() == addresses
         assert block[1].tolist() == [0, 1, 2, 0, 1, 2]
 

@@ -169,30 +169,65 @@ def test_reader_takes_a_path_or_an_open_binary_file(inputs, read, name):
     assert plain(by_stream) == plain(by_path)
 
 
-@pytest.mark.parametrize("file, row, message", [
-    ("counters.csv", "w1,n1,instructions_retired,abc,1", "count 'abc' is not a number"),
-    ("telemetry.csv", "w1,0,abc,0,0,0,0", "cpu_util 'abc' is not a number"),
-    ("behavior.csv", "w1,2.0,0,0,1,1,1,service", "cpu_util 2.0 outside [0, 1]"),
-])
-def test_bad_row_names_its_file(inputs, tmp_path, capsys, file, row, message):
-    bad = inputs / file
-    bad.write_text(bad.read_text().splitlines()[0] + "\n" + row + "\n")
-    argv = {"counters.csv": ["ingest", bad],
-            "telemetry.csv": ["ingest", inputs / "counters.csv", "--telemetry", bad],
-            "behavior.csv": ["classify", bad]}[file]
+NOT_JSON = ("./{}: not valid JSON "
+            "(Expecting property name enclosed in double quotes: line 1 column 2 (char 1))")
+
+# per input kind: the command's arguments, each input given as `./name`; the
+# input made bad, and its text; and the message after `wcr: `
+BAD_INPUTS = {
+    "counters": (["ingest", "./counters.csv"], "counters.csv",
+                 COUNTER_HEADER + "w1,n1,instructions_retired,abc,1\n",
+                 "./counters.csv: line 2: count 'abc' is not a number"),
+    "telemetry": (["ingest", "./counters.csv", "--telemetry", "./telemetry.csv"],
+                  "telemetry.csv", TELEMETRY_HEADER + "w1,0,abc,0,0,0,0\n",
+                  "./telemetry.csv: line 2: cpu_util 'abc' is not a number"),
+    "telemetry-series": (["ingest", "./counters.csv", "--telemetry", "./telemetry.csv"],
+                         "telemetry.csv", TELEMETRY_HEADER + "w,0,0.5,0.1,0,0,0\n" * 2,
+                         "./telemetry.csv: workload 'w': sample times not strictly increasing "
+                         "(0.0 then 0.0)"),
+    "behavior": (["classify", "./behavior.csv"], "behavior.csv",
+                 BEHAVIOR_HEADER + "w1,2.0,0,0,1,1,1,service\n",
+                 "./behavior.csv: line 2: cpu_util 2.0 outside [0, 1]"),
+    "labels": (["report", "--vectors", "./vectors.json", "--labels", "./labels.csv"],
+               "labels.csv", "workload,category,system,data_out,data_intermediate\n"
+               "w1,service,bogus,equal,none\n",
+               "./labels.csv: line 2: BehaviorLabels.system: expected SystemBehavior, "
+               "got 'bogus'"),
+    "stack": (["report", "--stack-table", "./stack.csv"], "stack.csv",
+              "algorithm,stack,metric,value\nwc,mpi,ipc,abc\n",
+              "./stack.csv: line 2: value 'abc' is not a number"),
+    "vectors": (["reduce", "./vectors.json"], "vectors.json", "{", NOT_JSON.format("vectors.json")),
+    "profiles": (["reduce", "./profiles.json"], "profiles.json", "{",
+                 NOT_JSON.format("profiles.json")),
+    "schema": (["--schema", "./schema.json", "ingest", "./counters.csv"], "schema.json", "{",
+               NOT_JSON.format("schema.json")),
+    "curve": (["footprint", "./curve.csv"], "curve.csv", "capacity_bytes,miss_ratio\n1024,abc\n",
+              "./curve.csv: line 2: miss_ratio 'abc' is not a number"),
+    "curves": (["report", "--curves", "./curves"], "curves/b.csv",
+               "capacity_bytes,miss_ratio\nabc,0.5\n",
+               "./curves/b.csv: line 2: capacity_bytes 'abc' is not an integer"),
+    "text-trace": (["simulate", "./trace.txt"], "trace.txt", "I 0x0\nQ 0x40\n",
+                   "./trace.txt: line 2: unknown access kind 'Q'"),
+    "text-trace-empty": (["simulate", "./trace.txt"], "trace.txt", "# no accesses\n",
+                         "./trace.txt: trace has no accesses"),
+    # `read_binary_trace` names its trace itself, after the word "trace"
+    "bin-trace": (["simulate", "./trace.bin"], "trace.bin", "12345",
+                  "trace ./trace.bin: 5 bytes is not a whole number of records"),
+    "sidecar": (["simulate", "./trace.bin", "--segments", "./segments.json"], "segments.json",
+                "{", NOT_JSON.format("segments.json")),
+    "config": (["ingest", "./counters.csv", "--config", "./config.json"], "config.json", "{",
+               NOT_JSON.format("config.json")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_row_names_its_file(inputs, tmp_path, monkeypatch, capsys, case):
+    """A bad input of every kind is named as the user typed it, and the file and
+    the workload only once."""
+    argv, bad, text, message = BAD_INPUTS[case]
+    (inputs / bad).write_text(text)
+    monkeypatch.chdir(inputs)
     out = tmp_path / "out"
     assert run(*argv, "--out", out) == 2
-    assert capsys.readouterr().err == f"wcr: {bad}: line 2: {message}\n"
+    assert capsys.readouterr().err == f"wcr: {message}\n"
     assert not out.exists()
-
-
-@pytest.mark.parametrize("text, message", [
-    # messages that already name the file keep their text
-    ("# no accesses\n", "trace {bad} has no accesses"),
-    ("I 0x0\nQ 0x40\n", "{bad}: line 2: unknown access kind 'Q'"),
-])
-def test_message_naming_its_file_is_kept(tmp_path, capsys, text, message):
-    bad = tmp_path / "bad.txt"
-    bad.write_text(text)
-    assert run("simulate", bad, "--out", tmp_path / "out") == 2
-    assert capsys.readouterr().err == f"wcr: {message.format(bad=bad)}\n"

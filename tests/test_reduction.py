@@ -24,9 +24,7 @@ from wcr.errors import DataError
 from wcr.ingest import derive_microarch_metrics
 from wcr.model import MetricVector, default_schema
 from wcr.reduction import (
-    Clustering,
     ReductionConfig,
-    ReductionResult,
     bic_score,
     choose_k,
     fit_pca,
@@ -447,13 +445,6 @@ class TestKmeans:
         c = kmeans(points, 2, seed=0, ids=("a", "b"))
         assert set(c.assignments) == {"a", "b"}
 
-    def test_roundtrip(self):
-        rng = np.random.default_rng(13)
-        points = rng.normal(size=(10, 2))
-        c = kmeans(points, 2, seed=3)
-        restored = Clustering.from_dict(c.to_dict())
-        assert restored.to_dict() == c.to_dict()
-
 
 class TestChooseK:
     def test_planted_three_clusters(self):
@@ -640,17 +631,6 @@ class TestPipeline:
         a = reduce_vectors(vectors, schema, config)
         b = reduce_vectors(vectors, schema, config)
         assert a.to_dict() == b.to_dict()
-
-    def test_result_roundtrip(self):
-        schema = make_plain_schema(["x", "y"])
-        # the second input drops every column, so its PcaModel has 0 components
-        for rows, k in (([[0, 0], [1, 0], [5, 5], [6, 5]], 2), ([[1, 2], [1, 2], [1, 2]], 1)):
-            result = reduce_vectors(_vectors(rows, schema), schema, ReductionConfig(k=k, seed=0))
-            restored = ReductionResult.from_dict(result.to_dict())
-            assert restored.to_dict() == result.to_dict()
-            assert restored.pca.components.shape == result.pca.components.shape
-            assert restored.projected.shape == result.projected.shape
-            assert restored.normalized.data.shape == result.normalized.data.shape
 
     def test_default_config_reduces_planted_set(self):
         schema, vectors, _, _ = planted_metric_vectors(seed=42)
