@@ -649,9 +649,9 @@ def read_text_trace(source: str | Path | BinaryIO) -> AccessTrace:
     `s`/`store`/`write`, in any case. The address is 0 to 2**64 - 1 with or
     without a `0x` prefix. A `#` starts a comment that runs to the end of
     the line, and blank lines are skipped. Newlines are `\n`, `\r\n` or
-    `\r`. A bad line raises a `ParseError` that names the line number, and
-    the file when it is given as a path (`open_binary`); a trace with no
-    accesses raises one that names no line.
+    `\r`. A bad line raises a `ParseError` that names the line number, and a
+    trace with no accesses raises one that names no line; `open_binary`
+    names the file.
 
     The file is read `_TEXT_BLOCK` characters at a time, each block cut
     after its last newline. The lines of a block that are a kind letter,
@@ -766,48 +766,45 @@ def read_binary_trace(trace: str | Path | BinaryIO,
     The optional JSON sidecar assigns record ranges to weighted segments:
     `{"segments": [{"begin": 0, "end": N, "weight": 1.0}, ...]}`. Without a
     sidecar the whole file is one segment of weight 1. Each file is given as
-    a path or an open binary file. The records are read straight into their
-    array, sized from the file's length, so they are held once.
-
-    Unlike the other readers, this one names its trace in its errors: it
-    reads two files, and when a caller opens both around the call, as `cli`
-    does, an error naming no file would be named by the inner opener, the
-    sidecar's, whichever file failed.
+    a path or an open binary file, and each is checked while it is open, so
+    an error names the file at fault. The records are read straight into
+    their array, sized from the file's length, so they are held once.
     """
     with open_binary(trace) as fh:
-        path = fh.name
         size = os.fstat(fh.fileno()).st_size
         if size % _RECORD_DTYPE.itemsize:
-            raise DataError(f"trace {path}: {size} bytes is not a whole number of records")
+            raise DataError(f"{size} bytes is not a whole number of records")
         records = np.empty(size // _RECORD_DTYPE.itemsize, dtype=_RECORD_DTYPE)
         buffer = memoryview(records.view(np.uint8))
         filled = 0
         while filled < size and (count := fh.readinto(buffer[filled:])):
             filled += count
-    if filled < size:
-        raise DataError(f"trace {path}: ended after {filled} of {size} bytes")
-    if records.size == 0:
-        raise DataError(f"trace {path} has no records")
+        if filled < size:
+            raise DataError(f"ended after {filled} of {size} bytes")
+        if records.size == 0:
+            raise DataError("trace has no records")
+        whole = AccessTrace.single(records["address"], records["kind"])
     if sidecar is None:
-        return AccessTrace.single(records["address"], records["kind"])
-    spec = SegmentsFile.from_dict(read_json(sidecar))
-    segments = []
-    previous_end = 0
-    for span in spec.segments:
-        begin, end = span.begin, span.end
-        if begin < previous_end or end <= begin or end > records.size:
-            raise DataError(
-                f"sidecar segment [{begin}, {end}) is out of order or out of range"
+        return whole
+    with open_binary(sidecar) as fh:
+        spec = SegmentsFile.from_dict(read_json(fh))
+        segments = []
+        previous_end = 0
+        for span in spec.segments:
+            begin, end = span.begin, span.end
+            if begin < previous_end or end <= begin or end > records.size:
+                raise DataError(
+                    f"sidecar segment [{begin}, {end}) is out of order or out of range"
+                )
+            previous_end = end
+            segments.append(
+                TraceSegment(
+                    weight=span.weight,
+                    addresses=records["address"][begin:end],
+                    kinds=records["kind"][begin:end],
+                )
             )
-        previous_end = end
-        segments.append(
-            TraceSegment(
-                weight=span.weight,
-                addresses=records["address"][begin:end],
-                kinds=records["kind"][begin:end],
-            )
-        )
-    return AccessTrace(segments=tuple(segments))
+        return AccessTrace(segments=tuple(segments))
 
 
 def skip_accesses(trace: AccessTrace, n: int) -> AccessTrace:
@@ -864,4 +861,4 @@ def read_curve_csv(source: str | Path | BinaryIO,
             except ValueError:
                 raise ParseError(f"capacity_bytes {capacity_s!r} is not an integer", lineno)
             points.append(CurvePoint(capacity, finite_number("miss_ratio", ratio_s, lineno)))
-    return MissRatioCurve(points=tuple(points), kind=kind)
+        return MissRatioCurve(points=tuple(points), kind=kind)

@@ -8,7 +8,8 @@ strict, so boundary values fall through to the weaker class.
 
 from __future__ import annotations
 
-from typing import TextIO
+from pathlib import Path
+from typing import BinaryIO, TextIO
 
 from .errors import DataError, ParseError
 from .model import (
@@ -19,6 +20,7 @@ from .model import (
     SystemBehavior,
     SystemBehaviorMetrics,
     finite_number,
+    open_text,
     read_csv,
     write_csv,
 )
@@ -106,43 +108,46 @@ def parse_category(token: str) -> Category:
     raise DataError(f"unknown category {token!r}")
 
 
-def label_csv(stream: TextIO | str, out: TextIO) -> int:
+def label_csv(source: str | Path | BinaryIO, out: TextIO) -> int:
     """Label a behavior CSV, appending system/data columns to each row.
 
     Extra input columns are passed through untouched. Returns the number of
     labeled rows; nothing is written when a row is malformed.
     """
-    header, rows = read_csv(stream, BEHAVIOR_CSV_HEADER, extra=True)
-    index = {col: header.index(col) for col in BEHAVIOR_CSV_HEADER}
-    labeled = []
-    for lineno, row in rows:
-        # columns 1-3 and 4-6 are the fields of SystemBehaviorMetrics and DataVolumes, in order
-        rates = [finite_number(col, row[index[col]], lineno) for col in BEHAVIOR_CSV_HEADER[1:4]]
-        try:
-            metrics = SystemBehaviorMetrics(*rates)
-            volumes = DataVolumes(*(int(row[index[col]]) for col in BEHAVIOR_CSV_HEADER[4:7]))
-            labels = label_workload(metrics, volumes, parse_category(row[index["category"]]))
-        except (DataError, ValueError, OverflowError) as exc:  # Overflow: a huge byte ratio
-            raise ParseError(str(exc), line=lineno)
-        labeled.append(row + [getattr(labels, column).value for column in LABEL_COLUMNS])
+    with open_text(source, newline="") as fh:
+        header, rows = read_csv(fh, BEHAVIOR_CSV_HEADER, extra=True)
+        index = {col: header.index(col) for col in BEHAVIOR_CSV_HEADER}
+        labeled = []
+        for lineno, row in rows:
+            # columns 1-3 and 4-6 are the fields of SystemBehaviorMetrics and DataVolumes, in order
+            rates = [finite_number(c, row[index[c]], lineno) for c in BEHAVIOR_CSV_HEADER[1:4]]
+            try:
+                metrics = SystemBehaviorMetrics(*rates)
+                volumes = DataVolumes(*(int(row[index[col]]) for col in BEHAVIOR_CSV_HEADER[4:7]))
+                labels = label_workload(metrics, volumes, parse_category(row[index["category"]]))
+            except (DataError, ValueError, OverflowError) as exc:  # Overflow: a huge byte ratio
+                raise ParseError(str(exc), line=lineno)
+            labeled.append(row + [getattr(labels, column).value for column in LABEL_COLUMNS])
     write_csv(out, header + list(LABEL_COLUMNS), labeled)
     return len(labeled)
 
 
-def read_labels_csv(stream: TextIO) -> dict[str, tuple[BehaviorLabels, str | None, str | None]]:
+def read_labels_csv(source: str | Path | BinaryIO
+                    ) -> dict[str, tuple[BehaviorLabels, str | None, str | None]]:
     """workload -> (labels, suite, stack) of a labels CSV, as `label_csv` writes
     it; suite and stack are optional columns."""
     labels = {}
-    header, rows = read_csv(stream, ("workload", "category", *LABEL_COLUMNS), extra=True)
-    for lineno, row in rows:
-        cells = dict(zip(header, row))
-        if cells["workload"] in labels:
-            raise ParseError(f"duplicate row for workload {cells['workload']!r}", lineno)
-        fields = {column: cells[column] for column in LABEL_COLUMNS}
-        try:
-            fields["category"] = parse_category(cells["category"])
-            labels[cells["workload"]] = (BehaviorLabels.from_dict(fields),
-                                         cells.get("suite") or None, cells.get("stack") or None)
-        except DataError as exc:
-            raise ParseError(str(exc), lineno)
+    with open_text(source, newline="") as fh:
+        header, rows = read_csv(fh, ("workload", "category", *LABEL_COLUMNS), extra=True)
+        for lineno, row in rows:
+            cells = dict(zip(header, row))
+            if cells["workload"] in labels:
+                raise ParseError(f"duplicate row for workload {cells['workload']!r}", lineno)
+            fields = {column: cells[column] for column in LABEL_COLUMNS}
+            try:
+                fields["category"] = parse_category(cells["category"])
+                labels[cells["workload"]] = (BehaviorLabels.from_dict(fields),
+                                             cells.get("suite") or None, cells.get("stack") or None)
+            except DataError as exc:
+                raise ParseError(str(exc), lineno)
     return labels

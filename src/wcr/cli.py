@@ -14,9 +14,9 @@ file among them whenever it is read; a `vectors.json` carries its own
 schema, so a command given one reads no schema file. A command opens each
 input once, through `_Inputs.open`, by the path as the user typed it: an
 input's digest is that of the bytes its parser read, taken as they were
-read, and the stream names that path in a reader's `ParseError`, which
-names only the line and the field. This module only opens inputs,
-dispatches to the stages, and publishes.
+read, and `model.open_binary` names that path in a `DataError` raised
+while it is open. This module only opens inputs, dispatches to the
+stages, and publishes.
 
 A run's settings are `RunConfig`'s built-in defaults, then the values of a
 `--config` JSON file, then the flags given, each overriding the one before.
@@ -39,16 +39,17 @@ import shutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import __version__
-from .errors import DataError, ParseError
+from .errors import DataError
 from .model import (
     Codec,
     MetricSchema,
     MetricVector,
     RawProfile,
     default_schema,
+    open_binary,
     read_json,
     write_json,
 )
@@ -91,9 +92,10 @@ class RunConfig(Codec):
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
-        config = cls.from_dict(read_json(path))
-        if config.schema_path is not None:
-            _check_file("schema_path", config.schema_path)
+        with open_binary(path) as fh:
+            config = cls.from_dict(read_json(fh))
+            if config.schema_path is not None:
+                _check_file("schema_path", config.schema_path)
         return config
 
 
@@ -132,18 +134,12 @@ class _UsageError(Exception):
 
 class _InputStream(io.RawIOBase):
     """An input file opened once, in binary mode, that hashes every byte read
-    through it. Closing it reads the bytes left unread and records the file's
-    name and sha256 digest in `entries`, unless a read through it failed.
+    through it."""
 
-    As a context manager it names the file in a `ParseError` raised inside
-    that names none.
-    """
-
-    def __init__(self, file: io.FileIO, entries: list[tuple[str, str]]):
+    def __init__(self, file: io.FileIO):
         self._file = file
         self.name = file.name
         self._digest = hashlib.sha256()
-        self._entries: list[tuple[str, str]] | None = entries
 
     def readable(self) -> bool:
         return True
@@ -156,36 +152,27 @@ class _InputStream(io.RawIOBase):
         self._digest.update(memoryview(buffer).cast("B")[:count])
         return count
 
-    def close(self) -> None:
-        if self.closed:
-            return
-        try:
-            if self._entries is not None:
-                while self.read(1 << 16):
-                    pass
-                self._entries.append((Path(self.name).name, "sha256:" + self._digest.hexdigest()))
-        finally:
-            self._file.close()
-            super().close()
+    def entry(self) -> tuple[str, str]:
+        """The file's name and the sha256 digest of all its bytes, the unread ones read now."""
+        while self.read(1 << 16):
+            pass
+        return Path(self.name).name, "sha256:" + self._digest.hexdigest()
 
-    def __exit__(self, kind, exc, traceback) -> None:
-        if exc is not None:
-            self._entries = None  # a failed read records nothing and reads no further
-        self.close()
-        if isinstance(exc, ParseError) and exc.source is None:
-            raise ParseError(exc.reason, exc.line, self.name) from exc
+    def close(self) -> None:
+        self._file.close()
+        super().close()
 
 
 class _Inputs(list):
     """A run's input files, as (name, digest) entries recorded as each is read."""
 
-    def open(self, path: str | Path) -> _InputStream:
-        return _InputStream(open(path, "rb", buffering=0), self)
-
-
-def _csv_text(stream: _InputStream) -> io.TextIOWrapper:
-    # a CSV reader's text, decoded as `open(path, encoding="utf-8", newline="")` does
-    return io.TextIOWrapper(stream, encoding="utf-8", newline="")
+    @contextlib.contextmanager
+    def open(self, path: str | Path) -> Iterator[_InputStream]:
+        """`path` as an `_InputStream`, whose entry is recorded once the code
+        reading it has succeeded: a failed read records nothing and reads no further."""
+        with _InputStream(open(path, "rb", buffering=0)) as stream, open_binary(stream):
+            yield stream
+            self.append(stream.entry())
 
 
 class _Outputs(dict):
@@ -265,11 +252,11 @@ def _cmd_ingest(args: argparse.Namespace, config: RunConfig, inputs: _Inputs,
                 outputs: _Outputs) -> list[str]:
     schema = _load_schema(config, inputs)
     with inputs.open(args.counters) as fh:
-        profiles = ingest.parse_counter_csv(_csv_text(fh))
+        profiles = ingest.parse_counter_csv(fh)
     vectors = [ingest.derive_microarch_metrics(p, schema) for p in profiles]
     if args.telemetry:
         with inputs.open(args.telemetry) as fh:
-            telemetry = ingest.parse_telemetry_csv(_csv_text(fh))
+            telemetry = ingest.parse_telemetry_csv(fh)
         wall_times = {p.workload_id: p.wall_time_s for p in profiles}
         system_metrics = {}
         for workload in sorted(telemetry):
@@ -279,28 +266,28 @@ def _cmd_ingest(args: argparse.Namespace, config: RunConfig, inputs: _Inputs,
         write_json(outputs.open("system_metrics.json"), {"system_metrics": system_metrics})
     write_json(outputs.open("profiles.json"), ProfilesFile(tuple(profiles)).to_dict())
     write_json(outputs.open("vectors.json"), VectorsFile(schema, tuple(vectors)).to_dict())
-    return [f"ingested {len(profiles)} workloads -> {Path(args.out)}"]
+    return [f"ingested {len(profiles)} workloads -> {args.out}"]
 
 
 def _load_vectors(path: str, config: RunConfig, inputs: _Inputs
                   ) -> tuple[MetricSchema, list[MetricVector]]:
     with inputs.open(path) as fh:
         payload = read_json(fh)
-    if isinstance(payload, dict) and "vectors" in payload:
-        stored = VectorsFile.from_dict(payload)
-        schema = stored.schema
-        stale = {v.schema_version for v in stored.vectors} - {schema.version}
-        if stale:
-            raise DataError(f"vector schema_version {min(stale)!r} does not match "
-                            f"schema {schema.version!r}")
-        for vector in stored.vectors:
-            schema.check_values(vector.workload_id, vector.values)
-        return schema, list(stored.vectors)
-    if isinstance(payload, dict) and "profiles" in payload:
-        schema = _load_schema(config, inputs)
+        if isinstance(payload, dict) and "vectors" in payload:
+            stored = VectorsFile.from_dict(payload)
+            schema = stored.schema
+            stale = {v.schema_version for v in stored.vectors} - {schema.version}
+            if stale:
+                raise DataError(f"vector schema_version {min(stale)!r} does not match "
+                                f"schema {schema.version!r}")
+            for vector in stored.vectors:
+                schema.check_values(vector.workload_id, vector.values)
+            return schema, list(stored.vectors)
+        if not (isinstance(payload, dict) and "profiles" in payload):
+            raise DataError("holds neither 'vectors' nor 'profiles'")
         profiles = ProfilesFile.from_dict(payload).profiles
-        return schema, [ingest.derive_microarch_metrics(p, schema) for p in profiles]
-    raise DataError(f"{path} holds neither 'vectors' nor 'profiles'")
+    schema = _load_schema(config, inputs)
+    return schema, [ingest.derive_microarch_metrics(p, schema) for p in profiles]
 
 
 def _cmd_reduce(args: argparse.Namespace, config: RunConfig, inputs: _Inputs,
@@ -317,7 +304,7 @@ def _cmd_reduce(args: argparse.Namespace, config: RunConfig, inputs: _Inputs,
     result.normalized.write_csv(outputs.open("normalized.csv"))
     return [
         f"reduced {len(vectors)} workloads to {result.clustering.k} representatives "
-        f"-> {Path(args.out)}",
+        f"-> {args.out}",
         *(f"  {workload}" for workload in result.representatives),
     ]
 
@@ -325,8 +312,8 @@ def _cmd_reduce(args: argparse.Namespace, config: RunConfig, inputs: _Inputs,
 def _cmd_classify(args: argparse.Namespace, config: RunConfig, inputs: _Inputs,
                   outputs: _Outputs) -> list[str]:
     with inputs.open(args.input) as fh:
-        rows = classification.label_csv(_csv_text(fh), outputs.open("labels.csv"))
-    return [f"labeled {rows} workloads -> {Path(args.out) / 'labels.csv'}"]
+        rows = classification.label_csv(fh, outputs.open("labels.csv"))
+    return [f"labeled {rows} workloads -> {os.path.join(args.out, 'labels.csv')}"]
 
 
 _KIND_CHOICES = {
@@ -395,7 +382,7 @@ def _cmd_simulate(args: argparse.Namespace, config: RunConfig, inputs: _Inputs,
     else:
         name = f"{args.workload or 'curve'}_{curve.kind.value}.csv"
     cachesim.write_curve_csv(curve, outputs.open(name))
-    return [f"swept {len(curve.points)} capacities -> {Path(args.out) / name}"]
+    return [f"swept {len(curve.points)} capacities -> {os.path.join(args.out, name)}"]
 
 
 def _cmd_footprint(args: argparse.Namespace, config: RunConfig, inputs: _Inputs,
@@ -425,15 +412,15 @@ def _cmd_report(args: argparse.Namespace, config: RunConfig, inputs: _Inputs,
     if args.vectors and args.labels:
         schema, vectors = _load_vectors(args.vectors, config, inputs)
         with inputs.open(args.labels) as fh:
-            label_rows = classification.read_labels_csv(_csv_text(fh))
-        records = []
-        for vector in vectors:
-            if vector.workload_id not in label_rows:
-                raise DataError(f"workload '{vector.workload_id}' missing from {args.labels}")
-            records.append(report.WorkloadRecord(
-                vector.workload_id, dict(zip(schema.names, vector.values)),
-                *label_rows[vector.workload_id],
-            ))
+            label_rows = classification.read_labels_csv(fh)
+            records = []
+            for vector in vectors:
+                if vector.workload_id not in label_rows:
+                    raise DataError(f"workload '{vector.workload_id}' has no row")
+                records.append(report.WorkloadRecord(
+                    vector.workload_id, dict(zip(schema.names, vector.values)),
+                    *label_rows[vector.workload_id],
+                ))
         if metric_names is None:
             metric_names = list(schema.names)
         groupings = [report.Grouping.APPLICATION_CATEGORY, report.Grouping.SYSTEM_BEHAVIOR]
@@ -447,7 +434,7 @@ def _cmd_report(args: argparse.Namespace, config: RunConfig, inputs: _Inputs,
     stack_table = None
     if args.stack_table:
         with inputs.open(args.stack_table) as fh:
-            stack_table = report.stack_impact_table(report.read_stack_table(_csv_text(fh)))
+            stack_table = report.stack_impact_table(report.read_stack_table(fh))
 
     curves: dict[str, cachesim.MissRatioCurve] = {}
     if args.curves:
@@ -478,7 +465,7 @@ def _cmd_report(args: argparse.Namespace, config: RunConfig, inputs: _Inputs,
         notes=tuple(notes),
     )
     report.emit(bundle, outputs.open)
-    return [f"wrote {len(outputs)} report files -> {Path(args.out)}"]
+    return [f"wrote {len(outputs)} report files -> {args.out}"]
 
 
 # --- argument parsing ---------------------------------------------------------
@@ -616,12 +603,12 @@ def _apply_overrides(args: argparse.Namespace, config: RunConfig) -> RunConfig:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("WCR_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     parser = _build_parser()
     try:
+        level = os.environ.get("WCR_LOG", "WARNING")
+        if not isinstance(logging.getLevelName(level.upper()), int):
+            raise _UsageError(f"WCR_LOG {level!r} is not a logging level")
+        logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
         args = parser.parse_args(argv)
         if args.command is None:
             parser.print_usage(sys.stderr)
@@ -632,8 +619,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         inputs, outputs = _Inputs(), _Outputs()
         lines = _COMMANDS[args.command][0](args, config, inputs, outputs)
         _publish(Path(args.out), args.command, config, inputs, outputs)
-        for line in lines:
-            print(line)
+        try:
+            for line in lines:
+                print(line, flush=True)
+        except OSError as exc:  # stdout's rest goes to devnull, or its flush at exit fails too
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise OSError(exc.errno, exc.strerror, "stdout") from exc
         return EXIT_OK
     except _UsageError as exc:
         print(f"wcr: {exc}", file=sys.stderr)
@@ -642,7 +635,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"wcr: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:
-        print(f"wcr: {exc.filename or ''}: {exc.strerror or exc}", file=sys.stderr)
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"wcr: {where}{exc.strerror or exc}", file=sys.stderr)
         return EXIT_IO
 
 

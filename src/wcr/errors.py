@@ -10,23 +10,20 @@ class WcrError(Exception):
 
 
 class DataError(WcrError):
-    """Input data violates a contract (bad values, missing counters, bad shapes)."""
+    """Input data violates a contract (bad values, missing counters, bad shapes).
+
+    A reader gives the `reason` and the 1-based `line`, if any; `source`, the
+    file the message starts with, is set by `model.open_binary` alone.
+    """
+
+    def __init__(self, reason: str, line: int | None = None, source: str | Path | None = None):
+        super().__init__(reason)
+        self.reason, self.line, self.source = reason, line, source
+
+    def __str__(self) -> str:
+        message = self.reason if self.line is None else f"line {self.line}: {self.reason}"
+        return message if self.source is None else f"{self.source}: {message}"
 
 
 class ParseError(DataError):
-    """A text input could not be parsed.
-
-    Carries the 1-based line number when the failure is tied to a line. A
-    reader names only the line and the field; `source`, the file the message
-    starts with, is set by the code that opened the file (`model.open_binary`
-    for a path, `cli._InputStream` for a command's input), else it is None.
-    `reason` is the message without them, so an opener can name the file.
-    """
-
-    def __init__(self, message: str, line: int | None = None, source: str | Path | None = None):
-        self.reason, self.line, self.source = message, line, source
-        if line is not None:
-            message = f"line {line}: {message}"
-        if source is not None:
-            message = f"{source}: {message}"
-        super().__init__(message)
+    """A text input could not be parsed."""

@@ -14,7 +14,8 @@ module applies them.
 from __future__ import annotations
 
 import math
-from typing import Sequence, TextIO
+from pathlib import Path
+from typing import BinaryIO, Sequence
 
 from .errors import DataError, ParseError
 from .model import (
@@ -26,6 +27,7 @@ from .model import (
     SystemTelemetry,
     TelemetrySample,
     finite_number,
+    open_text,
     read_csv,
     validate_profile,
 )
@@ -73,7 +75,7 @@ def canonical_counter_name(event: str) -> str:
 # --- counter CSV ----------------------------------------------------------
 
 
-def parse_counter_csv(stream: TextIO | str) -> list[RawProfile]:
+def parse_counter_csv(source: str | Path | BinaryIO) -> list[RawProfile]:
     """Parse a counter dump into one profile per workload.
 
     Counts for the same (workload, event) are summed across nodes; the
@@ -89,55 +91,56 @@ def parse_counter_csv(stream: TextIO | str) -> list[RawProfile]:
     the workload's total for the event still finite after the count is
     added. Totals are added up in row order, starting from 0.0.
     """
-    _, rows = read_csv(stream, COUNTER_CSV_HEADER)
-    # workload -> [counter totals, max wall time, nodes], in order of first appearance
-    totals: dict[str, list] = {}
-    seen: set[tuple[str, str, str]] = set()
-    inf = math.inf
-    for lineno, (workload, node, event, count_s, wall_s) in rows:
-        workload = workload.strip()
-        node = node.strip()
-        event = event.strip()
-        if not workload or not node or not event:
-            raise ParseError("workload, node and event must be non-empty", line=lineno)
-        # float() ignores the whitespace strip() removes; finite_number runs
-        # only on a failure, to raise its message
-        try:
-            count = float(count_s)
-        except ValueError:
-            count = finite_number("count", count_s.strip(), lineno)  # raises
-        if not 0.0 <= count < inf:  # NaN, an infinity or negative
-            finite_number("count", count_s.strip(), lineno)
-            raise ParseError(f"count {count} is negative", line=lineno)
-        try:
-            wall = float(wall_s)
-        except ValueError:
-            wall = finite_number("wall_time_s", wall_s.strip(), lineno)  # raises
-        if not -inf < wall < inf:
-            finite_number("wall_time_s", wall_s.strip(), lineno)
+    with open_text(source, newline="") as fh:
+        _, rows = read_csv(fh, COUNTER_CSV_HEADER)
+        # workload -> [counter totals, max wall time, nodes], in order of first appearance
+        totals: dict[str, list] = {}
+        seen: set[tuple[str, str, str]] = set()
+        inf = math.inf
+        for lineno, (workload, node, event, count_s, wall_s) in rows:
+            workload = workload.strip()
+            node = node.strip()
+            event = event.strip()
+            if not workload or not node or not event:
+                raise ParseError("workload, node and event must be non-empty", line=lineno)
+            # float() ignores the whitespace strip() removes; finite_number runs
+            # only on a failure, to raise its message
+            try:
+                count = float(count_s)
+            except ValueError:
+                count = finite_number("count", count_s.strip(), lineno)  # raises
+            if not 0.0 <= count < inf:  # NaN, an infinity or negative
+                finite_number("count", count_s.strip(), lineno)
+                raise ParseError(f"count {count} is negative", line=lineno)
+            try:
+                wall = float(wall_s)
+            except ValueError:
+                wall = finite_number("wall_time_s", wall_s.strip(), lineno)  # raises
+            if not -inf < wall < inf:
+                finite_number("wall_time_s", wall_s.strip(), lineno)
 
-        event = canonical_counter_name(event)
-        key = (workload, node, event)
-        if key in seen:
-            raise ParseError(
-                f"duplicate row for workload {workload!r}, node {node!r}, "
-                f"event {event!r}", line=lineno,
-            )
-        seen.add(key)
-        entry = totals.get(workload)
-        if entry is None:
-            entry = totals[workload] = [{}, wall, set()]
-        counters = entry[0]
-        total = counters.get(event, 0.0) + count
-        if total == inf:  # a sum of finite non-negative counts overflows to +inf only
-            raise ParseError(
-                f"counts for workload {workload!r}, event {event!r} sum beyond the float range",
-                line=lineno,
-            )
-        counters[event] = total
-        if wall > entry[1]:
-            entry[1] = wall
-        entry[2].add(node)
+            event = canonical_counter_name(event)
+            key = (workload, node, event)
+            if key in seen:
+                raise ParseError(
+                    f"duplicate row for workload {workload!r}, node {node!r}, "
+                    f"event {event!r}", line=lineno,
+                )
+            seen.add(key)
+            entry = totals.get(workload)
+            if entry is None:
+                entry = totals[workload] = [{}, wall, set()]
+            counters = entry[0]
+            total = counters.get(event, 0.0) + count
+            if total == inf:  # a sum of finite non-negative counts overflows to +inf only
+                raise ParseError(
+                    f"counts for workload {workload!r}, event {event!r} sum beyond the float range",
+                    line=lineno,
+                )
+            counters[event] = total
+            if wall > entry[1]:
+                entry[1] = wall
+            entry[2].add(node)
 
     return [
         RawProfile(workload_id=w, counters=counters, wall_time_s=wall, node_count=len(nodes))
@@ -148,30 +151,28 @@ def parse_counter_csv(stream: TextIO | str) -> list[RawProfile]:
 # --- telemetry CSV ----------------------------------------------------------
 
 
-def parse_telemetry_csv(stream: TextIO | str) -> dict[str, SystemTelemetry]:
+def parse_telemetry_csv(source: str | Path | BinaryIO) -> dict[str, SystemTelemetry]:
     """Parse per-sample OS telemetry, grouped by workload and ordered by time."""
-    _, records = read_csv(stream, TELEMETRY_CSV_HEADER)
-    rows: dict[str, list[TelemetrySample]] = {}
-    for lineno, row in records:
-        workload = row[0].strip()
-        if not workload:
-            raise ParseError("workload must be non-empty", line=lineno)
-        values = [
-            finite_number(name, v, lineno) for name, v in zip(TELEMETRY_CSV_HEADER[1:], row[1:])
-        ]
-        try:
-            sample = TelemetrySample(*values)  # fields in the column order
-        except DataError as exc:
-            raise ParseError(str(exc), line=lineno)
-        rows.setdefault(workload, []).append(sample)
+    with open_text(source, newline="") as fh:
+        _, records = read_csv(fh, TELEMETRY_CSV_HEADER)
+        rows: dict[str, list[TelemetrySample]] = {}
+        for lineno, row in records:
+            workload = row[0].strip()
+            if not workload:
+                raise ParseError("workload must be non-empty", line=lineno)
+            values = [
+                finite_number(name, v, lineno) for name, v in zip(TELEMETRY_CSV_HEADER[1:], row[1:])
+            ]
+            try:
+                sample = TelemetrySample(*values)  # fields in the column order
+            except DataError as exc:
+                raise ParseError(str(exc), line=lineno)
+            rows.setdefault(workload, []).append(sample)
 
-    result: dict[str, SystemTelemetry] = {}
-    for workload, samples in rows.items():
-        samples.sort(key=lambda s: s.t_s)
-        try:
+        result: dict[str, SystemTelemetry] = {}
+        for workload, samples in rows.items():
+            samples.sort(key=lambda s: s.t_s)
             result[workload] = SystemTelemetry(workload_id=workload, samples=tuple(samples))
-        except DataError as exc:  # its message names the workload
-            raise ParseError(str(exc))
     return result
 
 

@@ -18,11 +18,11 @@ that is written to or read from a JSON file inherits its `to_dict` and
 serializer; likewise `read_csv` and `write_csv` are the only CSV reader and
 writer, and `finite_number` parses every real-valued CSV field. The writers
 fill a text stream: they never open a file, so `cli` alone decides when a
-run's outputs reach disk. A reader of a file takes a path or an open binary
-file (`open_binary`, `open_text`), so `cli` can hand it the stream that
-records what was read. A reader's `ParseError` names only the line and
-the field; the code that opened the file names the file: `open_binary` for
-a path it is given, the opener of a stream for a stream.
+run's outputs reach disk. Every reader of a file takes a path or an open
+binary file and opens it through `open_binary` (or `open_text`, which
+decodes it), so `cli` can hand it the stream that records what was read. A
+reader's `DataError` names only the line and the field; `open_binary` alone
+names the file, for a path it opens and for a stream with a `str` name.
 """
 
 from __future__ import annotations
@@ -154,18 +154,19 @@ def open_binary(source: str | Path | BinaryIO) -> Iterator[BinaryIO]:
     """`source` as an open binary file: a path is opened here and closed on
     exit, an open file is passed through and left open for its owner.
 
-    A `ParseError` that names no file, raised while a path opened here is
-    open, is raised again naming it as the path was given."""
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            try:
-                yield fh
-            except ParseError as exc:
-                if exc.source is not None:
-                    raise
-                raise ParseError(exc.reason, exc.line, fh.name) from exc
-    else:
-        yield source
+    This is the one place that names a file in an error. A `DataError` that
+    names no file, raised while the file is open, leaves with the file's name
+    as its `source`: the path as it was given, or the `name` of a stream
+    given, when that is a `str` (a stream with no name, or with a file
+    descriptor for one, names nothing)."""
+    with (open(source, "rb") if isinstance(source, (str, Path))
+          else contextlib.nullcontext(source)) as fh:
+        try:
+            yield fh
+        except DataError as exc:
+            if exc.source is None and isinstance(getattr(fh, "name", None), str):
+                exc.source = fh.name
+            raise
 
 
 @contextlib.contextmanager
@@ -272,7 +273,7 @@ def _non_finite(value: float) -> ValueError:
     return ValueError(f"Out of range float values are not JSON compliant: {value!r}")
 
 
-def read_csv(stream: TextIO | str, columns: Sequence[str], *, extra: bool = False
+def read_csv(stream: TextIO, columns: Sequence[str], *, extra: bool = False
              ) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
     """Check a CSV header; return it with an iterator of (line number, row).
 
@@ -281,8 +282,6 @@ def read_csv(stream: TextIO | str, columns: Sequence[str], *, extra: bool = Fals
     fields are not. Blank lines are skipped and every row must have as many
     fields as the header. Malformed text is a `ParseError` naming the line.
     """
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
     rows = _csv_rows(stream, list(columns), extra)
     return next(rows), rows
 

@@ -12,12 +12,13 @@ import enum
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence, TextIO
+from pathlib import Path
+from typing import Any, BinaryIO, Callable, Sequence, TextIO
 
 from .cachesim import MissRatioCurve, write_curve_csv
 from .errors import DataError, ParseError
-from .model import (BehaviorLabels, Category, Codec, SystemBehavior, finite_number, read_csv,
-                    write_csv, write_json)
+from .model import (BehaviorLabels, Category, Codec, SystemBehavior, finite_number, open_text,
+                    read_csv, write_csv, write_json)
 
 log = logging.getLogger("wcr.report")
 
@@ -132,18 +133,19 @@ class StackMetricRecord:
     metrics: dict[str, float]
 
 
-def read_stack_table(stream: TextIO) -> list[StackMetricRecord]:
+def read_stack_table(source: str | Path | BinaryIO) -> list[StackMetricRecord]:
     """The records of a stack-table CSV in long format, `algorithm,stack,metric,value`
     (other columns are ignored), one per (algorithm, stack), in sorted order."""
     grouped: dict[tuple[str, str], dict[str, float]] = {}
-    header, rows = read_csv(stream, ("algorithm", "stack", "metric", "value"), extra=True)
-    for lineno, row in rows:
-        cells = dict(zip(header, row))
-        metrics = grouped.setdefault((cells["algorithm"], cells["stack"]), {})
-        if cells["metric"] in metrics:
-            raise ParseError(f"duplicate row for algorithm {cells['algorithm']!r}, stack "
-                             f"{cells['stack']!r}, metric {cells['metric']!r}", lineno)
-        metrics[cells["metric"]] = finite_number("value", cells["value"], lineno)
+    with open_text(source, newline="") as fh:
+        header, rows = read_csv(fh, ("algorithm", "stack", "metric", "value"), extra=True)
+        for lineno, row in rows:
+            cells = dict(zip(header, row))
+            metrics = grouped.setdefault((cells["algorithm"], cells["stack"]), {})
+            if cells["metric"] in metrics:
+                raise ParseError(f"duplicate row for algorithm {cells['algorithm']!r}, stack "
+                                 f"{cells['stack']!r}, metric {cells['metric']!r}", lineno)
+            metrics[cells["metric"]] = finite_number("value", cells["value"], lineno)
     return [
         StackMetricRecord(algorithm=a, stack=s, metrics=m)
         for (a, s), m in sorted(grouped.items())

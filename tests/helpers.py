@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 from collections import Counter
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -35,6 +37,7 @@ from wcr.model import (
     RawProfile,
     default_schema,
     finite_number,
+    open_text,
     read_csv,
     write_json,
 )
@@ -118,7 +121,13 @@ def make_plain_schema(names) -> MetricSchema:
     )
 
 
-def reference_parse_counter_csv(text: str) -> list[RawProfile]:
+def text_file(text: str) -> io.BytesIO:
+    """`text` as an open binary file of its UTF-8 bytes, the form a reader takes
+    in place of a path."""
+    return io.BytesIO(text.encode("utf-8"))
+
+
+def reference_parse_counter_csv(source: BinaryIO) -> list[RawProfile]:
     """`wcr.ingest.parse_counter_csv` written from its docstring's rules,
     one check at a time in the order listed there; the reference for the
     parser's single pass.
@@ -128,7 +137,9 @@ def reference_parse_counter_csv(text: str) -> list[RawProfile]:
     and each workload's wall times are kept in a list whose `max` is taken
     at the end.
     """
-    _, rows = read_csv(text, COUNTER_CSV_HEADER)
+    with open_text(source, newline="") as fh:
+        _, rows = read_csv(fh, COUNTER_CSV_HEADER)
+        rows = list(rows)
     per_workload: dict[str, tuple[dict[str, float], list[float], set[str]]] = {}
     seen: set[tuple[str, str, str]] = set()
     for lineno, row in rows:

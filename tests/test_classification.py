@@ -5,6 +5,7 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import text_file
 from wcr.classification import (
     classify_data_behavior,
     classify_ratio,
@@ -197,7 +198,7 @@ class TestLabelCsv:
             "read,0.5,0.25,12,1000,1000,0,service\n"
         )
         out = io.StringIO()
-        assert label_csv(text, out) == 2
+        assert label_csv(text_file(text), out) == 2
         lines = out.getvalue().splitlines()
         assert lines[0].endswith("category,system,data_out,data_intermediate")
         assert lines[1].endswith("cpu_intensive,much_less,less")
@@ -207,14 +208,14 @@ class TestLabelCsv:
         header = CSV_HEADER.rstrip() + ",stack\n"
         text = header + "wc,0.9,0.02,1,1000,500,200,data_analysis,hadoop\n"
         out = io.StringIO()
-        label_csv(text, out)
+        label_csv(text_file(text), out)
         assert "hadoop" in out.getvalue().splitlines()[1]
 
     def test_missing_column_rejected(self):
         with pytest.raises(ParseError, match="missing columns"):
-            label_csv("workload,cpu_util\n", io.StringIO())
+            label_csv(text_file("workload,cpu_util\n"), io.StringIO())
 
     def test_bad_row_names_line(self):
         text = CSV_HEADER + "wc,0.9,0.02,1,0,500,200,data_analysis\n"
         with pytest.raises(ParseError, match="line 2"):
-            label_csv(text, io.StringIO())
+            label_csv(text_file(text), io.StringIO())

@@ -332,7 +332,7 @@ class TestReduce:
                 "report": ["--vectors", bad, "--labels", workdir / "classify" / "labels.csv"]}
         out = workdir / "o"
         assert run(command, *argv[command], "--out", out) == 2
-        assert f"wcr: {message}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"wcr: {bad}: {message}\n"
         assert not out.exists()
 
     def test_json_without_vectors_or_profiles_exit_2(self, workdir, capsys):

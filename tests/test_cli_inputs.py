@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import FIXTURE_COUNTERS, write_binary_trace, write_text_trace
-from wcr import cachesim, cli
+from wcr import cachesim, classification, cli, ingest, report
 from wcr.cachesim import AccessTrace, TraceSegment
 from wcr.model import default_schema, read_json
 
@@ -150,27 +150,47 @@ def test_binary_trace_through_the_cli(inputs, tmp_path):
     assert sorted(recorded) == [(e["file"], e["sha256"]) for e in listed]
 
 
+def labeled(source) -> str:
+    out = io.StringIO()
+    classification.label_csv(source, out)
+    return out.getvalue()
+
+
 @pytest.mark.parametrize("read, name", [
     (read_json, "schema.json"),
+    (ingest.parse_counter_csv, "counters.csv"),
+    (ingest.parse_telemetry_csv, "telemetry.csv"),
+    (labeled, "behavior.csv"),
+    (classification.read_labels_csv, "labels.csv"),
+    (report.read_stack_table, "stack.csv"),
     (cachesim.read_curve_csv, "curve.csv"),
     (cachesim.read_text_trace, "trace.txt"),
     (cachesim.read_binary_trace, "trace.bin"),
 ])
 def test_reader_takes_a_path_or_an_open_binary_file(inputs, read, name):
+    """Every reader of a file takes a path, as a `str` or a `Path`, or an open binary file."""
     def plain(value):
         if isinstance(value, AccessTrace):
             return [(s.weight, s.addresses.tolist(), s.kinds.tolist()) for s in value.segments]
         return value
 
-    by_path = read(inputs / name)
+    by_path = plain(read(str(inputs / name)))
+    assert plain(read(inputs / name)) == by_path
     with open(inputs / name, "rb") as fh:
         by_stream = read(fh)
         assert not fh.closed  # the caller's file is left to the caller
-    assert plain(by_stream) == plain(by_path)
+    assert plain(by_stream) == by_path
 
 
 NOT_JSON = ("./{}: not valid JSON "
             "(Expecting property name enclosed in double quotes: line 1 column 2 (char 1))")
+
+
+def vectors_json(values: int, version: str) -> str:
+    """A vectors.json of the default schema holding one vector, of workload 'a'."""
+    return json.dumps({"schema": default_schema().to_dict(), "vectors": [
+        {"workload_id": "a", "values": [0.5] * values, "schema_version": version}]})
+
 
 # per input kind: the command's arguments, each input given as `./name`; the
 # input made bad, and its text; and the message after `wcr: `
@@ -193,14 +213,34 @@ BAD_INPUTS = {
                "w1,service,bogus,equal,none\n",
                "./labels.csv: line 2: BehaviorLabels.system: expected SystemBehavior, "
                "got 'bogus'"),
+    "labels-workload": (["report", "--vectors", "./vectors.json", "--labels", "./labels.csv"],
+                        "labels.csv", "workload,category,system,data_out,data_intermediate\n"
+                        "w1,service,hybrid,equal,none\n",
+                        "./labels.csv: workload 'w2' has no row"),
     "stack": (["report", "--stack-table", "./stack.csv"], "stack.csv",
               "algorithm,stack,metric,value\nwc,mpi,ipc,abc\n",
               "./stack.csv: line 2: value 'abc' is not a number"),
     "vectors": (["reduce", "./vectors.json"], "vectors.json", "{", NOT_JSON.format("vectors.json")),
+    "vectors-decode": (["reduce", "./vectors.json"], "vectors.json", '{"vectors": []}',
+                       "./vectors.json: VectorsFile.schema: missing key"),
+    "vectors-values": (["reduce", "./vectors.json"], "vectors.json",
+                       vectors_json(44, "wcr-default-1"),
+                       "./vectors.json: workload 'a': 44 values for a 45-metric schema"),
+    "vectors-stale": (["reduce", "./vectors.json"], "vectors.json", vectors_json(45, "old"),
+                      "./vectors.json: vector schema_version 'old' does not match schema "
+                      "'wcr-default-1'"),
+    "vectors-neither": (["reduce", "./vectors.json"], "vectors.json", '{"rows": []}',
+                        "./vectors.json: holds neither 'vectors' nor 'profiles'"),
     "profiles": (["reduce", "./profiles.json"], "profiles.json", "{",
                  NOT_JSON.format("profiles.json")),
+    "profiles-decode": (["reduce", "./profiles.json"], "profiles.json",
+                        '{"profiles": [{"workload_id": "a", "wall_time_s": 1}]}',
+                        "./profiles.json: RawProfile.counters: missing key"),
     "schema": (["--schema", "./schema.json", "ingest", "./counters.csv"], "schema.json", "{",
                NOT_JSON.format("schema.json")),
+    "schema-check": (["--schema", "./schema.json", "ingest", "./counters.csv"], "schema.json",
+                     '{"metrics": [], "version": ""}',
+                     "./schema.json: schema version must be non-empty"),
     "curve": (["footprint", "./curve.csv"], "curve.csv", "capacity_bytes,miss_ratio\n1024,abc\n",
               "./curve.csv: line 2: miss_ratio 'abc' is not a number"),
     "curves": (["report", "--curves", "./curves"], "curves/b.csv",
@@ -210,13 +250,28 @@ BAD_INPUTS = {
                    "./trace.txt: line 2: unknown access kind 'Q'"),
     "text-trace-empty": (["simulate", "./trace.txt"], "trace.txt", "# no accesses\n",
                          "./trace.txt: trace has no accesses"),
-    # `read_binary_trace` names its trace itself, after the word "trace"
     "bin-trace": (["simulate", "./trace.bin"], "trace.bin", "12345",
-                  "trace ./trace.bin: 5 bytes is not a whole number of records"),
+                  "./trace.bin: 5 bytes is not a whole number of records"),
+    # a bad kind is the trace's fault, though the sidecar is open too
+    "bin-trace-kind": (["simulate", "./trace.bin", "--segments", "./segments.json"], "trace.bin",
+                       "\0" * 8 + "\7", "./trace.bin: kinds contain values outside the "
+                       "access-kind codes"),
     "sidecar": (["simulate", "./trace.bin", "--segments", "./segments.json"], "segments.json",
                 "{", NOT_JSON.format("segments.json")),
+    "sidecar-decode": (["simulate", "./trace.bin", "--segments", "./segments.json"],
+                       "segments.json", '{"segments": [{"begin": 0, "end": 1}]}',
+                       "./segments.json: SegmentSpan.weight: missing key"),
+    "sidecar-range": (["simulate", "./trace.bin", "--segments", "./segments.json"],
+                      "segments.json", '{"segments": [{"begin": 0, "end": 501, "weight": 1}]}',
+                      "./segments.json: sidecar segment [0, 501) is out of order or out of range"),
     "config": (["ingest", "./counters.csv", "--config", "./config.json"], "config.json", "{",
                NOT_JSON.format("config.json")),
+    "config-decode": (["ingest", "./counters.csv", "--config", "./config.json"], "config.json",
+                      '{"restarts": "x"}', "./config.json: RunConfig.restarts: expected int, "
+                      "got 'x'"),
+    "config-schema-path": (["ingest", "./counters.csv", "--config", "./config.json"],
+                           "config.json", '{"schema_path": "nowhere.json"}',
+                           "./config.json: schema_path 'nowhere.json' is not a file"),
 }
 
 

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import FIXTURE_COUNTERS, make_profile, reference_parse_counter_csv
+from helpers import FIXTURE_COUNTERS, make_profile, reference_parse_counter_csv, text_file
 from wcr.errors import DataError, ParseError
 from wcr.ingest import (
     FORMULAS,
@@ -34,24 +34,24 @@ class TestParseCounterCsv:
             "w1,n1,instructions_retired,1000,10\n"
             "w1,n2,instructions_retired,2000,12\n"
         )
-        (profile,) = parse_counter_csv(text)
+        (profile,) = parse_counter_csv(text_file(text))
         assert profile.workload_id == "w1"
         assert profile.counters["instructions_retired"] == 3000
         assert profile.wall_time_s == 12
         assert profile.node_count == 2
 
     def test_empty_body_gives_empty_list(self):
-        assert parse_counter_csv(COUNTER_HEADER) == []
+        assert parse_counter_csv(text_file(COUNTER_HEADER)) == []
 
     def test_bad_count_names_line(self):
         text = COUNTER_HEADER + "w1,n1,cycles,abc,10\n"
         with pytest.raises(ParseError, match="line 2"):
-            parse_counter_csv(text)
+            parse_counter_csv(text_file(text))
 
     @pytest.mark.parametrize("row", ["w1,n1,cycles,nan,10", "w1,n1,cycles,10,inf"])
     def test_non_finite_number_names_line(self, row):
         with pytest.raises(ParseError, match="line 2: .* is not finite"):
-            parse_counter_csv(COUNTER_HEADER + row + "\n")
+            parse_counter_csv(text_file(COUNTER_HEADER + row + "\n"))
 
     def test_duplicate_row_rejected(self):
         text = COUNTER_HEADER + (
@@ -59,20 +59,20 @@ class TestParseCounterCsv:
             "w1,n1,cycles,20,10\n"
         )
         with pytest.raises(ParseError, match="duplicate"):
-            parse_counter_csv(text)
+            parse_counter_csv(text_file(text))
 
     def test_negative_count_rejected(self):
         text = COUNTER_HEADER + "w1,n1,cycles,-5,10\n"
         with pytest.raises(ParseError, match="negative"):
-            parse_counter_csv(text)
+            parse_counter_csv(text_file(text))
 
     def test_wrong_header_rejected(self):
         with pytest.raises(ParseError, match="header"):
-            parse_counter_csv("a,b,c\n")
+            parse_counter_csv(text_file("a,b,c\n"))
 
     def test_sum_below_the_float_maximum_is_kept(self):
         text = COUNTER_HEADER + "w1,n1,foo,1e308,10\nw1,n2,foo,7.9e307,10\n"
-        (profile,) = parse_counter_csv(text)
+        (profile,) = parse_counter_csv(text_file(text))
         assert profile.counters["foo"] == 1e308 + 7.9e307 < math.inf
 
     def test_aliases_map_to_canonical_names(self):
@@ -81,7 +81,7 @@ class TestParseCounterCsv:
             "w1,n1,cpu-cycles,50,10\n"
             "w1,n1,branch-misses,5,10\n"
         )
-        (profile,) = parse_counter_csv(text)
+        (profile,) = parse_counter_csv(text_file(text))
         assert profile.counters == {
             "instructions_retired": 100, "cycles": 50, "mispredicted_branches": 5,
         }
@@ -91,7 +91,7 @@ class TestParseCounterCsv:
             "w2,n1,cycles,1,1\n"
             "w1,n1,cycles,2,1\n"
         )
-        profiles = parse_counter_csv(text)
+        profiles = parse_counter_csv(text_file(text))
         assert [p.workload_id for p in profiles] == ["w2", "w1"]
 
 
@@ -176,7 +176,7 @@ class TestCounterCsvMatchesReference:
         text = COUNTER_HEADER + rows + "\n"
         for parse in (parse_counter_csv, reference_parse_counter_csv):
             with pytest.raises(ParseError) as raised:
-                parse(text)
+                parse(text_file(text))
             assert str(raised.value) == message
             assert raised.value.line == int(message.split()[1].rstrip(":"))
 
@@ -193,7 +193,7 @@ class TestCounterCsvMatchesReference:
 
 def _profiles_or_error(parse, text):
     try:
-        profiles = parse(text)
+        profiles = parse(text_file(text))
     except ParseError as exc:
         return str(exc)
     return [(p.workload_id, [(name, total.hex()) for name, total in p.counters.items()],
@@ -392,20 +392,20 @@ class TestParseTelemetryCsv:
             "w2,0,0.9,0.0,0,0,0\n"
             "w1,10,0.6,0.1,100,1e6,2e6\n"
         )
-        parsed = parse_telemetry_csv(text)
+        parsed = parse_telemetry_csv(text_file(text))
         assert set(parsed) == {"w1", "w2"}
         assert [s.t_s for s in parsed["w1"].samples] == [0, 10]
 
     def test_bad_fraction_names_line(self):
         text = self.HEADER + "w1,0,1.5,0.1,0,0,0\n"
         with pytest.raises(ParseError, match="line 2"):
-            parse_telemetry_csv(text)
+            parse_telemetry_csv(text_file(text))
 
     def test_non_finite_value_names_line(self):
         text = self.HEADER + "w1,0,0.5,0.1,nan,0,0\n"
         with pytest.raises(ParseError, match="line 2: weighted_io_time_ms 'nan' is not finite"):
-            parse_telemetry_csv(text)
+            parse_telemetry_csv(text_file(text))
 
     def test_wrong_header_rejected(self):
         with pytest.raises(ParseError, match="header"):
-            parse_telemetry_csv("workload,t\n")
+            parse_telemetry_csv(text_file("workload,t\n"))

@@ -11,8 +11,9 @@ writer fills a text stream, so a run that fails leaves `--out` untouched.
 `model` imports no package module but `errors`, not even inside a function,
 so the package has no import cycle through its base layer.
 
-Only the code that opens a file names it in a `ParseError`: `model.open_binary`
-and `cli._InputStream`. Every reader reports only the line and the field.
+Only the code that opens a file names it in an error: `model.open_binary`,
+which every reader of a file and `cli` open files through, sets a
+`DataError`'s `source`. Every reader reports only the line and the field.
 """
 
 import ast
@@ -186,11 +187,12 @@ def test_import_scan_names_each_kind_of_import(tmp_path):
 
 
 def _names_a_file(node: ast.AST) -> bool:
-    """Whether `node` builds a `ParseError` with a source or stores an error's `.source`."""
+    """Whether `node` builds a `DataError` or `ParseError` with a source or stores
+    an error's `.source`."""
     if isinstance(node, ast.Call):
         func = node.func
         name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-        return name == "ParseError" and (
+        return name in ("DataError", "ParseError") and (
             len(node.args) > 2 or any(k.arg == "source" for k in node.keywords))
     targets = (node.targets if isinstance(node, ast.Assign)
                else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
@@ -200,7 +202,7 @@ def _names_a_file(node: ast.AST) -> bool:
 
 def file_namers() -> list[tuple[str, int]]:
     """(`module.definition`, line) of each place in the package that names a file
-    in a `ParseError`."""
+    in an error."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -211,26 +213,26 @@ def file_namers() -> list[tuple[str, int]]:
     return found
 
 
-# the openers that name a file, and the class that stores the name
-FILE_NAMERS = {"model.open_binary", "cli._InputStream", "errors.ParseError"}
+# the one opener that names a file, and the class that stores the name
+FILE_NAMERS = {"model.open_binary", "errors.DataError"}
 
 
 def test_only_the_openers_name_a_file():
     namers = file_namers()
     assert [f"{name}:{line}" for name, line in namers if name not in FILE_NAMERS] == [], (
-        "a reader names its file; raise the `ParseError` with the line and field only, "
-        "and let the code that opened the file name it"
+        "a reader names its file; raise the `DataError` with the line and field only, "
+        "and let `model.open_binary`, which opened the file, name it"
     )
-    # the scan sees each opener, so it is not blind
+    # the scan sees the opener and the class, so it is not blind
     assert {name for name, _ in namers} == FILE_NAMERS
 
 
 def test_name_scan_flags_each_way_of_naming_a_file():
-    namers = ["ParseError('m', 2, p)", "ParseError('m', source=p)",
-              "errors.ParseError('m', line=2, source=p)", "e.source = p", "e.source += p",
-              "e.source: str = p", "e.line, e.source = 2, p"]
+    namers = ["ParseError('m', 2, p)", "ParseError('m', source=p)", "DataError('m', None, p)",
+              "errors.ParseError('m', line=2, source=p)", "errors.DataError('m', source=p)",
+              "e.source = p", "e.source += p", "e.source: str = p", "e.line, e.source = 2, p"]
     others = ["ParseError('m')", "ParseError('m', 2)", "ParseError('m', line=2)",
-              "DataError(f'{p}: m')", "x = e.source"]
+              "DataError('m', 2)", "DataError(f'{p}: m')", "x = e.source"]
     for source, expected in [(c, True) for c in namers] + [(c, False) for c in others]:
         node = ast.parse(source).body[0]
         assert _names_a_file(node.value if isinstance(node, ast.Expr) else node) is expected, source
