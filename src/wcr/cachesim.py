@@ -82,6 +82,7 @@ from __future__ import annotations
 
 import enum
 import os
+import stat
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -759,6 +760,36 @@ def _line_access(raw: str, lineno: int) -> tuple[int, int] | None:
     return address, kind.value
 
 
+def _read_records(fh: BinaryIO) -> np.ndarray:
+    """The packed records of `fh`. A regular file's are read straight into
+    their array, sized from the file's length, so they are held once; any
+    other stream, such as a `BytesIO` or a pipe, is read whole and its bytes
+    are viewed as records."""
+    try:
+        info = os.fstat(fh.fileno())
+    except (AttributeError, OSError):  # no file descriptor (`io.UnsupportedOperation`)
+        info = None
+    if info is None or not stat.S_ISREG(info.st_mode):
+        data = bytearray(fh.read())
+        _check_whole_records(len(data))
+        return np.frombuffer(data, dtype=_RECORD_DTYPE)
+    size = info.st_size
+    _check_whole_records(size)
+    records = np.empty(size // _RECORD_DTYPE.itemsize, dtype=_RECORD_DTYPE)
+    buffer = memoryview(records.view(np.uint8))
+    filled = 0
+    while filled < size and (count := fh.readinto(buffer[filled:])):
+        filled += count
+    if filled < size:
+        raise DataError(f"ended after {filled} of {size} bytes")
+    return records
+
+
+def _check_whole_records(size: int) -> None:
+    if size % _RECORD_DTYPE.itemsize:
+        raise DataError(f"{size} bytes is not a whole number of records")
+
+
 def read_binary_trace(trace: str | Path | BinaryIO,
                       sidecar: str | Path | BinaryIO | None = None) -> AccessTrace:
     """Read packed (u64 address, u8 kind) records.
@@ -767,20 +798,10 @@ def read_binary_trace(trace: str | Path | BinaryIO,
     `{"segments": [{"begin": 0, "end": N, "weight": 1.0}, ...]}`. Without a
     sidecar the whole file is one segment of weight 1. Each file is given as
     a path or an open binary file, and each is checked while it is open, so
-    an error names the file at fault. The records are read straight into
-    their array, sized from the file's length, so they are held once.
+    an error names the file at fault.
     """
     with open_binary(trace) as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if size % _RECORD_DTYPE.itemsize:
-            raise DataError(f"{size} bytes is not a whole number of records")
-        records = np.empty(size // _RECORD_DTYPE.itemsize, dtype=_RECORD_DTYPE)
-        buffer = memoryview(records.view(np.uint8))
-        filled = 0
-        while filled < size and (count := fh.readinto(buffer[filled:])):
-            filled += count
-        if filled < size:
-            raise DataError(f"ended after {filled} of {size} bytes")
+        records = _read_records(fh)
         if records.size == 0:
             raise DataError("trace has no records")
         whole = AccessTrace.single(records["address"], records["kind"])

@@ -352,7 +352,7 @@ def _load_trace(args: argparse.Namespace, inputs: _Inputs) -> cachesim.AccessTra
             trace = cachesim.read_binary_trace(fh, segments)
     elif args.segments:
         # a text trace is a single segment, which a sidecar cannot split
-        raise _UsageError(f"--segments applies only to a .bin trace, not {Path(args.trace).name}")
+        raise _UsageError(f"--segments applies only to a .bin trace, not {args.trace}")
     else:
         with inputs.open(args.trace) as fh:
             trace = cachesim.read_text_trace(fh)
@@ -516,7 +516,9 @@ _FLAGS = (
     ("--k", ("reduce",), ("k",), lambda t: t if t == "auto" else _parse_int("--k", t),
      f"fixed cluster count, or 'auto' (default {RunConfig.k})"),
     ("--k-range", ("reduce",), ("k", "k_min", "k_max"), _parse_k_range,
-     f"k_min,k_max for auto selection (default: {RunConfig.k_min} to half the workloads)"),
+     f"k_min,k_max for auto selection, which bisects for the smallest k whose BIC reaches "
+     f"{reduction.BIC_THRESHOLD:g} of the way from the lower to the higher end score "
+     f"(default: {RunConfig.k_min} to half the workloads)"),
     ("--variance-target", ("reduce",), ("variance_target",), _finite("--variance-target"),
      f"PCA variance retention (default {RunConfig.variance_target})"),
     ("--sizes", ("simulate",), ("sizes",), lambda t: tuple(map(_parse_size, t.split(","))),

@@ -31,6 +31,9 @@ _TOL = 1e-6
 # `kmeans_best_of` refuses more restarts than this: a config's count is otherwise
 # unbounded, and 2**64 restarts would never end
 _MAX_RESTARTS = 1000
+# `choose_k` picks the smallest k whose BIC reaches this share of the way from the
+# lower to the higher of its range's end scores (SimPoint 3.0: Hamerly et al., JILP 2005)
+BIC_THRESHOLD = 0.9
 
 
 @dataclass(eq=False)
@@ -92,7 +95,9 @@ class ReductionResult(Codec):
 
 @dataclass(frozen=True)
 class ReductionConfig:
-    """Knobs for `reduce_vectors`. `k=None` selects k by BIC over [k_min, k_max].
+    """Knobs for `reduce_vectors`. `k=None` selects k by BIC over [k_min, k_max]:
+    `choose_k` bisects for the smallest k whose BIC reaches `BIC_THRESHOLD`
+    of the way from the lower to the higher of the two end scores.
 
     `k_max=None` searches up to max(k_min, n // 2) for n workloads: the
     largest k at which every cluster can hold two points. Above it,
@@ -588,11 +593,20 @@ def choose_k(
     restarts: int,
     ids: Sequence[str] | None = None,
 ) -> Clustering:
-    """Return the clustering in [k_min, k_max] that maximizes the BIC.
+    """Return the clustering of the smallest k in [k_min, k_max] whose BIC
+    reaches SimPoint 3.0's threshold, found by bisection.
 
-    Each candidate k is scored on its best-of-`restarts` k-means result,
-    and the winning result is returned as it was scored. Ties go to the
-    smallest k.
+    Each k is scored on its best-of-`restarts` k-means result, and the
+    chosen result is returned as it was scored. The two ends of the range
+    are scored first; with lo and hi the lower and higher of their scores,
+    the threshold is lo + BIC_THRESHOLD * (hi - lo), or +inf when either
+    end scores +inf (a zero pooled variance). If k_min reaches it, k_min is
+    chosen. Otherwise the search halves [a, b] while BIC(a) < threshold <=
+    BIC(b) and returns b. It scores no k twice: about log2(k_max - k_min) + 2
+    values of k, and a single one when k_min == k_max. The pick is the
+    smallest k that reaches the threshold when the BIC crosses it once
+    over the range; where it crosses more than once, the bisection returns
+    one of the crossings.
 
     Each restart seed's k-means++ centers are drawn once per call and
     shared by every k: the centers drawn for k are the first k drawn for
@@ -608,15 +622,30 @@ def choose_k(
     _check_restarts(restarts)
     points = np.ascontiguousarray(points)
     seedings = [_Seeding(points, seed + r) for r in range(restarts)]
-    best: Clustering | None = None
-    best_score = -math.inf
-    for k in range(k_min, k_max + 1):
+
+    def scored(k: int) -> tuple[Clustering, float]:
         clustering = kmeans_best_of(points, k, seed, restarts, ids=ids, seedings=seedings)
         score = bic_score(points, clustering)
         log.debug("k=%d inertia=%.6g bic=%.6g", k, clustering.inertia, score)
-        if best is None or score > best_score:
-            best, best_score = clustering, score
-    assert best is not None
+        return clustering, score
+
+    first, first_score = scored(k_min)
+    if k_min == k_max:
+        return first
+    best, last_score = scored(k_max)
+    lo, hi = sorted((first_score, last_score))
+    threshold = math.inf if hi == math.inf else lo + BIC_THRESHOLD * (hi - lo)
+    log.debug("threshold=%.6g over [%d, %d]", threshold, k_min, k_max)
+    if first_score >= threshold:
+        return first
+    a, b = k_min, k_max
+    while b - a > 1:
+        mid = (a + b) // 2
+        clustering, score = scored(mid)
+        if score >= threshold:
+            b, best = mid, clustering
+        else:
+            a = mid
     return best
 
 
@@ -656,11 +685,14 @@ def reduce_vectors(
 ) -> ReductionResult:
     """Normalize, project, cluster, and pick representatives for metric vectors.
 
+    The vectors are taken in order of workload id, so the result depends on
+    the set of workloads and not on the order they come in.
+
     A fixed k is clustered as a search over [k, k], so every k goes through
     `choose_k`; a fixed k outside [1, n] for n workloads is an error that
     names k.
     """
-    nm = normalize_zscore(vectors, schema)
+    nm = normalize_zscore(sorted(vectors, key=lambda v: v.workload_id), schema)
     pca = fit_pca(nm.data, config.variance_target)
     projected = project(nm.data, pca)
     if config.k is not None:

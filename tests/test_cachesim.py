@@ -1,5 +1,6 @@
 """LRU simulation, the reuse-distance oracle, capacity sweeps, footprints."""
 
+import io
 import json
 import tempfile
 from collections import OrderedDict
@@ -802,6 +803,8 @@ class TestTraceIo:
             fh.write(b"\0\0\0")  # 12 bytes: one 9-byte record and 3 stray bytes
         with pytest.raises(DataError, match="whole number of records"):
             read_binary_trace(bin_path)
+        with pytest.raises(DataError, match="12 bytes is not a whole number of records"):
+            read_binary_trace(io.BytesIO(bin_path.read_bytes()))  # no file to size it by
 
     def test_bad_sidecar_rejected(self, tmp_path):
         trace = AccessTrace.single([1, 2, 3], [1, 1, 1])

@@ -168,7 +168,8 @@ def labeled(source) -> str:
     (cachesim.read_binary_trace, "trace.bin"),
 ])
 def test_reader_takes_a_path_or_an_open_binary_file(inputs, read, name):
-    """Every reader of a file takes a path, as a `str` or a `Path`, or an open binary file."""
+    """Every reader of a file takes a path, as a `str` or a `Path`, or an open binary
+    file, a `BytesIO` among them."""
     def plain(value):
         if isinstance(value, AccessTrace):
             return [(s.weight, s.addresses.tolist(), s.kinds.tolist()) for s in value.segments]
@@ -180,6 +181,7 @@ def test_reader_takes_a_path_or_an_open_binary_file(inputs, read, name):
         by_stream = read(fh)
         assert not fh.closed  # the caller's file is left to the caller
     assert plain(by_stream) == by_path
+    assert plain(read(io.BytesIO((inputs / name).read_bytes()))) == by_path  # no file behind it
 
 
 NOT_JSON = ("./{}: not valid JSON "
@@ -248,6 +250,9 @@ BAD_INPUTS = {
                "./curves/b.csv: line 2: capacity_bytes 'abc' is not an integer"),
     "text-trace": (["simulate", "./trace.txt"], "trace.txt", "I 0x0\nQ 0x40\n",
                    "./trace.txt: line 2: unknown access kind 'Q'"),
+    "text-trace-segments": (["simulate", "./trace.txt", "--segments", "./segments.json"],
+                            "trace.txt", "I 0x0\n",
+                            "--segments applies only to a .bin trace, not ./trace.txt"),
     "text-trace-empty": (["simulate", "./trace.txt"], "trace.txt", "# no accesses\n",
                          "./trace.txt: trace has no accesses"),
     "bin-trace": (["simulate", "./trace.bin"], "trace.bin", "12345",
@@ -273,6 +278,8 @@ BAD_INPUTS = {
                            "config.json", '{"schema_path": "nowhere.json"}',
                            "./config.json: schema_path 'nowhere.json' is not a file"),
 }
+# the cases that are usage errors, not data errors: the input does not suit the flags
+USAGE_ERRORS = {"text-trace-segments"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -283,6 +290,6 @@ def test_bad_row_names_its_file(inputs, tmp_path, monkeypatch, capsys, case):
     (inputs / bad).write_text(text)
     monkeypatch.chdir(inputs)
     out = tmp_path / "out"
-    assert run(*argv, "--out", out) == 2
+    assert run(*argv, "--out", out) == (cli.EXIT_USAGE if case in USAGE_ERRORS else cli.EXIT_DATA)
     assert capsys.readouterr().err == f"wcr: {message}\n"
     assert not out.exists()

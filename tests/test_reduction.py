@@ -1,8 +1,11 @@
 """Standardization, PCA, k-means, model selection, and the reduction pipeline."""
 
+import importlib.util
 import io
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +23,10 @@ from helpers import (
     reference_relocation_polish,
 )
 from wcr import reduction
+from wcr.cli import main
 from wcr.errors import DataError
 from wcr.ingest import derive_microarch_metrics
-from wcr.model import MetricVector, default_schema
+from wcr.model import MetricVector, default_schema, write_json
 from wcr.reduction import (
     ReductionConfig,
     bic_score,
@@ -43,6 +47,38 @@ def _vectors(matrix, schema):
         MetricVector.from_values(f"w{i}", row, schema)
         for i, row in enumerate(np.asarray(matrix, dtype=float))
     ]
+
+
+def threshold_picks(scores, k_min):
+    """From the BIC of each k in [k_min, k_min + len(scores) - 1]: the k that
+    `choose_k`'s documented bisection picks, and the smallest k that reaches
+    the threshold, as a full scan finds it."""
+    lo, hi = sorted((scores[0], scores[-1]))
+    threshold = math.inf if hi == math.inf else lo + reduction.BIC_THRESHOLD * (hi - lo)
+    score = dict(enumerate(scores, start=k_min))
+    scan = min(k for k, s in score.items() if s >= threshold)
+    a, b = k_min, k_min + len(scores) - 1
+    if score[a] >= threshold:
+        return a, scan
+    while b - a > 1:
+        mid = (a + b) // 2
+        a, b = (a, mid) if score[mid] >= threshold else (mid, b)
+    return b, scan
+
+
+def benchmark_inputs():
+    """`perfbench/inputs.py`, the benchmark's input generator, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def reduction_bytes(result) -> str:
+    out = io.StringIO()
+    write_json(out, result.to_dict())
+    return out.getvalue()
 
 
 class TestNormalize:
@@ -397,7 +433,7 @@ class TestKmeans:
 
     def test_kmeans_best_of_and_choose_k_match_reference_bytes(self):
         restarts = 3
-        polished = 0
+        polished = not_argmax = 0
         for points in self._reference_instances():
             n = len(points)
             ids = tuple(f"p{i}" for i in range(n))
@@ -413,17 +449,22 @@ class TestKmeans:
                 self._assert_same_clustering(choose_k(points, k, k, 0, restarts, ids), best)
                 best_per_k.append(best)
             scores = [bic_score(points, c) for c in best_per_k]
-            expected = best_per_k[scores.index(max(scores))]  # ties to the smallest k
-            self._assert_same_clustering(choose_k(points, 1, n, 0, restarts, ids), expected)
+            # [1, n] ends where distinct points score +inf; k_min > 1 still draws
+            # from the first center; [1, n // 2] mostly ends at a finite BIC, where
+            # the threshold pick can differ from the argmax
+            for k_min, k_max in ((1, n), ((n + 1) // 2, n), (1, max(1, n // 2))):
+                pick, _ = threshold_picks(scores[k_min - 1:k_max], k_min)
+                expected = best_per_k[pick - 1]
+                self._assert_same_clustering(
+                    choose_k(points, k_min, k_max, 0, restarts, ids), expected)
+                argmax = scores.index(max(scores[k_min - 1:k_max]), k_min - 1) + 1
+                not_argmax += pick != argmax
             # Fortran order: the seeding's row sums must still run in C order
+            pick, _ = threshold_picks(scores, 1)
             self._assert_same_clustering(
-                choose_k(np.asfortranarray(points), 1, n, 0, restarts, ids), expected)
-            # k_min > 1: the draws for k_min still start from the first center
-            k_min = (n + 1) // 2
-            scores = scores[k_min - 1:]
-            expected = best_per_k[k_min - 1 + scores.index(max(scores))]
-            self._assert_same_clustering(choose_k(points, k_min, n, 0, restarts, ids), expected)
+                choose_k(np.asfortranarray(points), 1, n, 0, restarts, ids), best_per_k[pick - 1])
         assert polished > 50  # the instances exercise the polish's moves
+        assert not_argmax > 0  # and the threshold rule, where it differs from the BIC argmax
 
     def test_cluster_emptied_after_an_update_matches_reference_bytes(self):
         # at k=20, seed 1, Lloyd's third step leaves cluster 13 empty; its
@@ -504,6 +545,58 @@ class TestChooseK:
         choose_k(points, 1, 12, seed=5, restarts=4)
         assert made[0] == 4
         assert c_ordered == [True] * 4
+
+    def test_bisection_scores_each_k_once(self, monkeypatch):
+        scored = []
+
+        def counting(points, k, *args, **kwargs):
+            scored.append(k)
+            return kmeans_best_of(points, k, *args, **kwargs)
+
+        monkeypatch.setattr(reduction, "kmeans_best_of", counting)
+        # the two ends, then ceil(log2(k_max - k_min)) halvings on these paths
+        for clusters, k_max, path in (
+            (17, 30, [1, 30, 15, 22, 18, 16, 17]),
+            (10, 38, [1, 38, 19, 10, 5, 7, 8, 9]),
+        ):
+            points, _, _ = plant_clusters(77, clusters, 45, seed=0)
+            scored.clear()
+            assert choose_k(points, 1, k_max, seed=0, restarts=8).k == clusters
+            assert scored == path
+        scored.clear()
+        assert choose_k(points, 12, 12, seed=0, restarts=8).k == 12
+        assert scored == [12]
+
+    def test_bisection_matches_full_scan(self):
+        """On planted sets of 5, 10, 17 and 25 clusters and on uniform noise,
+        77 x 45 through `reduce_vectors`, the bisection picks what a full scan
+        of the threshold rule picks, and that is the planted k (1 for noise).
+        Every set where any of them differs is reported."""
+        schema, config = default_schema(), ReductionConfig()
+        sets = [(f"planted {clusters} seed {seed}", plant_clusters(77, clusters, 45, seed)[0],
+                 clusters) for clusters in (5, 10, 17, 25) for seed in range(4)]
+        sets += [(f"noise seed {seed}", np.random.default_rng(seed).uniform(0.2, 0.8, (77, 45)), 1)
+                 for seed in range(4)]
+        differ = []
+        for name, points, planted in sets:
+            result = reduce_vectors(_vectors(points, schema), schema, config)
+            projected = result.projected
+            # shared draws give each k the bytes of a fresh `kmeans_best_of`, and
+            # make the scan cheaper (see `test_kmeans_best_of_and_choose_k_match_reference_bytes`)
+            seedings = [_Seeding(projected, config.seed + r) for r in range(config.restarts)]
+            scan = [kmeans_best_of(projected, k, config.seed, config.restarts,
+                                   ids=result.normalized.ids, seedings=seedings)
+                    for k in range(1, len(points) // 2 + 1)]
+            scores = [bic_score(projected, c) for c in scan]
+            bisection, smallest = threshold_picks(scores, 1)
+            argmax = scores.index(max(scores)) + 1
+            got = result.clustering
+            same_bytes = reduction_bytes(got) == reduction_bytes(scan[got.k - 1])
+            if not (got.k == bisection == smallest == argmax == planted and same_bytes):
+                differ.append(f"{name}: choose_k {got.k}, bisection {bisection}, scan "
+                              f"{smallest}, argmax {argmax}, planted {planted}, "
+                              f"same bytes {same_bytes}")
+        assert differ == []
 
     @pytest.mark.parametrize("seed, restarts, message", [
         (-1, 8, "seed must not be negative, got -1"),
@@ -594,21 +687,13 @@ class TestPipeline:
             assert result.clustering.assignments[workload] == cluster
 
     def test_row_permutation_leaves_decisions_unchanged(self):
+        # the vectors are taken in id order, so the result's bytes are the same
         schema, vectors, _, _ = planted_metric_vectors(seed=3)
-        config = ReductionConfig(k=17, seed=3)
-        result = reduce_vectors(vectors, schema, config)
+        expected = reduction_bytes(reduce_vectors(vectors, schema, ReductionConfig()))
         rng = np.random.default_rng(0)
-        order = rng.permutation(len(vectors))
-        permuted = reduce_vectors([vectors[i] for i in order], schema, config)
-
-        def cluster_sets(res):
-            members = {}
-            for workload, cluster in res.clustering.assignments.items():
-                members.setdefault(cluster, set()).add(workload)
-            return frozenset(frozenset(v) for v in members.values())
-
-        assert cluster_sets(result) == cluster_sets(permuted)
-        assert set(result.representatives) == set(permuted.representatives)
+        for _ in range(5):
+            permuted = [vectors[i] for i in rng.permutation(len(vectors))]
+            assert reduction_bytes(reduce_vectors(permuted, schema, ReductionConfig())) == expected
 
     def test_column_scaling_leaves_decisions_unchanged(self):
         schema, vectors, points, _ = planted_metric_vectors(seed=5)
@@ -636,6 +721,30 @@ class TestPipeline:
         schema, vectors, _, _ = planted_metric_vectors(seed=42)
         result = reduce_vectors(vectors, schema, ReductionConfig())
         assert result.clustering.k == 17
+
+    def test_default_reduce_finds_every_pipeline_seeds_groups(self, tmp_path, monkeypatch):
+        """The benchmark's `pipeline` counters of seeds 0-19, through `wcr ingest`
+        and the default `wcr reduce` at 8 and 32 restarts, reduce to their
+        planted groups."""
+        inputs = benchmark_inputs()
+        # the text trace is drawn after the counters, and this study does not read it
+        monkeypatch.setattr(inputs, "loop_trace_lines", lambda rng: ([], 0, 0))
+        restarts32 = tmp_path / "restarts32.json"
+        restarts32.write_text('{"restarts": 32}')
+        picked = {8: [], 32: []}
+        for seed in range(20):
+            work = tmp_path / str(seed)
+            work.mkdir()
+            inputs.make_pipeline(seed, work)
+            assert main(["ingest", str(work / "counters.csv"), "--out", str(work / "in")]) == 0
+            for restarts, flags in ((8, []), (32, ["--config", str(restarts32)])):
+                out = work / f"reduce{restarts}"
+                assert main(["reduce", *flags, str(work / "in" / "vectors.json"),
+                             "--out", str(out)]) == 0
+                result = json.loads((out / "reduction.json").read_text())
+                picked[restarts].append(result["clustering"]["k"])
+        groups = inputs.PIPELINE_GROUPS
+        assert picked == {8: [groups] * 20, 32: [groups] * 20}
 
     def test_too_few_profiles_rejected(self):
         schema = default_schema()
