@@ -68,6 +68,18 @@ or more than 64 ways) neither reads nor writes the marks. They stay exact:
 every mark is a miss of some earlier pass in an unbroken line of such
 caches, so by inclusion it is a miss of every later one.
 
+The set layout carries down the same line. With S' a multiple of S, each
+set of C is the union of the sets of C' whose numbers are equal modulo S.
+So a pass needs neither `np.unique` over the segment's first touches nor
+a sort of all its accesses by set when an earlier pass left them for a
+multiple of its set count (a `SetLayout`). The distinct lines of each of
+its sets are the sum of those of the carried sets that merge into it. The
+accesses sorted by set (each packed below its set number) give its own
+order when every set number is taken modulo S: that leaves S'/S sorted
+runs, two on a doubling grid, and a stable sort merges them. Only the
+first pass of a segment, a pass after the line breaks, and a set count
+too wide to pack beside an access index build them afresh.
+
 Above 64 ways, fully associative caches included, the count would read
 ever wider blocks, so each evicting set is replayed as an `OrderedDict`
 in least-recent-first order instead. On the three segments of the
@@ -282,7 +294,9 @@ def _segment_lines(
     """The line of each access whose kind is in `kinds`."""
     addresses = segment.addresses
     if kinds != ALL_KINDS:
-        addresses = addresses[np.isin(segment.kinds, [k.value for k in kinds])]
+        wanted = np.zeros(len(AccessKind), dtype=bool)  # kind code -> kept
+        wanted[[k.value for k in kinds]] = True
+        addresses = addresses[wanted[segment.kinds]]
     if addresses.size == 0:
         names = ", ".join(k.name.lower() for k in sorted(kinds))
         raise DataError(f"no accesses of the requested kinds ({names}) in this segment")
@@ -346,9 +360,35 @@ def _take_indices(packed: np.ndarray, shift: int, out: np.ndarray) -> np.ndarray
     return out
 
 
+@dataclass
+class SetLayout:
+    """One segment's accesses laid out by set, handed from each pass of a
+    sweep to the next so that a pass can derive its own from it (see the
+    module docstring). A new layout holds nothing; `simulate` fills it.
+
+    - `histogram_sets`, `occupied`, `per_set`: a set count, the sets of it
+      that some line maps to, in ascending order, and the distinct lines of
+      each; set by every pass.
+    - `packed_sets`, `packed`: a set count, and every access packed below
+      its set number, `set << shift | index`, sorted; set by each pass of
+      the window count whose set numbers fit beside an index.
+    """
+
+    histogram_sets: int | None = None
+    occupied: np.ndarray | None = None
+    per_set: np.ndarray | None = None
+    packed_sets: int | None = None
+    packed: np.ndarray | None = None
+
+
+def _divides(set_count: int, carried: int | None) -> bool:
+    """Whether a layout built for `carried` sets gives one for `set_count`."""
+    return carried is not None and carried % set_count == 0
+
+
 def simulate(
     lines: np.ndarray, previous: np.ndarray, config: CacheConfig,
-    missed: np.ndarray | None = None,
+    missed: np.ndarray | None = None, layout: SetLayout | None = None,
 ) -> SimResult:
     """Run one segment's lines through a cold cache and count misses.
 
@@ -387,12 +427,17 @@ def simulate(
     cache's misses less its first touches. When no set evicts, or above
     `_WINDOW_WAYS` ways, `missed` is neither read nor written. Without it,
     nothing is known to miss.
+
+    `layout`, when given, holds the set layout of the same accesses that
+    an earlier pass left (`SetLayout`). Where its set count is a multiple
+    of this cache's, the distinct lines per set and the accesses sorted by
+    set are derived from it rather than built afresh; either way this
+    pass's own are left in it for the next. Without it, both are built.
     """
     set_count = config.set_count
     ways = config.ways
     total = int(lines.size)
-    occupied, per_set = np.unique(_set_numbers(lines[previous < 0], set_count),
-                                  return_counts=True)
+    occupied, per_set = _distinct_per_set(lines, previous, set_count, layout)
     overflow = per_set > ways
     misses = int(per_set[~overflow].sum())
     if not overflow.any():
@@ -401,7 +446,8 @@ def simulate(
     if ways <= _WINDOW_WAYS:
         if missed is None:
             missed = np.zeros(total, dtype=bool)
-        misses += _window_misses(lines, previous, missed, occupied, overflow, set_count, ways)
+        misses += _window_misses(lines, previous, missed, occupied, overflow, set_count, ways,
+                                 layout)
         return SimResult(accesses=total, misses=misses, miss_ratio=misses / total)
 
     keep = np.isin(_set_numbers(lines, set_count), occupied[overflow])
@@ -435,9 +481,33 @@ def _set_numbers(lines: np.ndarray, set_count: int) -> np.ndarray:
     return lines & np.uint64(set_count - 1)
 
 
+def _distinct_per_set(
+    lines: np.ndarray, previous: np.ndarray, set_count: int, layout: SetLayout | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sets that some line maps to, in ascending order, and the number
+    of distinct lines of each: from `np.unique` over the sets of the first
+    touches, or from a layout of a multiple of `set_count` sets, whose
+    counts are summed over the sets that share a set here. Either way the
+    result is left in `layout`."""
+    if layout is not None and _divides(set_count, layout.histogram_sets):
+        occupied, per_set = layout.occupied, layout.per_set
+        if layout.histogram_sets != set_count:
+            sets = _set_numbers(occupied, set_count)
+            order = np.argsort(sets, kind="stable")
+            sets = sets[order]
+            first = np.flatnonzero(np.concatenate(([True], sets[1:] != sets[:-1])))
+            occupied, per_set = sets[first], np.add.reduceat(per_set[order], first)
+    else:
+        occupied, per_set = np.unique(_set_numbers(lines[previous < 0], set_count),
+                                      return_counts=True)
+    if layout is not None:
+        layout.histogram_sets, layout.occupied, layout.per_set = set_count, occupied, per_set
+    return occupied, per_set
+
+
 def _window_misses(
     lines: np.ndarray, previous: np.ndarray, missed: np.ndarray, occupied: np.ndarray,
-    overflow: np.ndarray, set_count: int, ways: int,
+    overflow: np.ndarray, set_count: int, ways: int, layout: SetLayout | None,
 ) -> int:
     """LRU misses of the accesses to the sets `occupied[overflow]`; the
     accesses that `missed` marks are misses, and the misses found are
@@ -445,55 +515,112 @@ def _window_misses(
 
     Every access is packed with its index into one uint64, set number
     above, and the packed values are sorted: each set's accesses then lie
-    together, in trace order, and sets in the order of `occupied`. (When a
-    set number does not fit beside an index, the set's place in `occupied`
-    stands in for it.) The evicting sets are counted by `_chunk_misses`
-    about `_SET_CHUNK` accesses at a time, whole sets per chunk, so that
-    only `previous`, `missed`, the packed values (then the evicting sets'
-    indices, `order`) and the trace-to-position map `rank` span the
-    segment.
+    together, in trace order, and sets in the order of `occupied`. The
+    packed values are derived from those `layout` holds when its set count
+    is a multiple of this one: each set number is replaced by its own
+    modulo `set_count`, which leaves one sorted run for each of the sets
+    that now share a set, and a stable sort (a merge of those runs) puts
+    them in order. (When a set number does not fit beside an index, the
+    set's place in `occupied` stands in for it, and nothing is carried.)
+    The evicting sets are counted by `_chunk_misses` about `_SET_CHUNK`
+    accesses at a time, whole sets per chunk, their indices taken from the
+    packed values chunk by chunk, so that only `previous`, `missed`, the
+    packed values and the trace-to-position map `rank` span the segment.
     """
     n = lines.size
     shift = _index_bits(n)
     numbered = set_count >> (64 - shift) != 0
-    keys = np.arange(occupied.size, dtype=np.uint64) if numbered else occupied
-
-    def key(start: int, stop: int) -> np.ndarray:
-        sets = _set_numbers(lines[start:stop], set_count)
-        return np.searchsorted(occupied, sets).astype(np.uint64) if numbered else sets
-
-    packed = _sorted_packed(n, shift, key)
+    if numbered:
+        keys = np.arange(occupied.size, dtype=np.uint64)
+        packed = _sorted_packed(n, shift, lambda start, stop: np.searchsorted(
+            occupied, _set_numbers(lines[start:stop], set_count)).astype(np.uint64))
+    else:
+        keys = occupied
+        if layout is not None and _divides(set_count, layout.packed_sets):
+            packed = layout.packed
+            if layout.packed_sets != set_count:
+                _renumber_sets(packed, shift, set_count)
+                packed.sort(kind="stable")
+        else:
+            packed = _sorted_packed(
+                n, shift, lambda start, stop: _set_numbers(lines[start:stop], set_count))
+        if layout is not None:
+            layout.packed_sets, layout.packed = set_count, packed
     # occupied set i's accesses are packed[bounds[i]:bounds[i + 1]]
     bounds = np.append(np.searchsorted(packed, keys << np.uint64(shift)), n)
     sizes = np.diff(bounds)
     # chunk i takes the evicting sets among occupied[cuts[i]:cuts[i + 1]],
-    # about `_SET_CHUNK` accesses; `order` gets those accesses' indices,
-    # chunk by chunk, and `ends` where each chunk ends in it
+    # about `_SET_CHUNK` accesses
     evicting = np.cumsum(np.where(overflow, sizes, 0))
     cuts = [0, *(np.searchsorted(evicting, np.arange(_SET_CHUNK, evicting[-1], _SET_CHUNK))
                  + 1).tolist(), occupied.size]
-    order = np.empty(int(evicting[-1]), dtype=previous.dtype)
-    ends = evicting[np.subtract(cuts[1:], 1)].tolist()
-    for first, last, end in zip(cuts, cuts[1:], ends):
-        mine = np.repeat(overflow[first:last], sizes[first:last])
-        chunk = packed[bounds[first]:bounds[last]][mine]
-        _take_indices(chunk, shift, out=order[end - chunk.size:end])
-    del packed, bounds, sizes, evicting
+    del evicting
+    low = np.uint64((1 << shift) - 1)
     rank = np.empty(n + 1, dtype=previous.dtype)
-    return sum(_chunk_misses(previous, missed, rank, order[begin:end], ways)
-               for begin, end in zip([0, *ends], ends) if end > begin)
+    misses = 0
+    for first, last in zip(cuts, cuts[1:]):
+        mine = overflow[first:last]
+        if mine.all():
+            taken = packed[bounds[first]:bounds[last]] & low
+        else:
+            taken = packed[bounds[first]:bounds[last]][np.repeat(mine, sizes[first:last])]
+            taken &= low
+        if taken.size:
+            misses += _chunk_misses(previous, missed, rank, taken.view(np.int64), ways)
+        del taken
+    return misses
+
+
+def _renumber_sets(packed: np.ndarray, shift: int, set_count: int) -> None:
+    """Replace the set number above each packed index by that number modulo
+    `set_count`, in place."""
+    low = (1 << shift) - 1
+    if not set_count & (set_count - 1):  # a power of two: clear the top bits
+        packed &= np.uint64((set_count - 1) << shift | low)
+        return
+    for start in range(0, packed.size, _CHUNK):
+        block = packed[start:start + _CHUNK]
+        index = block & np.uint64(low)
+        block >>= np.uint64(shift)
+        block %= np.uint64(set_count)
+        block <<= np.uint64(shift)
+        block |= index
+
+
+# adds up the four 16-bit lanes of a uint64 into its top 16 bits
+_LANES_16 = np.uint64(0x0001_0001_0001_0001)
+_EVEN_BYTES = np.uint64(0x00FF_00FF_00FF_00FF)
+
+
+def _row_counts(block: np.ndarray) -> np.ndarray:
+    """The true entries of each row of `block`, a C-ordered bool array whose
+    rows are whole 8-byte words, as int64.
+
+    The rows' words are added up as uint64, which adds each of the eight
+    byte lanes on its own, exactly while a row has fewer than 256 words;
+    then the sum's bytes are added together. Wider rows are counted by
+    `np.count_nonzero`, which is slower by a cast of every entry.
+    (`np.bitwise_count` would need numpy 2.0.)
+    """
+    words = block.shape[1] // 8
+    if words >= 256:
+        return np.count_nonzero(block, axis=1).astype(np.int64)
+    sums = block.view(np.uint64).sum(axis=1, dtype=np.uint64)
+    sums = (sums & _EVEN_BYTES) + ((sums >> np.uint64(8)) & _EVEN_BYTES)
+    sums *= _LANES_16
+    sums >>= np.uint64(48)
+    return sums.view(np.int64)
 
 
 def _chunk_misses(
     previous: np.ndarray, missed: np.ndarray, rank: np.ndarray, taken: np.ndarray, ways: int
 ) -> int:
-    """LRU misses of `taken`, the trace indices of the accesses to whole
-    sets, set by set and each set in trace order. An access that `missed`
-    marks is a miss whose window is not counted; every miss found by
-    counting is marked in `missed`. `rank` is a work array one longer than
-    the segment."""
-    index = taken.dtype.type
-    taken = taken.astype(np.intp)  # numpy gathers and scatters faster by intp
+    """LRU misses of `taken`, the trace indices (int64) of the accesses to
+    whole sets, set by set and each set in trace order. An access that
+    `missed` marks is a miss whose window is not counted; every miss found
+    by counting is marked in `missed`. `rank` is a work array one longer
+    than the segment."""
+    index = previous.dtype.type
     before = previous.take(taken)
     new = np.empty(taken.size, dtype=bool)
     new[0] = True
@@ -512,8 +639,9 @@ def _chunk_misses(
     misses = int(np.count_nonzero(prev == count)) + int(np.count_nonzero(known))
     position = np.arange(count, dtype=index)
     # the position of the next access to each position's line, or `count`;
-    # `count` more entries let every block below read `width` entries
-    next_use = np.full(2 * count + 1, count, dtype=index)
+    # `count` + 7 more entries let every block below read `width` entries
+    # rounded up to whole 8-byte words
+    next_use = np.full(2 * count + 8, count, dtype=index)
     next_use[prev] = position
     # fewer than `ways` accesses between `prev` and the access: a hit
     window = position - prev > ways
@@ -528,10 +656,15 @@ def _chunk_misses(
     # block at a time, from the access backwards: first `ways` of them,
     # then blocks twice as wide each step, but no wider than the longest
     # window left or than `_SET_CHUNK * ways` entries over the accesses
-    # still counting (and at least `ways`)
+    # still counting (and at least `ways`). Each block is read in whole
+    # words, the columns past its width masked
     low = prev[p] + 1
     top = p - ways
-    seen = np.count_nonzero(sliding_window_view(next_use, ways)[top] > p[:, None], axis=1)
+    columns = -(-ways // 8) * 8
+    block = sliding_window_view(next_use, columns)[top] > p[:, None]
+    if columns > ways:
+        block &= np.arange(columns) < ways
+    seen = _row_counts(block)
     width = ways
     while True:
         found = seen >= ways
@@ -545,9 +678,10 @@ def _chunk_misses(
         start = np.maximum(top - width, low)
         # the block is positions start to top - 1, the first top - start
         # columns of the row read from `start`
-        block = sliding_window_view(next_use, width)[start] > p[:, None]
-        block &= np.arange(width, dtype=index) < (top - start)[:, None]
-        seen += np.count_nonzero(block, axis=1)
+        columns = -(-width // 8) * 8
+        block = sliding_window_view(next_use, columns)[start] > p[:, None]
+        block &= np.arange(columns, dtype=index) < (top - start)[:, None]
+        seen += _row_counts(block)
         top = start
 
 
@@ -566,8 +700,10 @@ def sweep_capacities(
     global, so a wrapper set on `cachesim.simulate` sees every pass. Each
     segment has one `missed` mask that the passes hand down (see the
     module docstring); it is cleared before a pass whose sets the pass
-    just before it does not split, with at least as many ways. Segments
-    are done one at a time, so only one segment's lines are held in memory.
+    just before it does not split, with at least as many ways. Each
+    segment also has one `SetLayout` that every pass reads and leaves its
+    own set layout in. Segments are done one at a time, so only one
+    segment's lines are held in memory.
     """
     if not sizes:
         raise DataError("sizes must be non-empty")
@@ -580,15 +716,17 @@ def sweep_capacities(
         lines = _segment_lines(seg, kinds, template.line_bytes)
         previous = previous_accesses(lines)
         missed = np.zeros(lines.size, dtype=bool)
+        layout = SetLayout()
         above = None  # the cache of the pass just before
         for i in reversed(range(len(configs))):
             config = configs[i]
             if above is not None and (above.set_count % config.set_count
                                       or above.ways < config.ways):
                 missed[:] = False
-            ratios[i] += seg.weight * simulate(lines, previous, config, missed).miss_ratio
+            result = simulate(lines, previous, config, missed, layout)
+            ratios[i] += seg.weight * result.miss_ratio
             above = config
-        del lines, previous, missed  # before the next segment's lines are built
+        del lines, previous, missed, layout  # before the next segment's lines are built
     points = tuple(
         CurvePoint(capacity_bytes=size, miss_ratio=ratio) for size, ratio in zip(ordered, ratios)
     )

@@ -252,8 +252,9 @@ def _cmd_ingest(args: argparse.Namespace, config: RunConfig, inputs: _Inputs,
                 outputs: _Outputs) -> list[str]:
     schema = _load_schema(config, inputs)
     with inputs.open(args.counters) as fh:
-        profiles = ingest.parse_counter_csv(fh)
-    vectors = [ingest.derive_microarch_metrics(p, schema) for p in profiles]
+        # in workload-id order, so the outputs do not follow the row order
+        profiles = sorted(ingest.parse_counter_csv(fh), key=lambda p: p.workload_id)
+        vectors = [ingest.derive_microarch_metrics(p, schema) for p in profiles]
     if args.telemetry:
         with inputs.open(args.telemetry) as fh:
             telemetry = ingest.parse_telemetry_csv(fh)
@@ -286,8 +287,9 @@ def _load_vectors(path: str, config: RunConfig, inputs: _Inputs
         if not (isinstance(payload, dict) and "profiles" in payload):
             raise DataError("holds neither 'vectors' nor 'profiles'")
         profiles = ProfilesFile.from_dict(payload).profiles
-    schema = _load_schema(config, inputs)
-    return schema, [ingest.derive_microarch_metrics(p, schema) for p in profiles]
+        # derived while the profiles are open, so that an error names their file
+        schema = _load_schema(config, inputs)
+        return schema, [ingest.derive_microarch_metrics(p, schema) for p in profiles]
 
 
 def _cmd_reduce(args: argparse.Namespace, config: RunConfig, inputs: _Inputs,

@@ -1,7 +1,9 @@
 """LRU simulation, the reuse-distance oracle, capacity sweeps, footprints."""
 
 import io
+import itertools
 import json
+import sys
 import tempfile
 from collections import OrderedDict
 from dataclasses import replace
@@ -131,6 +133,14 @@ class TestSimulate:
         config = CacheConfig(capacity_bytes=16 * KIB)
         result = simulate_segment(seg, config, kinds=frozenset({AccessKind.LOAD}))
         assert result.accesses == 2
+
+    @pytest.mark.parametrize("kinds", [frozenset(k) for r in (1, 2, 3)
+                                       for k in itertools.combinations(AccessKind, r)])
+    def test_kind_filter_matches_isin(self, kinds):
+        seg = random_segment(np.random.default_rng(113))
+        lines = cachesim._segment_lines(seg, kinds, 64)
+        kept = np.isin(seg.kinds, [k.value for k in kinds])
+        assert np.array_equal(lines, seg.addresses[kept] // np.uint64(64))
 
     def test_no_matching_kinds_rejected(self):
         seg = segment([1, 2], kinds=np.array([1, 1], dtype=np.uint8))
@@ -390,6 +400,17 @@ class TestWindowPass:
         assert previous_accesses(extremes).tolist() == [-1, -1, 0, -1, 1]
         assert previous_accesses(np.array([9], dtype=np.uint64)).tolist() == [-1]
 
+    @pytest.mark.parametrize("words", [1, 2, 3, 255, 256, 300])
+    def test_row_counts_match_count_nonzero(self, words):
+        # rows of 255 words are added up by bytes, of 256 and more by count_nonzero
+        rng = np.random.default_rng(109 + words)
+        block = rng.random((40, 8 * words)) < rng.random((40, 1))
+        block[0] = True
+        block[1] = False
+        counts = cachesim._row_counts(block)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == np.count_nonzero(block, axis=1).tolist()
+
     def test_capacity_past_the_trace_counts_distinct_lines(self):
         # 2**53 sets: memory follows the accesses, not the sets
         rng = np.random.default_rng(71)
@@ -462,9 +483,9 @@ class TestSweep:
         kinds = frozenset({AccessKind.LOAD, AccessKind.STORE})
         calls = []
 
-        def counting(lines, previous, config, missed):
+        def counting(lines, previous, config, missed, layout):
             calls.append((lines.size, config.capacity_bytes, missed.size))
-            return simulate(lines, previous, config, missed)
+            return simulate(lines, previous, config, missed, layout)
 
         with mock.patch.object(cachesim, "simulate", counting):
             sweep_capacities(trace, sizes, CacheConfig(capacity_bytes=4 * KIB), kinds)
@@ -651,6 +672,95 @@ class TestSweepCarry:
             segments.append(segment(lines, weight=weight))
         with mock.patch.object(cachesim, "_SET_CHUNK", chunk):
             assert_sweep_matches_oracle(segments, sizes, template)
+
+
+class TestLayoutCarry:
+    """Each pass of a segment derives its set layout (the distinct lines per
+    set, and the accesses sorted by set) from the last pass that left one
+    of a multiple of its set count; every point must still be the oracle's."""
+
+    @staticmethod
+    def sweep_counting(trace, sizes, template):
+        """The curve, the function that asked each `_sorted_packed` call,
+        the `np.unique` calls and the `_window_misses` calls of one sweep."""
+        callers, window_passes = [], []
+        sorted_packed, window_misses = cachesim._sorted_packed, cachesim._window_misses
+
+        def recording_sort(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return sorted_packed(*args)
+
+        def recording_pass(*args):
+            window_passes.append(args[5])  # the set count
+            return window_misses(*args)
+
+        with mock.patch.object(cachesim, "_sorted_packed", recording_sort), \
+                mock.patch.object(cachesim, "_window_misses", recording_pass), \
+                mock.patch.object(np, "unique", wraps=np.unique) as unique:
+            curve = sweep_capacities(trace, sizes, template)
+        return curve, callers, unique.call_count, window_passes
+
+    def test_default_grid_sorts_and_counts_each_segment_once(self):
+        # the default doubling grid at 8 ways: 16384 sets down to 32, each a
+        # multiple of the next, so after the first pass every layout is derived
+        rng = np.random.default_rng(101)
+        segments = tuple(
+            replace(random_segment(rng, n=n, line_space=space), weight=w)
+            for n, space, w in ((6000, 3000, 0.5), (5000, 30000, 0.3), (4000, 600, 0.2)))
+        trace = AccessTrace(segments=segments)
+        template = CacheConfig(capacity_bytes=16 * KIB)
+        curve, callers, uniques, window_passes = self.sweep_counting(
+            trace, DEFAULT_SIZE_GRID, template)
+        assert callers == ["previous_accesses", "_window_misses"] * len(segments)
+        assert uniques == len(segments)
+        assert len(window_passes) > 2 * len(segments)
+        for point, size in zip(curve.points, DEFAULT_SIZE_GRID):
+            config = replace(template, capacity_bytes=size)
+            assert point.miss_ratio == sum(
+                seg.weight * simulate_segment(seg, config).miss_ratio for seg in segments)
+
+    def test_broken_chain_builds_a_fresh_layout(self):
+        # the segment and grid of `test_set_counts_that_break_the_chain`,
+        # which checks the curve against the oracle: 128, 96 and 32 sets, all
+        # evicting. 128 is no multiple of 96, so the 48K pass sorts and
+        # counts afresh, and the 16K pass derives both from it
+        rng = np.random.default_rng(73)
+        seg = random_segment(rng, n=6000, line_space=2000)
+        _, callers, uniques, window_passes = self.sweep_counting(
+            AccessTrace(segments=(seg,)), [16 * KIB, 48 * KIB, 64 * KIB],
+            CacheConfig(capacity_bytes=16 * KIB))
+        assert window_passes == [128, 96, 32]
+        assert callers == ["previous_accesses", "_window_misses", "_window_misses"]
+        assert uniques == 2
+
+    def test_ordered_dict_passes_between_window_passes(self):
+        # one layout handed through caches in this order: the passes above
+        # 64 ways derive their distinct lines per set but leave the sorted
+        # accesses of the last window pass for the next one
+        rng = np.random.default_rng(103)
+        seg = random_segment(rng, n=5000, line_space=1500)
+        lines = segment_lines(seg)
+        previous = previous_accesses(lines)
+        layout = cachesim.SetLayout()
+        for sets, ways, packed_sets in ((64, 8, 64), (4, 128, 64), (16, 8, 16),
+                                        (1, 100, 16), (2, 4, 2), (1, 80, 2), (1, 40, 1)):
+            config = CacheConfig(capacity_bytes=sets * ways * 64, associativity=ways)
+            result = simulate(lines, previous, config, layout=layout)
+            assert result.misses == stack_distance_oracle(seg, sets * ways, sets)
+            assert (layout.histogram_sets, layout.packed_sets) == (sets, packed_sets)
+
+    @pytest.mark.parametrize("chunk", [1, 16, cachesim._SET_CHUNK])
+    @pytest.mark.parametrize("set_counts", [(1, 2, 4, 8, 16, 32, 64, 128),
+                                            (3, 6, 12, 24, 48, 96)])
+    def test_set_chunks_match_oracle(self, chunk, set_counts):
+        # doubling grids of powers of two (set numbers masked) and of three
+        # times them (set numbers taken modulo the set count)
+        rng = np.random.default_rng(107)
+        segments = [replace(random_segment(rng, n=n, line_space=space), weight=w)
+                    for n, space, w in ((2500, 900, 0.75), (1500, 150, 0.25))]
+        template = CacheConfig(capacity_bytes=4 * 64, associativity=4)
+        with mock.patch.object(cachesim, "_SET_CHUNK", chunk):
+            assert_sweep_matches_oracle(segments, [4 * 64 * s for s in set_counts], template)
 
 
 class TestFootprint:

@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import json
+import random
 import tempfile
 import warnings
 from pathlib import Path
@@ -107,6 +108,24 @@ class TestIngest:
         assert metrics["w1"]["cpu_util"] == pytest.approx(0.9)
         # weighted_io delta over steady state: (11000 - 3000) / (100 * 1000)
         assert metrics["w1"]["weighted_io_ratio"] == pytest.approx(0.08)
+
+    def test_counter_row_order_leaves_output_bytes(self, workdir):
+        # five workloads, first seen out of id order, their rows then shuffled
+        # (seeded): both files list the workloads in id order, with the same bytes
+        workloads = {f"w{i}": {event: count * (1 + i / 7) for event, count in
+                               FIXTURE_COUNTERS.items()} for i in (3, 0, 4, 1, 2)}
+        header, *rows = counters_csv(workloads).splitlines(keepends=True)
+        random.Random(5).shuffle(rows)
+        outputs = []
+        for name, text in (("first.csv", header + "".join(sorted(rows))),
+                           ("shuffled.csv", header + "".join(rows))):
+            (workdir / name).write_text(text)
+            out = workdir / name.removesuffix(".csv")
+            assert run("ingest", workdir / name, "--out", out) == 0
+            outputs.append([(out / f).read_bytes() for f in ("profiles.json", "vectors.json")])
+        assert outputs[0] == outputs[1]
+        vectors = json.loads(outputs[1][1])["vectors"]
+        assert [v["workload_id"] for v in vectors] == ["w0", "w1", "w2", "w3", "w4"]
 
     def test_malformed_counters_exit_2(self, workdir):
         bad = workdir / "bad.csv"

@@ -14,7 +14,7 @@ import pytest
 from helpers import FIXTURE_COUNTERS, write_binary_trace, write_text_trace
 from wcr import cachesim, classification, cli, ingest, report
 from wcr.cachesim import AccessTrace, TraceSegment
-from wcr.model import default_schema, read_json
+from wcr.model import RawProfile, default_schema, read_json, validate_profile
 
 COUNTER_HEADER = "workload,node,event,count,wall_time_s\n"
 TELEMETRY_HEADER = "workload,t_s,cpu_util,io_wait,weighted_io_time_ms,disk_bw,net_bw\n"
@@ -194,9 +194,27 @@ def vectors_json(values: int, version: str) -> str:
         {"workload_id": "a", "values": [0.5] * values, "schema_version": version}]})
 
 
+# a profile of workload 'a' with one counter, which no schema metric can be derived from
+ONE_COUNTER = {"workload_id": "a", "counters": {"cycles": 1}, "wall_time_s": 1}
+CANNOT_DERIVE = "workload 'a' cannot be derived: " + "; ".join(
+    validate_profile(RawProfile.from_dict(ONE_COUNTER), default_schema()))
+
+
 # per input kind: the command's arguments, each input given as `./name`; the
 # input made bad, and its text; and the message after `wcr: `
 BAD_INPUTS = {
+    # derivation runs while the counters or profiles are open, so its error names them
+    "counters-derive": (["ingest", "./counters.csv"], "counters.csv",
+                        COUNTER_HEADER + "a,n1,cycles,1,1\n", f"./counters.csv: {CANNOT_DERIVE}"),
+    "profiles-derive": (["reduce", "./profiles.json"], "profiles.json",
+                        json.dumps({"profiles": [ONE_COUNTER]}), f"./profiles.json: {CANNOT_DERIVE}"),
+    "profiles-derive-report": (["report", "--vectors", "./profiles.json", "--labels",
+                                "./labels.csv"], "profiles.json",
+                               json.dumps({"profiles": [ONE_COUNTER]}),
+                               f"./profiles.json: {CANNOT_DERIVE}"),
+    # the schema, read while the profiles are open, names itself
+    "profiles-schema": (["--schema", "./schema.json", "reduce", "./profiles.json"],
+                        "schema.json", "{", NOT_JSON.format("schema.json")),
     "counters": (["ingest", "./counters.csv"], "counters.csv",
                  COUNTER_HEADER + "w1,n1,instructions_retired,abc,1\n",
                  "./counters.csv: line 2: count 'abc' is not a number"),
