@@ -51,34 +51,35 @@ set's LRU order. numpy counts all accesses of a chunk of whole sets at
 once, and each access stops as soon as its outcome is known, so most
 accesses never count at all.
 
-Misses carry down the sweep. Take a cache C with S sets and W ways, and a
-cache C' whose S' sets are a multiple of S, with W' >= W ways. Line x's
-set in C', x % S', lies inside its set in C, x % S, so the reuse window of
-an access in C' holds a subset of the distinct lines of its window in C.
-An access that misses in C' (W' or more lines in its window) therefore
-misses in C as well: LRU inclusion across set counts under bit selection
-(Hill and Smith, 1989). Running the capacities from the largest down, each
-pass of the window count marks the misses it finds, other than first
-touches, in one bool per access of the segment, and the next pass takes
-the marked accesses as misses without counting their windows. The marks
-are cleared before a pass whose cache the pass just before does not
-relate to in this way: a set count that is not a multiple of this one's,
-or fewer ways. A pass that the window count does not run (no set evicts,
-or more than 64 ways) neither reads nor writes the marks. They stay exact:
-every mark is a miss of some earlier pass in an unbroken line of such
-caches, so by inclusion it is a miss of every later one.
+What a pass learns carries down the sweep. Take a cache C with S sets and
+W ways, and a cache C' whose S' sets are a multiple of S. Line x's set in
+C', x % S', lies inside its set in C, x % S: each set of C is the union of
+the sets of C' whose numbers are equal modulo S. So the reuse window of an
+access in C' holds a subset of the distinct lines of its window in C, and
+when W' >= W an access that misses in C' misses in C as well: LRU
+inclusion across set counts under bit selection (Hill and Smith, 1989).
+The capacities run from the largest down, and each segment has one
+`SweepState` that every pass reads and leaves its own results in. One
+rule carries each part: it holds for a pass when the set count of the
+pass that left it is a multiple of this pass's.
 
-The set layout carries down the same line. With S' a multiple of S, each
-set of C is the union of the sets of C' whose numbers are equal modulo S.
-So a pass needs neither `np.unique` over the segment's first touches nor
-a sort of all its accesses by set when an earlier pass left them for a
-multiple of its set count (a `SetLayout`). The distinct lines of each of
-its sets are the sum of those of the carried sets that merge into it. The
-accesses sorted by set (each packed below its set number) give its own
-order when every set number is taken modulo S: that leaves S'/S sorted
-runs, two on a doubling grid, and a stable sort merges them. Only the
-first pass of a segment, a pass after the line breaks, and a set count
-too wide to pack beside an access index build them afresh.
+- The marks. The window count marks the misses it finds, other than first
+  touches, in one bool per access, and a later window count takes the
+  marked accesses as misses without counting their windows. The marks
+  hold when the pass that last wrote them also had at least as many ways;
+  otherwise they are cleared before the window count. A pass that the
+  window count does not run (no set evicts, or more than 64 ways) neither
+  reads nor writes them. They stay exact: after a pass they are that
+  pass's misses less its first touches, and by inclusion each is a miss
+  of every later pass the rule lets read them.
+- The set layout. The distinct lines of each set are the sum of those of
+  the carried sets that merge into it, so `np.unique` over the segment's
+  first touches runs again only when the rule breaks. The accesses sorted
+  by set (each packed below its set number) give this pass's order when
+  every set number is taken modulo S: that leaves S'/S sorted runs, two on
+  a doubling grid, and a stable sort merges them. Only the first pass of
+  a segment, a pass the rule does not hold for, and a set count too wide
+  to pack beside an access index build them afresh.
 
 Above 64 ways, fully associative caches included, the count would read
 ever wider blocks, so each evicting set is replayed as an `OrderedDict`
@@ -360,54 +361,63 @@ def _take_indices(packed: np.ndarray, shift: int, out: np.ndarray) -> np.ndarray
     return out
 
 
-@dataclass
-class SetLayout:
-    """One segment's accesses laid out by set, handed from each pass of a
-    sweep to the next so that a pass can derive its own from it (see the
-    module docstring). A new layout holds nothing; `simulate` fills it.
+class SweepState:
+    """One segment's accesses, and what each LRU pass of a sweep over them
+    leaves for the next (see the module docstring). `simulate` reads and
+    fills it.
 
+    - `lines`, `previous`: the line of each access that reaches the cache,
+      in trace order, and the index of the last earlier access to each
+      one's line, or -1 (`previous_accesses`); built once.
+    - `missed`, `marked_sets`, `marked_ways`: one bool per access, marking
+      accesses known to miss that are not first touches, and the set count
+      and ways of the window-count pass that last wrote them.
     - `histogram_sets`, `occupied`, `per_set`: a set count, the sets of it
       that some line maps to, in ascending order, and the distinct lines of
       each; set by every pass.
     - `packed_sets`, `packed`: a set count, and every access packed below
       its set number, `set << shift | index`, sorted; set by each pass of
       the window count whose set numbers fit beside an index.
+
+    The set counts are None until a pass sets them.
     """
 
-    histogram_sets: int | None = None
-    occupied: np.ndarray | None = None
-    per_set: np.ndarray | None = None
-    packed_sets: int | None = None
-    packed: np.ndarray | None = None
+    def __init__(self, lines: np.ndarray) -> None:
+        self.lines = lines
+        self.previous = previous_accesses(lines)
+        self.missed = np.zeros(lines.size, dtype=bool)
+        self.marked_sets: int | None = None
+        self.marked_ways: int | None = None
+        self.histogram_sets: int | None = None
+        self.occupied: np.ndarray | None = None
+        self.per_set: np.ndarray | None = None
+        self.packed_sets: int | None = None
+        self.packed: np.ndarray | None = None
 
 
 def _divides(set_count: int, carried: int | None) -> bool:
-    """Whether a layout built for `carried` sets gives one for `set_count`."""
+    """Whether what a pass of `carried` sets left holds for `set_count` sets."""
     return carried is not None and carried % set_count == 0
 
 
-def simulate(
-    lines: np.ndarray, previous: np.ndarray, config: CacheConfig,
-    missed: np.ndarray | None = None, layout: SetLayout | None = None,
-) -> SimResult:
-    """Run one segment's lines through a cold cache and count misses.
+def simulate(state: SweepState, config: CacheConfig) -> SimResult:
+    """Run one segment's accesses through a cold cache and count misses.
 
-    `lines` holds the line (`address // config.line_bytes`) of each access
-    that reaches the cache, in trace order, and `previous` the index of the
-    last earlier access to each one's line, or -1 (`previous_accesses`).
-    Line `x` maps to set `x % set_count`, with LRU replacement inside each
-    set. Only the sets that some line maps to are counted, so memory
-    follows the trace and not the capacity. The sets that never evict are
-    counted from their distinct lines alone (see the module docstring), and
-    when no set evicts no access is looked at. `accesses` counts every
-    access.
+    `state` holds the line (`address // config.line_bytes`) of each access
+    that reaches the cache, in trace order, and what earlier passes over
+    them left (`SweepState`). Line `x` maps to set `x % set_count`, with LRU
+    replacement inside each set. Only the sets that some line maps to are
+    counted, so memory follows the trace and not the capacity. The sets
+    that never evict are counted from their distinct lines alone (see the
+    module docstring), and when no set evicts no access is looked at.
+    `accesses` counts every access.
 
     At most `_WINDOW_WAYS` ways the evicting sets are counted by
     `_window_misses`: an access misses when it is a first touch, when
-    `missed` marks it, or when at least `ways` of the positions in its set
-    since the previous access to its line hold a line's last use before
-    it. That count is the access's reuse distance, so the rule is LRU's,
-    exactly. It is taken from the access backwards, `ways` positions
+    `state.missed` marks it, or when at least `ways` of the positions in
+    its set since the previous access to its line hold a line's last use
+    before it. That count is the access's reuse distance, so the rule is
+    LRU's, exactly. It is taken from the access backwards, `ways` positions
     first, then in blocks twice as wide each step, capped by the longest
     window still counting and by `_SET_CHUNK * ways` entries a step. Above
     `_WINDOW_WAYS` ways, each evicting set is an `OrderedDict`, made on
@@ -415,39 +425,36 @@ def simulate(
     line is that of the access just before it. Both give the same misses
     (see the module docstring for the rules and the cut).
 
-    `missed`, one bool per access, marks accesses known to miss in this
-    cache that are not first touches. `sweep_capacities` runs a segment's
-    capacities from the largest down and hands each pass the marks of the
-    passes before it, cleared where the line of inclusion breaks: a miss
-    in a cache whose sets split these sets, with at least as many ways, is
-    a miss here, as each of its reuse windows holds a subset of the lines
-    of the same window here (see the module docstring). The window count
-    takes each marked access as a miss without counting its window, and
-    marks every miss it finds, so that afterwards `missed` holds this
-    cache's misses less its first touches. When no set evicts, or above
-    `_WINDOW_WAYS` ways, `missed` is neither read nor written. Without it,
-    nothing is known to miss.
-
-    `layout`, when given, holds the set layout of the same accesses that
-    an earlier pass left (`SetLayout`). Where its set count is a multiple
-    of this cache's, the distinct lines per set and the accesses sorted by
-    set are derived from it rather than built afresh; either way this
-    pass's own are left in it for the next. Without it, both are built.
+    Whatever an earlier pass left in `state` is used here when that pass's
+    set count is a multiple of this cache's: the distinct lines per set and
+    the accesses sorted by set are derived from it, not built afresh, and
+    the marks are taken as misses when the pass that wrote them also had at
+    least as many ways. A miss in a cache whose sets split these sets, with
+    at least as many ways, is a miss here, as each of its reuse windows
+    holds a subset of the lines of the same window here (see the module
+    docstring). The window count clears marks that do not hold before it
+    counts, and marks every miss it finds, so that afterwards `missed`
+    holds this cache's misses less its first touches. Every pass leaves its
+    own layout in `state` for the next.
     """
     set_count = config.set_count
     ways = config.ways
+    lines = state.lines
     total = int(lines.size)
-    occupied, per_set = _distinct_per_set(lines, previous, set_count, layout)
+    occupied, per_set = _distinct_per_set(state, set_count)
     overflow = per_set > ways
     misses = int(per_set[~overflow].sum())
     if not overflow.any():
         return SimResult(accesses=total, misses=misses, miss_ratio=misses / total)
 
     if ways <= _WINDOW_WAYS:
-        if missed is None:
-            missed = np.zeros(total, dtype=bool)
-        misses += _window_misses(lines, previous, missed, occupied, overflow, set_count, ways,
-                                 layout)
+        # nothing is marked before the first window count; not clearing
+        # then leaves the marks' zeroed pages untouched until a miss is marked
+        if state.marked_sets is not None and not (
+                _divides(set_count, state.marked_sets) and state.marked_ways >= ways):
+            state.missed[:] = False
+        state.marked_sets, state.marked_ways = set_count, ways
+        misses += _window_misses(state, occupied, overflow, set_count, ways)
         return SimResult(accesses=total, misses=misses, miss_ratio=misses / total)
 
     keep = np.isin(_set_numbers(lines, set_count), occupied[overflow])
@@ -481,42 +488,38 @@ def _set_numbers(lines: np.ndarray, set_count: int) -> np.ndarray:
     return lines & np.uint64(set_count - 1)
 
 
-def _distinct_per_set(
-    lines: np.ndarray, previous: np.ndarray, set_count: int, layout: SetLayout | None,
-) -> tuple[np.ndarray, np.ndarray]:
+def _distinct_per_set(state: SweepState, set_count: int) -> tuple[np.ndarray, np.ndarray]:
     """The sets that some line maps to, in ascending order, and the number
     of distinct lines of each: from `np.unique` over the sets of the first
-    touches, or from a layout of a multiple of `set_count` sets, whose
-    counts are summed over the sets that share a set here. Either way the
-    result is left in `layout`."""
-    if layout is not None and _divides(set_count, layout.histogram_sets):
-        occupied, per_set = layout.occupied, layout.per_set
-        if layout.histogram_sets != set_count:
+    touches, or from the histogram `state` holds of a multiple of
+    `set_count` sets, whose counts are summed over the sets that share a
+    set here. Either way the result is left in `state`."""
+    if _divides(set_count, state.histogram_sets):
+        occupied, per_set = state.occupied, state.per_set
+        if state.histogram_sets != set_count:
             sets = _set_numbers(occupied, set_count)
             order = np.argsort(sets, kind="stable")
             sets = sets[order]
             first = np.flatnonzero(np.concatenate(([True], sets[1:] != sets[:-1])))
             occupied, per_set = sets[first], np.add.reduceat(per_set[order], first)
     else:
-        occupied, per_set = np.unique(_set_numbers(lines[previous < 0], set_count),
-                                      return_counts=True)
-    if layout is not None:
-        layout.histogram_sets, layout.occupied, layout.per_set = set_count, occupied, per_set
+        occupied, per_set = np.unique(
+            _set_numbers(state.lines[state.previous < 0], set_count), return_counts=True)
+    state.histogram_sets, state.occupied, state.per_set = set_count, occupied, per_set
     return occupied, per_set
 
 
 def _window_misses(
-    lines: np.ndarray, previous: np.ndarray, missed: np.ndarray, occupied: np.ndarray,
-    overflow: np.ndarray, set_count: int, ways: int, layout: SetLayout | None,
+    state: SweepState, occupied: np.ndarray, overflow: np.ndarray, set_count: int, ways: int,
 ) -> int:
     """LRU misses of the accesses to the sets `occupied[overflow]`; the
-    accesses that `missed` marks are misses, and the misses found are
+    accesses that `state.missed` marks are misses, and the misses found are
     marked in it.
 
     Every access is packed with its index into one uint64, set number
     above, and the packed values are sorted: each set's accesses then lie
     together, in trace order, and sets in the order of `occupied`. The
-    packed values are derived from those `layout` holds when its set count
+    packed values are derived from those `state` holds when their set count
     is a multiple of this one: each set number is replaced by its own
     modulo `set_count`, which leaves one sorted run for each of the sets
     that now share a set, and a stable sort (a merge of those runs) puts
@@ -527,6 +530,7 @@ def _window_misses(
     packed values chunk by chunk, so that only `previous`, `missed`, the
     packed values and the trace-to-position map `rank` span the segment.
     """
+    lines, previous, missed = state.lines, state.previous, state.missed
     n = lines.size
     shift = _index_bits(n)
     numbered = set_count >> (64 - shift) != 0
@@ -536,16 +540,15 @@ def _window_misses(
             occupied, _set_numbers(lines[start:stop], set_count)).astype(np.uint64))
     else:
         keys = occupied
-        if layout is not None and _divides(set_count, layout.packed_sets):
-            packed = layout.packed
-            if layout.packed_sets != set_count:
+        if _divides(set_count, state.packed_sets):
+            packed = state.packed
+            if state.packed_sets != set_count:
                 _renumber_sets(packed, shift, set_count)
                 packed.sort(kind="stable")
         else:
             packed = _sorted_packed(
                 n, shift, lambda start, stop: _set_numbers(lines[start:stop], set_count))
-        if layout is not None:
-            layout.packed_sets, layout.packed = set_count, packed
+        state.packed_sets, state.packed = set_count, packed
     # occupied set i's accesses are packed[bounds[i]:bounds[i + 1]]
     bounds = np.append(np.searchsorted(packed, keys << np.uint64(shift)), n)
     sizes = np.diff(bounds)
@@ -694,16 +697,14 @@ def sweep_capacities(
     """Simulate every segment at every capacity; combine per-segment miss
     ratios as the weighted mean given by the segment weights.
 
-    Each segment's lines and their previous accesses are computed once, and
-    `simulate` runs them through a cold cache of each capacity, from the
-    largest down: one call per (segment, capacity), looked up as a module
-    global, so a wrapper set on `cachesim.simulate` sees every pass. Each
-    segment has one `missed` mask that the passes hand down (see the
-    module docstring); it is cleared before a pass whose sets the pass
-    just before it does not split, with at least as many ways. Each
-    segment also has one `SetLayout` that every pass reads and leaves its
-    own set layout in. Segments are done one at a time, so only one
-    segment's lines are held in memory.
+    Each segment's lines and their previous accesses are computed once, in
+    one `SweepState`, and `simulate` runs them through a cold cache of each
+    capacity, from the largest down: one call per (segment, capacity),
+    looked up as a module global, so a wrapper set on `cachesim.simulate`
+    sees every pass. What each pass leaves in the state, and which of it
+    the next pass may take, `simulate` decides (see the module docstring).
+    Segments are done one at a time, so only one segment's lines are held
+    in memory.
     """
     if not sizes:
         raise DataError("sizes must be non-empty")
@@ -713,20 +714,10 @@ def sweep_capacities(
     configs = [replace(template, capacity_bytes=size) for size in ordered]
     ratios = [0] * len(configs)  # weight * miss ratio, added up in segment order
     for seg in trace.segments:
-        lines = _segment_lines(seg, kinds, template.line_bytes)
-        previous = previous_accesses(lines)
-        missed = np.zeros(lines.size, dtype=bool)
-        layout = SetLayout()
-        above = None  # the cache of the pass just before
+        state = SweepState(_segment_lines(seg, kinds, template.line_bytes))
         for i in reversed(range(len(configs))):
-            config = configs[i]
-            if above is not None and (above.set_count % config.set_count
-                                      or above.ways < config.ways):
-                missed[:] = False
-            result = simulate(lines, previous, config, missed, layout)
-            ratios[i] += seg.weight * result.miss_ratio
-            above = config
-        del lines, previous, missed, layout  # before the next segment's lines are built
+            ratios[i] += seg.weight * simulate(state, configs[i]).miss_ratio
+        del state  # before the next segment's lines are built
     points = tuple(
         CurvePoint(capacity_bytes=size, miss_ratio=ratio) for size, ratio in zip(ordered, ratios)
     )

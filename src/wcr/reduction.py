@@ -69,10 +69,9 @@ class PcaModel(Codec):
 
 @dataclass(eq=False)
 class Clustering(Codec):
-    """K-means outcome: assignments, centroids, and convergence diagnostics."""
+    """K-means outcome: labels, centroids, and convergence diagnostics."""
 
     k: int
-    assignments: dict[str, int]
     centroids: np.ndarray
     inertia: float
     iterations: int
@@ -82,10 +81,17 @@ class Clustering(Codec):
 
 
 @dataclass(eq=False)
+class AssignedClustering(Clustering):
+    """The clustering a reduction keeps, with each workload's cluster by id."""
+
+    assignments: dict[str, int]
+
+
+@dataclass(eq=False)
 class ReductionResult(Codec):
     """Full audit trail of one reduction run."""
 
-    clustering: Clustering
+    clustering: AssignedClustering
     representatives: tuple[str, ...]
     pca: PcaModel
     cluster_sizes: tuple[int, ...]
@@ -225,7 +231,6 @@ def kmeans(
     points: np.ndarray,
     k: int,
     seed: int,
-    ids: Sequence[str] | None = None,
     *,
     seeding: _Seeding | None = None,
 ) -> Clustering:
@@ -283,14 +288,6 @@ def kmeans(
         raise DataError(f"k={k} exceeds the number of points ({n})")
     if seed < 0:
         raise DataError(f"seed must not be negative, got {seed}")
-    if ids is None:
-        ids = tuple(str(i) for i in range(n))
-    else:
-        ids = tuple(ids)
-        if len(ids) != n:
-            raise DataError(f"{len(ids)} ids for {n} points")
-        if len(set(ids)) != n:
-            raise DataError("ids must be unique")
 
     if seeding is None:
         seeding = _Seeding(points, seed)
@@ -327,7 +324,6 @@ def kmeans(
             history.append(inertia)
     return Clustering(
         k=k,
-        assignments=dict(zip(ids, labels.tolist())),
         centroids=centroids,
         inertia=inertia,
         iterations=iterations,
@@ -527,7 +523,6 @@ def kmeans_best_of(
     k: int,
     seed: int,
     restarts: int,
-    ids: Sequence[str] | None = None,
     *,
     seedings: Sequence[_Seeding] | None = None,
 ) -> Clustering:
@@ -544,7 +539,7 @@ def kmeans_best_of(
     best: Clustering | None = None
     for r in range(restarts):
         seeding = None if seedings is None else seedings[r]
-        result = kmeans(points, k, seed + r, ids=ids, seeding=seeding)
+        result = kmeans(points, k, seed + r, seeding=seeding)
         if best is None or result.inertia < best.inertia:
             best = result
     assert best is not None
@@ -591,7 +586,6 @@ def choose_k(
     k_max: int,
     seed: int,
     restarts: int,
-    ids: Sequence[str] | None = None,
 ) -> Clustering:
     """Return the clustering of the smallest k in [k_min, k_max] whose BIC
     reaches SimPoint 3.0's threshold, found by bisection.
@@ -624,7 +618,7 @@ def choose_k(
     seedings = [_Seeding(points, seed + r) for r in range(restarts)]
 
     def scored(k: int) -> tuple[Clustering, float]:
-        clustering = kmeans_best_of(points, k, seed, restarts, ids=ids, seedings=seedings)
+        clustering = kmeans_best_of(points, k, seed, restarts, seedings=seedings)
         score = bic_score(points, clustering)
         log.debug("k=%d inertia=%.6g bic=%.6g", k, clustering.inertia, score)
         return clustering, score
@@ -660,9 +654,6 @@ def select_representatives(
     ids = tuple(ids)
     if len(ids) != points.shape[0] or len(ids) != len(clustering.labels):
         raise DataError("points and ids are inconsistent with the clustering")
-    for i, workload in enumerate(ids):
-        if clustering.assignments.get(workload) != clustering.labels[i]:
-            raise DataError(f"id {workload!r} does not match the clustering's assignments")
 
     labels = np.asarray(clustering.labels)
     representatives: list[str] = []
@@ -703,11 +694,12 @@ def reduce_vectors(
     else:
         k_min = config.k_min
         k_max = config.k_max if config.k_max is not None else max(k_min, projected.shape[0] // 2)
-    clustering = choose_k(projected, k_min, k_max, config.seed, config.restarts, ids=nm.ids)
+    clustering = choose_k(projected, k_min, k_max, config.seed, config.restarts)
     representatives = select_representatives(clustering, projected, nm.ids)
     sizes = tuple(int(c) for c in np.bincount(clustering.labels, minlength=clustering.k))
     return ReductionResult(
-        clustering=clustering,
+        clustering=AssignedClustering(**vars(clustering),
+                                      assignments=dict(zip(nm.ids, clustering.labels))),
         representatives=tuple(representatives),
         pca=pca,
         cluster_sizes=sizes,

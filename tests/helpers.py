@@ -21,9 +21,9 @@ from wcr.cachesim import (
     SegmentsFile,
     SegmentSpan,
     SimResult,
+    SweepState,
     TraceSegment,
     _segment_lines,
-    previous_accesses,
     simulate,
 )
 from wcr.errors import DataError, ParseError
@@ -299,7 +299,7 @@ def reference_relocation_polish(
     return labels
 
 
-def reference_kmeans(points: np.ndarray, k: int, seed: int, ids=None) -> Clustering:
+def reference_kmeans(points: np.ndarray, k: int, seed: int) -> Clustering:
     """`wcr.reduction.kmeans` computed the plain way; the byte-for-byte reference.
 
     Seeding, Lloyd, empty-cluster re-seeding, stopping rule, polish and
@@ -309,8 +309,6 @@ def reference_kmeans(points: np.ndarray, k: int, seed: int, ids=None) -> Cluster
     point-by-point `reference_relocation_polish`. Takes valid arguments only.
     """
     points = np.ascontiguousarray(points, dtype=float)
-    n = points.shape[0]
-    ids = tuple(str(i) for i in range(n)) if ids is None else tuple(ids)
 
     def means(labels):
         return np.array([points[labels == j].mean(axis=0) for j in range(k)])
@@ -349,7 +347,6 @@ def reference_kmeans(points: np.ndarray, k: int, seed: int, ids=None) -> Cluster
             history.append(inertia)
     return Clustering(
         k=k,
-        assignments={ids[i]: int(labels[i]) for i in range(n)},
         centroids=centroids,
         inertia=inertia,
         iterations=iterations,
@@ -382,8 +379,7 @@ def simulate_segment(
     segment: TraceSegment, config: CacheConfig, kinds: frozenset[AccessKind] = ALL_KINDS
 ) -> SimResult:
     """`cachesim.simulate` on one segment, mapped to lines as `sweep_capacities` maps it."""
-    lines = _segment_lines(segment, kinds, config.line_bytes)
-    return simulate(lines, previous_accesses(lines), config)
+    return simulate(SweepState(_segment_lines(segment, kinds, config.line_bytes)), config)
 
 
 _KIND_LETTER = {AccessKind.IFETCH: "I", AccessKind.LOAD: "L", AccessKind.STORE: "S"}

@@ -37,6 +37,7 @@ from wcr.cachesim import (
     CurvePoint,
     MissRatioCurve,
     SimResult,
+    SweepState,
     TraceSegment,
     estimate_footprint,
     previous_accesses,
@@ -291,8 +292,7 @@ class TestOracleEquivalence:
         lines = rng.integers(0, 256, size=5000).astype(np.uint64)
         distinct = np.unique(lines)
         assert distinct.size == 256 and np.bincount(distinct % 64).max() == 4
-        result = simulate(lines, previous_accesses(lines),
-                          CacheConfig(capacity_bytes=256 * 64, associativity=4))
+        result = simulate(SweepState(lines), CacheConfig(capacity_bytes=256 * 64, associativity=4))
         assert result == SimResult(accesses=5000, misses=256, miss_ratio=256 / 5000)
 
 
@@ -483,9 +483,9 @@ class TestSweep:
         kinds = frozenset({AccessKind.LOAD, AccessKind.STORE})
         calls = []
 
-        def counting(lines, previous, config, missed, layout):
-            calls.append((lines.size, config.capacity_bytes, missed.size))
-            return simulate(lines, previous, config, missed, layout)
+        def counting(state, config):
+            calls.append((state.lines.size, config.capacity_bytes, state.missed.size))
+            return simulate(state, config)
 
         with mock.patch.object(cachesim, "simulate", counting):
             sweep_capacities(trace, sizes, CacheConfig(capacity_bytes=4 * KIB), kinds)
@@ -572,26 +572,47 @@ class TestSweepCarry:
     def test_simulate_marks_its_misses_other_than_first_touches(self):
         rng = np.random.default_rng(97)
         lines = segment_lines(random_segment(rng, n=3000, line_space=700))
-        previous = previous_accesses(lines)
-        missed = np.zeros(lines.size, dtype=bool)
-        result = simulate(lines, previous, CacheConfig(capacity_bytes=16 * KIB), missed)
+        state = SweepState(lines)
+        result = simulate(state, CacheConfig(capacity_bytes=16 * KIB))
         flags = lru_miss_flags(lines, 32, 8)
         assert result.misses == int(flags.sum())
-        assert np.array_equal(missed, flags & (previous >= 0))
+        assert np.array_equal(state.missed, flags & (state.previous >= 0))
 
     def test_set_counts_that_break_the_chain(self):
         # 16K, 48K and 64K at 8 ways: 32, 96 and 128 sets. 128 is no multiple
         # of 96, so the 48K pass must not take the 64K pass's misses (some of
-        # them hit at 48K); 96 is a multiple of 32, so the 16K pass may
+        # them hit at 48K); 96 is a multiple of 32, so the 16K pass may take
+        # the 48K pass's. With no evicting set at 96 (lines 128 * j, j = 0 to
+        # 8, cycled, give each of sets 0, 32 and 64 three; one filler line in
+        # each other set) the 48K pass counts no windows and writes no marks,
+        # and the 16K pass takes the 64K pass's, as 128 is a multiple of 32
         rng = np.random.default_rng(73)
-        seg = random_segment(rng, n=6000, line_space=2000)
-        lines = segment_lines(seg)
-        first = previous_accesses(lines) < 0
-        at_128, at_96 = lru_miss_flags(lines, 128, 8), lru_miss_flags(lines, 96, 8)
-        assert (at_128 & ~at_96 & ~first).any()
-        assert not (at_96 & ~lru_miss_flags(lines, 32, 8)).any()
-        assert_sweep_matches_oracle([seg], [16 * KIB, 48 * KIB, 64 * KIB],
-                                    CacheConfig(capacity_bytes=16 * KIB))
+        cycle, filler = 128 * np.arange(9), np.arange(1, 96)
+        cases = [  # (segment, the set counts of the window passes)
+            (random_segment(rng, n=6000, line_space=2000), [128, 96, 32]),
+            (segment(np.concatenate([cycle, filler, cycle, filler, cycle])), [128, 32]),
+        ]
+        sizes, template = [16 * KIB, 48 * KIB, 64 * KIB], CacheConfig(capacity_bytes=16 * KIB)
+        window_misses = cachesim._window_misses
+        for seg, window_passes in cases:
+            lines = segment_lines(seg)
+            first = previous_accesses(lines) < 0
+            at_128, at_96 = lru_miss_flags(lines, 128, 8), lru_miss_flags(lines, 96, 8)
+            assert (at_128 & ~at_96 & ~first).any()
+            assert not (at_96 & ~lru_miss_flags(lines, 32, 8)).any()
+            marks = {}  # set count -> the marks its window count starts from
+
+            def recording(state, occupied, overflow, set_count, ways):
+                marks[set_count] = state.missed.copy()
+                return window_misses(state, occupied, overflow, set_count, ways)
+
+            with mock.patch.object(cachesim, "_window_misses", recording):
+                sweep_capacities(AccessTrace(segments=(seg,)), sizes, template)
+            assert list(marks) == window_passes
+            # the 16K pass starts from the misses of the last window pass above it
+            assert marks[32].any()
+            assert np.array_equal(marks[32], lru_miss_flags(lines, window_passes[-2], 8) & ~first)
+            assert_sweep_matches_oracle([seg], sizes, template)
 
     @pytest.mark.parametrize("lines_per_size, space", [
         ((16, 32, 64), 150),  # every pass on the window count
@@ -691,7 +712,7 @@ class TestLayoutCarry:
             return sorted_packed(*args)
 
         def recording_pass(*args):
-            window_passes.append(args[5])  # the set count
+            window_passes.append(args[3])  # the set count
             return window_misses(*args)
 
         with mock.patch.object(cachesim, "_sorted_packed", recording_sort), \
@@ -734,20 +755,19 @@ class TestLayoutCarry:
         assert uniques == 2
 
     def test_ordered_dict_passes_between_window_passes(self):
-        # one layout handed through caches in this order: the passes above
+        # one state handed through caches in this order: the passes above
         # 64 ways derive their distinct lines per set but leave the sorted
-        # accesses of the last window pass for the next one
+        # accesses and the marks of the last window pass for the next one,
+        # and the 40-way pass clears the marks of the 4-way one
         rng = np.random.default_rng(103)
         seg = random_segment(rng, n=5000, line_space=1500)
-        lines = segment_lines(seg)
-        previous = previous_accesses(lines)
-        layout = cachesim.SetLayout()
+        state = SweepState(segment_lines(seg))
         for sets, ways, packed_sets in ((64, 8, 64), (4, 128, 64), (16, 8, 16),
                                         (1, 100, 16), (2, 4, 2), (1, 80, 2), (1, 40, 1)):
             config = CacheConfig(capacity_bytes=sets * ways * 64, associativity=ways)
-            result = simulate(lines, previous, config, layout=layout)
+            result = simulate(state, config)
             assert result.misses == stack_distance_oracle(seg, sets * ways, sets)
-            assert (layout.histogram_sets, layout.packed_sets) == (sets, packed_sets)
+            assert (state.histogram_sets, state.packed_sets) == (sets, packed_sets)
 
     @pytest.mark.parametrize("chunk", [1, 16, cachesim._SET_CHUNK])
     @pytest.mark.parametrize("set_counts", [(1, 2, 4, 8, 16, 32, 64, 128),

@@ -28,6 +28,7 @@ from wcr.errors import DataError
 from wcr.ingest import derive_microarch_metrics
 from wcr.model import MetricVector, default_schema, write_json
 from wcr.reduction import (
+    AssignedClustering,
     ReductionConfig,
     bic_score,
     choose_k,
@@ -427,8 +428,7 @@ class TestKmeans:
     def _assert_same_clustering(got, expected):
         assert got.centroids.tobytes() == expected.centroids.tobytes()
         assert got.centroids.shape == expected.centroids.shape
-        for field in ("k", "assignments", "inertia", "iterations", "seed", "labels",
-                      "inertia_history"):
+        for field in ("k", "inertia", "iterations", "seed", "labels", "inertia_history"):
             assert getattr(got, field) == getattr(expected, field), field
 
     def test_kmeans_best_of_and_choose_k_match_reference_bytes(self):
@@ -436,17 +436,16 @@ class TestKmeans:
         polished = not_argmax = 0
         for points in self._reference_instances():
             n = len(points)
-            ids = tuple(f"p{i}" for i in range(n))
             best_per_k = []
             for k in range(1, n + 1):
-                runs = [reference_kmeans(points, k, seed, ids) for seed in range(restarts)]
+                runs = [reference_kmeans(points, k, seed) for seed in range(restarts)]
                 for seed, expected in enumerate(runs):
-                    self._assert_same_clustering(kmeans(points, k, seed, ids), expected)
+                    self._assert_same_clustering(kmeans(points, k, seed), expected)
                     polished += len(expected.inertia_history) > expected.iterations
                 best = min(runs, key=lambda c: c.inertia)  # the first of equal inertias
-                self._assert_same_clustering(kmeans_best_of(points, k, 0, restarts, ids), best)
+                self._assert_same_clustering(kmeans_best_of(points, k, 0, restarts), best)
                 # a one-k range: how `reduce_vectors` clusters a fixed k
-                self._assert_same_clustering(choose_k(points, k, k, 0, restarts, ids), best)
+                self._assert_same_clustering(choose_k(points, k, k, 0, restarts), best)
                 best_per_k.append(best)
             scores = [bic_score(points, c) for c in best_per_k]
             # [1, n] ends where distinct points score +inf; k_min > 1 still draws
@@ -456,13 +455,13 @@ class TestKmeans:
                 pick, _ = threshold_picks(scores[k_min - 1:k_max], k_min)
                 expected = best_per_k[pick - 1]
                 self._assert_same_clustering(
-                    choose_k(points, k_min, k_max, 0, restarts, ids), expected)
+                    choose_k(points, k_min, k_max, 0, restarts), expected)
                 argmax = scores.index(max(scores[k_min - 1:k_max]), k_min - 1) + 1
                 not_argmax += pick != argmax
             # Fortran order: the seeding's row sums must still run in C order
             pick, _ = threshold_picks(scores, 1)
             self._assert_same_clustering(
-                choose_k(np.asfortranarray(points), 1, n, 0, restarts, ids), best_per_k[pick - 1])
+                choose_k(np.asfortranarray(points), 1, n, 0, restarts), best_per_k[pick - 1])
         assert polished > 50  # the instances exercise the polish's moves
         assert not_argmax > 0  # and the threshold rule, where it differs from the BIC argmax
 
@@ -480,11 +479,6 @@ class TestKmeans:
             [-0.1, -1.8, -0.9],
         ])
         self._assert_same_clustering(kmeans(points, 20, 1), reference_kmeans(points, 20, 1))
-
-    def test_custom_ids(self):
-        points = np.array([[0.0], [10.0]])
-        c = kmeans(points, 2, seed=0, ids=("a", "b"))
-        assert set(c.assignments) == {"a", "b"}
 
 
 class TestChooseK:
@@ -584,14 +578,15 @@ class TestChooseK:
             # shared draws give each k the bytes of a fresh `kmeans_best_of`, and
             # make the scan cheaper (see `test_kmeans_best_of_and_choose_k_match_reference_bytes`)
             seedings = [_Seeding(projected, config.seed + r) for r in range(config.restarts)]
-            scan = [kmeans_best_of(projected, k, config.seed, config.restarts,
-                                   ids=result.normalized.ids, seedings=seedings)
+            scan = [kmeans_best_of(projected, k, config.seed, config.restarts, seedings=seedings)
                     for k in range(1, len(points) // 2 + 1)]
             scores = [bic_score(projected, c) for c in scan]
             bisection, smallest = threshold_picks(scores, 1)
             argmax = scores.index(max(scores)) + 1
             got = result.clustering
-            same_bytes = reduction_bytes(got) == reduction_bytes(scan[got.k - 1])
+            chosen = scan[got.k - 1]
+            same_bytes = reduction_bytes(got) == reduction_bytes(AssignedClustering(
+                **vars(chosen), assignments=dict(zip(result.normalized.ids, chosen.labels))))
             if not (got.k == bisection == smallest == argmax == planted and same_bytes):
                 differ.append(f"{name}: choose_k {got.k}, bisection {bisection}, scan "
                               f"{smallest}, argmax {argmax}, planted {planted}, "
@@ -614,28 +609,32 @@ class TestChooseK:
 class TestSelectRepresentatives:
     def test_singleton_cluster(self):
         points = np.array([[0.0, 0.0]])
-        c = kmeans(points, 1, seed=0, ids=("only",))
+        c = kmeans(points, 1, seed=0)
         assert select_representatives(c, points, ("only",)) == ["only"]
 
     def test_equidistant_tie_breaks_lexicographically(self):
         points = np.array([[0.0, 0.0], [0.0, 2.0]])
-        c = kmeans(points, 1, seed=0, ids=("b", "a"))
+        c = kmeans(points, 1, seed=0)
         assert select_representatives(c, points, ("b", "a")) == ["a"]
 
     def test_nearest_member_hand_computed(self):
         # centroid (5/3, 2); squared distances 6.78, 20.11, 3.78 -> last point
         points = np.array([[0.0, 0.0], [5.0, 5.0], [0.0, 1.0]])
-        c = kmeans(points, 1, seed=0, ids=("p0", "p1", "p2"))
+        c = kmeans(points, 1, seed=0)
         centroid = points.mean(axis=0)
         d2 = ((points - centroid) ** 2).sum(axis=1)
         assert int(np.argmin(d2)) == 2
         assert select_representatives(c, points, ("p0", "p1", "p2")) == ["p2"]
 
     def test_inconsistent_ids_rejected(self):
+        # one id per point and per label; the clustering holds no ids to compare
         points = np.array([[0.0], [1.0]])
-        c = kmeans(points, 1, seed=0, ids=("a", "b"))
+        c = kmeans(points, 1, seed=0)
+        for ids in (("a",), ("a", "b", "c")):
+            with pytest.raises(DataError):
+                select_representatives(c, points, ids)
         with pytest.raises(DataError):
-            select_representatives(c, points, ("a", "x"))
+            select_representatives(c, points[:1], ("a",))
 
 
 class TestPipeline:
@@ -647,6 +646,17 @@ class TestPipeline:
         assert adjusted_rand_index(found, labels.tolist()) >= 0.95
         assert len(result.representatives) == 17
         assert len(set(result.representatives)) == 17
+
+    def test_assignments_are_the_sorted_ids_with_their_labels(self):
+        # `kmeans` knows no ids; the reduction attaches them once, to the
+        # clustering it keeps, and `reduction.json` writes them
+        schema, vectors, _, _ = planted_metric_vectors(seed=7)
+        result = reduce_vectors(vectors[::-1], schema, ReductionConfig(k=5, seed=7))
+        ids = sorted(v.workload_id for v in vectors)
+        assert list(result.clustering.assignments) == ids
+        assert list(result.clustering.assignments.values()) == list(result.clustering.labels)
+        assert result.clustering.to_dict()["assignments"] == result.clustering.assignments
+        assert not hasattr(kmeans(result.projected, 5, 7), "assignments")
 
     def test_identical_profiles_reduce_to_one(self):
         schema = default_schema()
