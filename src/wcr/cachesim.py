@@ -75,11 +75,18 @@ pass that left it is a multiple of this pass's.
 - The set layout. The distinct lines of each set are the sum of those of
   the carried sets that merge into it, so `np.unique` over the segment's
   first touches runs again only when the rule breaks. The accesses sorted
-  by set (each packed below its set number) give this pass's order when
-  every set number is taken modulo S: that leaves S'/S sorted runs, two on
-  a doubling grid, and a stable sort merges them. Only the first pass of
-  a segment, a pass the rule does not hold for, and a set count too wide
-  to pack beside an access index build them afresh.
+  by set give this pass's order when every set number is taken modulo S:
+  that leaves S'/S sorted runs, two on a doubling grid, and a stable sort
+  merges them. Each access is one uint64 word, its set number above its
+  index and its previous index plus one below (`set << 2b | index << b |
+  previous + 1`, where b bits hold every index), so the window count reads
+  both indices from the sorted words; as the indices are unique, the low
+  field never changes the order. Only the first pass of a segment, a pass
+  the rule does not hold for, and a set count too wide to pack beside the
+  two indices build them afresh. A set count that wide is not carried: its
+  pass numbers the occupied sets, packs each number above the index alone,
+  and gathers the previous indices from the segment's previous-access
+  array.
 
 Above 64 ways, fully associative caches included, the count would read
 ever wider blocks, so each evicting set is replayed as an `OrderedDict`
@@ -338,16 +345,24 @@ def _index_bits(n: int) -> int:
     return max(n - 1, 1).bit_length()
 
 
-def _sorted_packed(n: int, shift: int, high) -> np.ndarray:
+def _sorted_packed(n: int, shift: int, high, previous: np.ndarray | None = None) -> np.ndarray:
     """Each index i < n packed below its high part, `high << shift | i`,
-    sorted. `high(start, stop)` returns the uint64 high parts of indices
-    start to stop - 1; they are asked for `_CHUNK` at a time, so that no
-    temporary spans the segment."""
+    sorted. Given `previous`, each index has `previous[i] + 1` packed below
+    it, `high << 2 * shift | i << shift | previous[i] + 1`; the indices
+    being unique, the order is still that of (high, i).
+    `high(start, stop)` returns the uint64 high parts of indices start to
+    stop - 1; they are asked for `_CHUNK` at a time, so that no temporary
+    spans the segment."""
     packed = np.empty(n, dtype=np.uint64)
+    fields = shift if previous is None else 2 * shift
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
-        block = high(start, stop) << np.uint64(shift)
-        block |= np.arange(start, stop, dtype=np.uint64)
+        block = high(start, stop) << np.uint64(fields)
+        index = np.arange(start, stop, dtype=np.uint64)
+        if previous is not None:
+            index <<= np.uint64(shift)
+            index |= (previous[start:stop] + 1).astype(np.uint64)
+        block |= index
         packed[start:stop] = block
     packed.sort()
     return packed
@@ -376,8 +391,12 @@ class SweepState:
       that some line maps to, in ascending order, and the distinct lines of
       each; set by every pass.
     - `packed_sets`, `packed`: a set count, and every access packed below
-      its set number, `set << shift | index`, sorted; set by each pass of
-      the window count whose set numbers fit beside an index.
+      its set number, `set << 2 * b | index << b | previous + 1` with
+      b = `_index_bits(n)` for n accesses, sorted; set by each pass of the
+      window count whose set numbers fit beside the two indices. A pass
+      whose set numbers do not fit packs the sets' places in `occupied`
+      above the index alone, gathers the previous indices, and leaves these
+      as they were.
 
     The set counts are None until a pass sets them.
     """
@@ -516,39 +535,43 @@ def _window_misses(
     accesses that `state.missed` marks are misses, and the misses found are
     marked in it.
 
-    Every access is packed with its index into one uint64, set number
-    above, and the packed values are sorted: each set's accesses then lie
-    together, in trace order, and sets in the order of `occupied`. The
-    packed values are derived from those `state` holds when their set count
-    is a multiple of this one: each set number is replaced by its own
-    modulo `set_count`, which leaves one sorted run for each of the sets
-    that now share a set, and a stable sort (a merge of those runs) puts
-    them in order. (When a set number does not fit beside an index, the
-    set's place in `occupied` stands in for it, and nothing is carried.)
-    The evicting sets are counted by `_chunk_misses` about `_SET_CHUNK`
-    accesses at a time, whole sets per chunk, their indices taken from the
-    packed values chunk by chunk, so that only `previous`, `missed`, the
+    Every access is packed into one uint64, its set number above its index
+    and its previous index plus one below, and the packed values are
+    sorted: each set's accesses then lie together, in trace order, and sets
+    in the order of `occupied`. The packed values are derived from those
+    `state` holds when their set count is a multiple of this one: each set
+    number is replaced by its own modulo `set_count`, which leaves one
+    sorted run for each of the sets that now share a set, and a stable sort
+    (a merge of those runs) puts them in order. When a set number does not
+    fit beside the two indices, the set's place in `occupied` is packed
+    above the index alone, the previous index is gathered from
+    `state.previous` chunk by chunk, and nothing is carried. The evicting
+    sets are counted by `_chunk_misses` about `_SET_CHUNK` accesses at a
+    time, whole sets per chunk, each chunk reading its indices from its
+    slice of the packed values, so that only `previous`, `missed`, the
     packed values and the trace-to-position map `rank` span the segment.
     """
-    lines, previous, missed = state.lines, state.previous, state.missed
+    lines, previous = state.lines, state.previous
     n = lines.size
-    shift = _index_bits(n)
-    numbered = set_count >> (64 - shift) != 0
-    if numbered:
-        keys = np.arange(occupied.size, dtype=np.uint64)
-        packed = _sorted_packed(n, shift, lambda start, stop: np.searchsorted(
-            occupied, _set_numbers(lines[start:stop], set_count)).astype(np.uint64))
-    else:
-        keys = occupied
-        if _divides(set_count, state.packed_sets):
-            packed = state.packed
-            if state.packed_sets != set_count:
-                _renumber_sets(packed, shift, set_count)
-                packed.sort(kind="stable")
-        else:
-            packed = _sorted_packed(
-                n, shift, lambda start, stop: _set_numbers(lines[start:stop], set_count))
+    bits = _index_bits(n)  # holds an index, or a previous index plus one
+    shift = 2 * bits  # the two indices below a set's key
+    keys, gathered = occupied, None  # the words hold each previous index plus one
+    if _divides(set_count, state.packed_sets):
+        packed = state.packed
+        if state.packed_sets != set_count:
+            _renumber_sets(packed, shift, set_count)
+            packed.sort(kind="stable")
+        state.packed_sets = set_count
+    elif set_count.bit_length() <= 64 - shift:
+        packed = _sorted_packed(
+            n, bits, lambda start, stop: _set_numbers(lines[start:stop], set_count), previous)
         state.packed_sets, state.packed = set_count, packed
+    else:
+        # number the occupied sets above the index alone, gather the
+        # previous indices, and leave `state`'s layout as it is
+        keys, shift, gathered = np.arange(occupied.size, dtype=np.uint64), bits, previous
+        packed = _sorted_packed(n, bits, lambda start, stop: np.searchsorted(
+            occupied, _set_numbers(lines[start:stop], set_count)).astype(np.uint64))
     # occupied set i's accesses are packed[bounds[i]:bounds[i + 1]]
     bounds = np.append(np.searchsorted(packed, keys << np.uint64(shift)), n)
     sizes = np.diff(bounds)
@@ -558,19 +581,15 @@ def _window_misses(
     cuts = [0, *(np.searchsorted(evicting, np.arange(_SET_CHUNK, evicting[-1], _SET_CHUNK))
                  + 1).tolist(), occupied.size]
     del evicting
-    low = np.uint64((1 << shift) - 1)
     rank = np.empty(n + 1, dtype=previous.dtype)
     misses = 0
     for first, last in zip(cuts, cuts[1:]):
+        words = packed[bounds[first]:bounds[last]]
         mine = overflow[first:last]
-        if mine.all():
-            taken = packed[bounds[first]:bounds[last]] & low
-        else:
-            taken = packed[bounds[first]:bounds[last]][np.repeat(mine, sizes[first:last])]
-            taken &= low
-        if taken.size:
-            misses += _chunk_misses(previous, missed, rank, taken.view(np.int64), ways)
-        del taken
+        if not mine.all():
+            words = words[np.repeat(mine, sizes[first:last])]
+        if words.size:
+            misses += _chunk_misses(words, bits, gathered, state.missed, rank, ways)
     return misses
 
 
@@ -616,15 +635,29 @@ def _row_counts(block: np.ndarray) -> np.ndarray:
 
 
 def _chunk_misses(
-    previous: np.ndarray, missed: np.ndarray, rank: np.ndarray, taken: np.ndarray, ways: int
+    words: np.ndarray, bits: int, previous: np.ndarray | None, missed: np.ndarray,
+    rank: np.ndarray, ways: int,
 ) -> int:
-    """LRU misses of `taken`, the trace indices (int64) of the accesses to
-    whole sets, set by set and each set in trace order. An access that
-    `missed` marks is a miss whose window is not counted; every miss found
-    by counting is marked in `missed`. `rank` is a work array one longer
-    than the segment."""
-    index = previous.dtype.type
-    before = previous.take(taken)
+    """LRU misses of the accesses `words` holds, whole sets, set by set and
+    each set in trace order. Each word holds its access's trace index in
+    the `bits` bits above its previous index plus one (0 for a first
+    touch); where `previous` is given, the index is in the low `bits` bits
+    instead, and the previous index is gathered from `previous`. An access
+    that `missed` marks is a miss whose window is not counted; every miss
+    found by counting is marked in `missed`. `rank` is a work array one
+    longer than the segment."""
+    index = rank.dtype.type
+    mask = np.uint64((1 << bits) - 1)
+    if previous is None:
+        taken = words >> np.uint64(bits)
+        taken &= mask
+        before = words & mask
+        before -= np.uint64(1)  # a first touch wraps to -1 as int64
+        before = before.view(np.int64)
+    else:
+        taken = words & mask
+        before = previous.take(taken.view(np.int64))
+    taken = taken.view(np.int64)
     new = np.empty(taken.size, dtype=bool)
     new[0] = True
     np.not_equal(before[1:], taken[:-1], out=new[1:])
@@ -635,15 +668,17 @@ def _chunk_misses(
     count = int(positions[-1]) + 1
     rank[taken] = positions
     rank[-1] = count  # previous -1: a first touch "reuses" position `count`
-    prev = rank.take(before[new])
-    at = taken[new]  # the trace index of each position
-    del before, new, positions
+    kept = np.flatnonzero(new)
+    prev = rank.take(before.take(kept))
+    at = taken.take(kept)  # the trace index of each position
+    del before, new, positions, kept
     known = missed.take(at)
     misses = int(np.count_nonzero(prev == count)) + int(np.count_nonzero(known))
     position = np.arange(count, dtype=index)
     # the position of the next access to each position's line, or `count`;
-    # `count` + 7 more entries let every block below read `width` entries
-    # rounded up to whole 8-byte words
+    # `count` + 8 more entries let `rows` below (row r is next_use[r:], as
+    # wide as any block) start at every position. A block reads the first
+    # `width` entries of its rows, rounded up to whole 8-byte words
     next_use = np.full(2 * count + 8, count, dtype=index)
     next_use[prev] = position
     # fewer than `ways` accesses between `prev` and the access: a hit
@@ -661,10 +696,11 @@ def _chunk_misses(
     # window left or than `_SET_CHUNK * ways` entries over the accesses
     # still counting (and at least `ways`). Each block is read in whole
     # words, the columns past its width masked
+    rows = sliding_window_view(next_use, count + 8)
     low = prev[p] + 1
     top = p - ways
     columns = -(-ways // 8) * 8
-    block = sliding_window_view(next_use, columns)[top] > p[:, None]
+    block = rows[top, :columns] > p[:, None]
     if columns > ways:
         block &= np.arange(columns) < ways
     seen = _row_counts(block)
@@ -682,7 +718,7 @@ def _chunk_misses(
         # the block is positions start to top - 1, the first top - start
         # columns of the row read from `start`
         columns = -(-width // 8) * 8
-        block = sliding_window_view(next_use, columns)[start] > p[:, None]
+        block = rows[start, :columns] > p[:, None]
         block &= np.arange(columns, dtype=index) < (top - start)[:, None]
         seen += _row_counts(block)
         top = start

@@ -375,8 +375,9 @@ class TestWindowPass:
         self.assert_matches_oracle(lines, 4, 8)
 
     def test_set_numbers_too_wide_to_pack(self):
-        # 2**60 sets: a set number does not fit beside a 12-bit access
-        # index in one uint64, so the pass numbers the occupied sets instead
+        # 2**60 sets: a set number does not fit beside two 12-bit access
+        # indices in one uint64, so the pass numbers the occupied sets above
+        # the index alone and gathers the previous indices
         set_count = 1 << 60
         rng = np.random.default_rng(61)
         hot = np.array([5, 1 << 40, (1 << 59) + 3], dtype=np.uint64)
@@ -386,6 +387,28 @@ class TestWindowPass:
         misses = self.assert_matches_oracle(lines[rng.permutation(lines.size)], set_count, 4,
                                             line_bytes=1)
         assert misses > 3 * 6 + 1000
+
+    def test_segment_too_long_to_pack_previous_indices(self):
+        # 2**21 + 2 accesses: an index or a previous index plus one takes 22
+        # bits, which leaves 20 for the set number; a set count of 2**20
+        # takes 21, so the pass numbers the occupied sets above the index
+        # alone and each chunk gathers the previous indices. Set 0 cycles 3
+        # lines at 2 ways and misses every time; set 1 cycles 2 lines after
+        # one other, and misses only on its 3 first touches
+        set_count, half = 1 << 20, (1 << 20) + 1
+        lines = np.empty(2 * half, dtype=np.uint64)
+        lines[0::2] = np.arange(half) % 3 * set_count
+        lines[1::2] = np.concatenate([[2 * set_count + 1],
+                                      1 + np.arange(half - 1) % 2 * set_count])
+        state = SweepState(lines)
+        config = CacheConfig(capacity_bytes=set_count * 2 * 64, associativity=2)
+        with mock.patch.object(cachesim, "_chunk_misses",
+                               wraps=cachesim._chunk_misses) as chunk:
+            result = simulate(state, config)
+        assert chunk.call_count == 2  # sets 0 and 1, each past `_SET_CHUNK` accesses
+        assert all(call.args[2] is state.previous for call in chunk.call_args_list)
+        assert result.misses == half + 3
+        assert int(np.count_nonzero(state.missed)) == half - 3
 
     @pytest.mark.parametrize("scale", [1, 1 << 40, 1 << 54])
     def test_previous_accesses_match_a_dict(self, scale):
@@ -653,11 +676,18 @@ class TestSweepCarry:
             rare = [100 + 2 * k] if k % 2 else [100 + 2 * k, 101 + 2 * k]
             lines += rare + [1 + i % 3 for i in range(gap)] + rare[:1]
         seg = segment(lines)
-        widths = []
+        widths = []  # the columns each block reads from its rows
+
+        class RecordingRows:
+            def __init__(self, rows):
+                self.rows = rows
+
+            def __getitem__(self, key):
+                widths.append(key[1].stop)
+                return self.rows[key]
 
         def recording(array, window_shape):
-            widths.append(window_shape)
-            return sliding_window_view(array, window_shape)
+            return RecordingRows(sliding_window_view(array, window_shape))
 
         template = CacheConfig(capacity_bytes=256, associativity=None)
         with mock.patch.object(cachesim, "_SET_CHUNK", 64):
